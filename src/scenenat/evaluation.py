@@ -15,7 +15,7 @@ import numpy as np
 
 from .instructions import Instruction
 from .relations import GeometryFrame, classify_relation, footprint_corners, frame_of
-from .scene import SceneLayout, TokenizedScene
+from .scene import ATTRIBUTE_COLUMNS, GRID_COLUMNS, LAYOUT_ATTRIBUTES, SceneLayout, TokenizedScene
 
 
 def _clip_polygon(subject: list[tuple[float, float]], clip: list[tuple[float, float]]) -> list[tuple[float, float]]:
@@ -32,27 +32,21 @@ def _clip_polygon(subject: list[tuple[float, float]], clip: list[tuple[float, fl
         cp2 = clip[i]
         edge_x, edge_y = cp2[0] - cp1[0], cp2[1] - cp1[1]
 
-        def is_inside(p):
-            return edge_x * (p[1] - cp1[1]) - edge_y * (p[0] - cp1[0]) >= 0.0
-
-        def intersect(a, b):
-            dx, dy = b[0] - a[0], b[1] - a[1]
-            denom = edge_x * dy - edge_y * dx
-            t = (edge_x * (a[1] - cp1[1]) - edge_y * (a[0] - cp1[0])) / -denom
-            return (a[0] + t * dx, a[1] + t * dy)
+        def signed_distance(p):  # >= 0 on the inner (left) side of the edge
+            return edge_x * (p[1] - cp1[1]) - edge_y * (p[0] - cp1[0])
 
         result = []
         prev = output[-1]
-        prev_in = is_inside(prev)
+        d_prev = signed_distance(prev)
         for point in output:
-            point_in = is_inside(point)
-            if point_in:
-                if not prev_in:
-                    result.append(intersect(prev, point))
+            d = signed_distance(point)
+            if (d >= 0.0) != (d_prev >= 0.0):
+                # the distances straddle 0, so the denominator is never 0
+                t = d_prev / (d_prev - d)
+                result.append((prev[0] + t * (point[0] - prev[0]), prev[1] + t * (point[1] - prev[1])))
+            if d >= 0.0:
                 result.append(point)
-            elif prev_in:
-                result.append(intersect(prev, point))
-            prev, prev_in = point, point_in
+            prev, d_prev = point, d
         output = result
     return output
 
@@ -238,35 +232,17 @@ def attribute_accuracy(
     is a PAD token (empty rows) are skipped since heads cannot emit PAD.
     Layout columns also report a within-one-bin rate.
     """
-    groups = {
-        "category": [0],
-        "appearance": [1, 2, 3, 4],
-        "position": [5, 6, 7],
-        "size": [8, 9, 10],
-        "rotation": [11],
-    }
-    exact = {g: [0, 0] for g in groups}
-    near = {g: [0, 0] for g in groups}
-    for target, generated, scored in zip(target_grids, generated_grids, scored_positions):
-        for name, cols in groups.items():
-            for c in cols:
-                col = codec.columns[c]
-                rows = np.where(scored[:, c])[0]
-                for r in rows:
-                    t = int(target.tokens[r, c])
-                    if col.pad_id is not None and t == col.pad_id:
-                        continue
-                    g = int(generated.tokens[r, c])
-                    exact[name][0] += int(g == t)
-                    exact[name][1] += 1
-                    near[name][0] += int(abs(g - t) <= 1)
-                    near[name][1] += 1
+    pads = np.array([-1 if c.pad_id is None else c.pad_id for c in codec.columns])
+    target = np.array([g.tokens for g in target_grids], dtype=np.int64).reshape(-1, GRID_COLUMNS)
+    generated = np.array([g.tokens for g in generated_grids], dtype=np.int64).reshape(-1, GRID_COLUMNS)
+    scored = np.array(scored_positions, dtype=bool).reshape(-1, GRID_COLUMNS) & (target != pads)
+    distance = np.abs(generated - target)
     out: dict[str, dict[str, float]] = {}
-    for name in groups:
-        hit, total = exact[name]
-        entry = {"exact": hit / total if total else 0.0, "count": total}
-        if name in ("position", "size", "rotation"):
-            nhit, ntotal = near[name]
-            entry["within_one_bin"] = nhit / ntotal if ntotal else 0.0
+    for name, (lo, hi) in ATTRIBUTE_COLUMNS.items():
+        d = distance[:, lo:hi][scored[:, lo:hi]]
+        total = d.size
+        entry = {"exact": np.count_nonzero(d == 0) / total if total else 0.0, "count": total}
+        if name in LAYOUT_ATTRIBUTES:
+            entry["within_one_bin"] = np.count_nonzero(d <= 1) / total if total else 0.0
         out[name] = entry
     return out

@@ -85,16 +85,14 @@ def corrupt(
     at every planned position (kept and randomized included), -1 elsewhere.
     """
     out = grid.copy()
-    targets = np.full_like(grid.tokens, -1)
-    targets[plan.positions] = grid.tokens[plan.positions]
-    rows, cols = np.nonzero(plan.positions)
-    draws = rng.random(rows.shape[0])
-    for i in range(rows.shape[0]):
-        col = codec.columns[cols[i]]
-        if draws[i] < RANDOM_TOKEN_FRACTION:
-            out.tokens[rows[i], cols[i]] = rng.integers(col.mask_id)  # any non-MASK id
-        elif draws[i] < RANDOM_TOKEN_FRACTION + (1 - RANDOM_TOKEN_FRACTION) * MASK_TOKEN_FRACTION:
-            out.tokens[rows[i], cols[i]] = col.mask_id
-            out.mask_flags[rows[i], cols[i]] = True
-        # else: keep the original token
+    targets = np.where(plan.positions, grid.tokens, -1)
+    mask_ids = np.broadcast_to(codec.mask_ids, grid.tokens.shape)
+    draws = rng.random(grid.tokens.shape)
+    randomize = plan.positions & (draws < RANDOM_TOKEN_FRACTION)
+    remask = plan.positions & ~randomize & (
+        draws < RANDOM_TOKEN_FRACTION + (1 - RANDOM_TOKEN_FRACTION) * MASK_TOKEN_FRACTION
+    )
+    out.tokens[randomize] = rng.integers(mask_ids[randomize])  # any non-MASK id of the column
+    out.tokens[remask] = mask_ids[remask]
+    out.mask_flags[remask] = True
     return out, targets

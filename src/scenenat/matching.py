@@ -2,8 +2,10 @@
 relation triplets to prediction queries, the matched triplet loss, and the
 masked-token reconstruction loss.
 
-The matching cost uses negative (plain) probabilities; the loss itself uses
-cross-entropy. The two are not interchangeable, hence both code paths.
+triplet_loss assigns with the loss's own per-pair cost, so the matched loss
+is never above that of any other assignment. matching_cost is the DETR-style
+negative-probability cost (Carion et al., arXiv 2005.12872), kept only as a
+diagnostic; nothing in the loss assigns with it.
 """
 
 from __future__ import annotations
@@ -12,10 +14,11 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from . import tensor as tn
-from .relations import RELATION_SET, RelationTriplet, predicate_id
-from .scene import SceneCodec
+from .relations import RelationTriplet, predicate_id
+from .scene import ATTRIBUTE_COLUMNS, SceneCodec
 from .tensor import Tensor
 
 log = logging.getLogger(__name__)
@@ -49,9 +52,9 @@ class LossWeights:
 def hungarian(cost: np.ndarray) -> np.ndarray:
     """Exact minimum-cost assignment of J rows to distinct columns, J <= K.
 
-    Shortest-augmenting-path formulation with potentials; deterministic
-    (lowest index wins among equal-cost alternatives). Returns sigma with
-    sigma[j] the column assigned to row j.
+    Returns sigma with sigma[j] the column assigned to row j. Among
+    equal-cost assignments the choice is scipy's, so callers must not rely
+    on a particular tie-break.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2:
@@ -61,55 +64,7 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
         raise ValueError(f"need rows <= cols, got {rows}x{cols}")
     if not np.isfinite(cost).all():
         raise ValueError("cost matrix must be finite")
-    INF = np.inf
-    u = np.zeros(rows + 1)
-    v = np.zeros(cols + 1)
-    match = np.zeros(cols + 1, dtype=np.int64)  # column -> row (1-based, 0 free)
-    way = np.zeros(cols + 1, dtype=np.int64)
-    for i in range(1, rows + 1):
-        match[0] = i
-        j0 = 0
-        minv = np.full(cols + 1, INF)
-        used = np.zeros(cols + 1, dtype=bool)
-        while True:
-            used[j0] = True
-            i0 = match[j0]
-            delta = INF
-            j1 = 0
-            for j in range(1, cols + 1):
-                if used[j]:
-                    continue
-                cur = cost[i0 - 1, j - 1] - u[i0] - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(cols + 1):
-                if used[j]:
-                    u[match[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if match[j0] == 0:
-                break
-        while j0:
-            j1 = way[j0]
-            match[j0] = match[j1]
-            j0 = j1
-    sigma = np.zeros(rows, dtype=np.int64)
-    for j in range(1, cols + 1):
-        if match[j] > 0:
-            sigma[match[j] - 1] = j - 1
-    return sigma
-
-
-def _softmax_np(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    return linear_sum_assignment(cost)[1]
 
 
 def matching_cost(
@@ -118,16 +73,18 @@ def matching_cost(
     predicate_logits: np.ndarray,
     object_logits: np.ndarray,
 ) -> np.ndarray:
-    """Cost[j, k] = -(P_s + P_p + P_o) of ground-truth triplet j under query k."""
+    """Cost[j, k] = -(P_s + P_p + P_o) of ground-truth triplet j under query k.
+
+    The DETR-style probability cost, kept as a diagnostic; triplet_loss does
+    not assign with it.
+    """
     n_q = subject_logits.shape[0]
     if len(gt) > n_q:
         raise ValueError(f"{len(gt)} ground-truth triplets exceed {n_q} queries")
-    p_s = _softmax_np(subject_logits)
-    p_p = _softmax_np(predicate_logits)
-    p_o = _softmax_np(object_logits)
+    classes = np.asarray(gt, dtype=np.int64).reshape(-1, 3).T
     cost = np.zeros((len(gt), n_q))
-    for j, (s, p, o) in enumerate(gt):
-        cost[j] = -(p_s[:, s] + p_p[:, p] + p_o[:, o])
+    for logits, c in zip((subject_logits, predicate_logits, object_logits), classes):
+        cost -= np.exp(tn.log_softmax_array(logits))[:, c].T
     return cost
 
 
@@ -154,46 +111,35 @@ def triplet_loss(
     """Hungarian-matched weighted cross-entropy over all queries (Eq. sum form).
 
     Unmatched queries are supervised with the null class (last index of each
-    head), down-weighted by weights.null_class.
+    head), down-weighted by weights.null_class. Query k takes triplet j at
+    cost sum over heads of lambda * (CE(gt_j) - null_class * CE(null)), the
+    loss's change from null to gt_j, so the matched loss is the minimum over
+    all assignments.
     """
     global _truncated_triplets
     n_q = subject_logits.data.shape[0]
-    null_s = subject_logits.data.shape[-1] - 1
-    null_p = predicate_logits.data.shape[-1] - 1
-    null_o = object_logits.data.shape[-1] - 1
     if len(gt) > n_q:
         _truncated_triplets += len(gt) - n_q
         log.warning("truncating %d ground-truth triplets to %d queries", len(gt), n_q)
         gt = gt[:n_q]
-    targets_s = np.full(n_q, null_s, dtype=np.int64)
-    targets_p = np.full(n_q, null_p, dtype=np.int64)
-    targets_o = np.full(n_q, null_o, dtype=np.int64)
-    if gt:
-        cost = matching_cost(gt, subject_logits.data, predicate_logits.data, object_logits.data)
-        sigma = hungarian(cost)
-        for j, (s, p, o) in enumerate(gt):
-            targets_s[sigma[j]] = s
-            targets_p[sigma[j]] = p
-            targets_o[sigma[j]] = o
+    heads = ((subject_logits, weights.subject), (predicate_logits, weights.predicate), (object_logits, weights.object))
+    classes = np.asarray(gt, dtype=np.int64).reshape(-1, 3).T
+    cost = np.zeros((len(gt), n_q))
+    for (logits, lam), c in zip(heads, classes):
+        nll = -tn.log_softmax_array(logits.data)
+        cost += lam * (nll[:, c].T - weights.null_class * nll[:, -1])
+    sigma = hungarian(cost)
 
-    def weighted_ce(logits, targets, null_id, lam):
-        class_w = np.ones(logits.data.shape[-1])
+    loss = None
+    for (logits, lam), c in zip(heads, classes):
+        null_id = logits.data.shape[-1] - 1
+        targets = np.full(n_q, null_id, dtype=np.int64)
+        targets[sigma] = c
+        class_w = np.ones(null_id + 1)
         class_w[null_id] = weights.null_class
-        return tn.scale(tn.cross_entropy(logits, targets, class_weights=class_w, reduction="sum"), lam)
-
-    loss = weighted_ce(subject_logits, targets_s, null_s, weights.subject)
-    loss = tn.add(loss, weighted_ce(predicate_logits, targets_p, null_p, weights.predicate))
-    loss = tn.add(loss, weighted_ce(object_logits, targets_o, null_o, weights.object))
+        term = tn.scale(tn.cross_entropy(logits, targets, class_weights=class_w, reduction="sum"), lam)
+        loss = term if loss is None else tn.add(loss, term)
     return loss
-
-
-ATTRIBUTE_COLUMNS = {
-    "category": (0, 1),
-    "appearance": (1, 5),
-    "position": (5, 8),
-    "size": (8, 11),
-    "rotation": (11, 12),
-}
 
 
 def recon_loss(logits: dict[str, Tensor], targets: np.ndarray, weights: LossWeights, reduction: str = "mean") -> Tensor:
@@ -205,13 +151,6 @@ def recon_loss(logits: dict[str, Tensor], targets: np.ndarray, weights: LossWeig
     are skipped. "mean" averages each attribute over its own positions;
     "sum" yields the plain negative log-likelihood total over positions.
     """
-    lam = {
-        "category": weights.category,
-        "appearance": weights.appearance,
-        "position": weights.position,
-        "size": weights.size,
-        "rotation": weights.rotation,
-    }
     total = None
     for name, (lo, hi) in ATTRIBUTE_COLUMNS.items():
         t = logits[name]
@@ -223,15 +162,11 @@ def recon_loss(logits: dict[str, Tensor], targets: np.ndarray, weights: LossWeig
             continue
         rows = tn.embedding_lookup(flat_logits, selected)
         term = tn.cross_entropy(rows, flat_targets[selected], reduction=reduction)
-        term = tn.scale(term, lam[name])
+        term = tn.scale(term, getattr(weights, name))
         total = term if total is None else tn.add(total, term)
     if total is None:
-        total = Tensor(np.zeros((), dtype=targets_dtype(logits)))
+        total = Tensor(np.zeros((), dtype=next(iter(logits.values())).data.dtype))
     return total
-
-
-def targets_dtype(logits: dict[str, Tensor]):
-    return next(iter(logits.values())).data.dtype
 
 
 def total_loss(recon: Tensor, triplet: Tensor, weights: LossWeights) -> Tensor:

@@ -22,6 +22,17 @@ import numpy as np
 APPEARANCE_CODES = 4
 GRID_COLUMNS = 12
 
+# Attribute -> half-open column range of the grid; the one column table.
+ATTRIBUTE_COLUMNS = {
+    "category": (0, 1),
+    "appearance": (1, 5),
+    "position": (5, 8),
+    "size": (8, 11),
+    "rotation": (11, 12),
+}
+# Ordinal layout attributes, scored within one bin as well as exactly.
+LAYOUT_ATTRIBUTES = frozenset({"position", "size", "rotation"})
+
 _clamp_events = 0
 
 

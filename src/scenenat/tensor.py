@@ -266,10 +266,14 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _make(s, (a,), backward)
 
 
+def log_softmax_array(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Numerically stable log-softmax of a plain numpy array (no graph)."""
+    shifted = x - x.max(axis=axis, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+
+
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    ls = shifted - lse
+    ls = log_softmax_array(a.data, axis)
 
     def backward(g):
         if a.requires_grad:
@@ -390,9 +394,7 @@ def cross_entropy(
         raise ShapeError(f"targets outside vocabulary of size {vocab}")
     flat = logits.data.reshape(-1, vocab)
     t = targets.reshape(-1)
-    shifted = flat - flat.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    log_probs = shifted - lse
+    log_probs = log_softmax_array(flat)
     w = np.ones(t.shape[0], dtype=flat.dtype)
     if class_weights is not None:
         w = np.asarray(class_weights, dtype=flat.dtype)[t]
