@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instructions import Instruction
-from .relations import GeometryFrame, classify_relation, footprint_corners, frame_of
+from .relations import GeometryFrame, footprint_corners, frame_of, predicate_id, relation_matrix
 from .scene import ATTRIBUTE_COLUMNS, GRID_COLUMNS, LAYOUT_ATTRIBUTES, SceneLayout, TokenizedScene
 
 
@@ -157,18 +157,26 @@ def collision_metrics(scene: SceneLayout) -> CollisionReport:
     )
 
 
-def _realized_pairs(scene: SceneLayout, s_cat: str, pred, o_cat: str) -> list[tuple[int, int]]:
-    frames = [frame_of(o) for o in scene.objects]
-    pairs = []
-    for i, a in enumerate(scene.objects):
-        if a.category != s_cat:
-            continue
-        for j, b in enumerate(scene.objects):
-            if i == j or b.category != o_cat:
-                continue
-            if classify_relation(frames[i], frames[j]) is pred:
-                pairs.append((i, j))
-    return pairs
+def _candidate_pairs(instr: Instruction, scene: SceneLayout) -> list[list[tuple[int, int]]]:
+    """For each triplet, the (row, column) pairs of one relation matrix that realize it.
+
+    The matrix holds only the objects of triplets whose two categories both occur in the scene.
+    """
+    present = {o.category for o in scene.objects}
+    used = {c for t in instr.triplets if t.subject in present and t.object in present for c in (t.subject, t.object)}
+    if not used:
+        return []
+    objects = [o for o in scene.objects if o.category in used]
+    rel = relation_matrix([frame_of(o) for o in objects])
+    rows_of: dict[str, list[int]] = {}
+    for i, o in enumerate(objects):
+        rows_of.setdefault(o.category, []).append(i)
+    candidates = []
+    for t in instr.triplets:
+        rows, cols = rows_of.get(t.subject, []), rows_of.get(t.object, [])
+        hits = np.nonzero(rel[np.array(rows, dtype=np.intp)[:, None], cols] == predicate_id(t.predicate))
+        candidates.append([(rows[a], cols[b]) for a, b in zip(*hits)])
+    return candidates
 
 
 def _max_bipartite(candidates: list[list[tuple[int, int]]]) -> int:
@@ -207,8 +215,7 @@ def irecall(instructions: list[Instruction], scenes: list[SceneLayout]) -> tuple
     by_k: dict[int, list[int]] = {}
     for instr, scene in zip(instructions, scenes):
         k = len(instr.triplets)
-        candidates = [_realized_pairs(scene, t.subject, t.predicate, t.object) for t in instr.triplets]
-        realized = _max_bipartite(candidates) if scene.objects else 0
+        realized = _max_bipartite(_candidate_pairs(instr, scene))
         realized_total += realized
         count_total += k
         by_k.setdefault(k, []).append((realized, k))

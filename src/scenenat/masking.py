@@ -11,7 +11,7 @@ selected positions are supervised with their original tokens.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -2,7 +2,9 @@
 
 Ten directional/vertical predicates plus ``none``. The XY plane is the
 ground, Z is up, yaw rotates about Z. All distances are in absolute scene
-units; the close/medium band thresholds (1 and 3) are configurable.
+units; the close and medium bands end at CLOSE_DISTANCE (1) and
+MEDIUM_DISTANCE (3). ``relation_matrix`` classifies every ordered pair of a
+scene in one array pass.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .scene import SceneLayout, SceneObject
 
@@ -97,64 +101,50 @@ def footprint_corners(f: GeometryFrame) -> list[tuple[float, float]]:
     return corners
 
 
-def relative_orientation(s: GeometryFrame, o: GeometryFrame) -> float:
-    """Ground-plane angle of the subject as seen from the object.
+# np.searchsorted(_BEARING_EDGES, theta, side="right") counts the edges at or below theta, so the
+# sectors are right_of on [-pi/4, pi/4), in_front_of on [pi/4, 3pi/4), behind on [-3pi/4, -pi/4).
+_BEARING_EDGES = np.array([-3 * np.pi / 4, -np.pi / 4, np.pi / 4, 3 * np.pi / 4])
+# [closely][bearing bin] -> predicate id; the last bin wraps round to left_of.
+_BEARINGS = ("left_of", "behind", "right_of", "in_front_of", "left_of")
+_SECTOR_IDS = np.array([[_PREDICATE_IDS[RelationPredicate(pre + b)] for b in _BEARINGS] for pre in ("", "closely_")])
+_ABOVE_ID = _PREDICATE_IDS[RelationPredicate.ABOVE]
+_BELOW_ID = _PREDICATE_IDS[RelationPredicate.BELOW]
 
-    Coincident centers return 0 (the atan2(0, 0) convention).
+
+def relation_matrix(frames: list[GeometryFrame]) -> np.ndarray:
+    """Relation of every ordered pair of boxes, as an int [N, N] matrix.
+
+    Entry [i, j] is the ``RELATION_SET`` index of frame i (subject) relative
+    to frame j (object); -1 is none and fills the diagonal. In order: above
+    or below when either centre lies in the other's footprint and the z gap
+    exceeds the mean height; none beyond MEDIUM_DISTANCE on the ground; else
+    the sector of the bearing atan2(dy, dx), closely_* within CLOSE_DISTANCE.
+    Coincident ground centres with no vertical relation keep atan2(0, 0) = 0:
+    each box is closely_right_of the other, the one pair whose two orders
+    are not mirror predicates.
     """
-    return math.atan2(s.center[1] - o.center[1], s.center[0] - o.center[0])
+    geometry = np.array([(*f.center, *f.half_extents, f.yaw) for f in frames], dtype=float).reshape(-1, 7)
+    x, y, z, hx, hy, hz, yaw = geometry.T
+    # Offsets of subject i (rows) from object j (columns); per-object values broadcast along the columns.
+    dx, dy, dz = x[:, None] - x, y[:, None] - y, z[:, None] - z
+    c, s = np.cos(yaw), np.sin(yaw)
+    inside = (np.abs(dx * c + dy * s) <= hx) & (np.abs(dy * c - dx * s) <= hy)
+    overlap = inside | inside.T
+    gap = hz[:, None] + hz  # the mean of the two heights
+    d = np.sqrt(dx * dx + dy * dy)
+    bearing = np.searchsorted(_BEARING_EDGES, np.arctan2(dy, dx), side="right")
+    rel = _SECTOR_IDS[(d <= CLOSE_DISTANCE).astype(np.intp), bearing]
+    rel[d > MEDIUM_DISTANCE] = -1
+    rel[overlap & (dz > gap)] = _ABOVE_ID
+    rel[overlap & (-dz > gap)] = _BELOW_ID
+    np.fill_diagonal(rel, -1)
+    return rel
 
 
-def ground_distance(s: GeometryFrame, o: GeometryFrame) -> float:
-    return math.hypot(s.center[0] - o.center[0], s.center[1] - o.center[1])
-
-
-def inside(s: GeometryFrame, o: GeometryFrame) -> bool:
-    """True iff the subject's center lies within the object's 2D footprint."""
-    dx = s.center[0] - o.center[0]
-    dy = s.center[1] - o.center[1]
-    c, sn = math.cos(o.yaw), math.sin(o.yaw)
-    # rotate the offset into the object's frame
-    local_x = dx * c + dy * sn
-    local_y = -dx * sn + dy * c
-    return abs(local_x) <= o.half_extents[0] and abs(local_y) <= o.half_extents[1]
-
-
-def _horizontal_sector(theta: float, closely: bool) -> RelationPredicate:
-    if -math.pi / 4 <= theta < math.pi / 4:
-        return RelationPredicate.CLOSELY_RIGHT_OF if closely else RelationPredicate.RIGHT_OF
-    if math.pi / 4 <= theta < 3 * math.pi / 4:
-        return RelationPredicate.CLOSELY_IN_FRONT_OF if closely else RelationPredicate.IN_FRONT_OF
-    if -3 * math.pi / 4 <= theta < -math.pi / 4:
-        return RelationPredicate.CLOSELY_BEHIND if closely else RelationPredicate.BEHIND
-    return RelationPredicate.CLOSELY_LEFT_OF if closely else RelationPredicate.LEFT_OF
-
-
-def classify_relation(
-    s: GeometryFrame,
-    o: GeometryFrame,
-    close_distance: float = CLOSE_DISTANCE,
-    medium_distance: float = MEDIUM_DISTANCE,
-) -> RelationPredicate:
-    """Classify the subject relative to the object.
-
-    Vertical relations take precedence over the distance bands (a stacked
-    pair also satisfies d <= close_distance); beyond the medium band the
-    relation is none.
-    """
-    height_s = 2 * s.half_extents[2]
-    height_o = 2 * o.half_extents[2]
-    dz = s.center[2] - o.center[2]
-    if inside(s, o) or inside(o, s):
-        if dz > (height_s + height_o) / 2:
-            return RelationPredicate.ABOVE
-        if -dz > (height_s + height_o) / 2:
-            return RelationPredicate.BELOW
-    d = ground_distance(s, o)
-    if d > medium_distance:
-        return RelationPredicate.NONE
-    theta = relative_orientation(s, o)
-    return _horizontal_sector(theta, closely=d <= close_distance)
+def classify_relation(s: GeometryFrame, o: GeometryFrame) -> RelationPredicate:
+    """Classify the subject relative to the object: ``relation_matrix`` on the pair."""
+    p = relation_matrix([s, o])[0, 1]
+    return RelationPredicate.NONE if p < 0 else RELATION_SET[p]
 
 
 @dataclass(frozen=True)
@@ -175,27 +165,15 @@ class RelationTriplet:
         return (self.subject, self.predicate.value, self.object, self.subject_instance, self.object_instance)
 
 
-def extract_triplets(scene: SceneLayout, **kwargs) -> list[RelationTriplet]:
-    """Classify every ordered object pair; drops none results.
+def extract_triplets(scene: SceneLayout) -> list[RelationTriplet]:
+    """Every ordered object pair whose relation is not none.
 
     Returned in (subject index, object index) order; deterministic.
     """
-    frames = [frame_of(obj) for obj in scene.objects]
-    triplets = []
-    for i, si in enumerate(scene.objects):
-        for j, oj in enumerate(scene.objects):
-            if i == j:
-                continue
-            pred = classify_relation(frames[i], frames[j], **kwargs)
-            if pred is RelationPredicate.NONE:
-                continue
-            triplets.append(
-                RelationTriplet(
-                    subject=si.category,
-                    predicate=pred,
-                    object=oj.category,
-                    subject_instance=i,
-                    object_instance=j,
-                )
-            )
-    return triplets
+    rel = relation_matrix([frame_of(obj) for obj in scene.objects])
+    subjects, objects = np.nonzero(rel >= 0)
+    cats = [obj.category for obj in scene.objects]
+    return [
+        RelationTriplet(cats[i], RELATION_SET[p], cats[j], subject_instance=i, object_instance=j)
+        for i, j, p in zip(subjects.tolist(), objects.tolist(), rel[subjects, objects].tolist())
+    ]

@@ -241,6 +241,7 @@ class SceneCodec:
             cols.append(ColumnSpec(name, spec.size_bins, spec.size_bins, spec.size_bins + 1))
         cols.append(ColumnSpec("rotation", spec.rotation_bins, spec.rotation_bins, spec.rotation_bins + 1))
         self.columns: tuple[ColumnSpec, ...] = tuple(cols)
+        self._head_widths = np.array([c.head_width for c in cols], dtype=np.int64)
         self._cat_to_id = {c: i for i, c in enumerate(categories)}
 
     def category_id(self, name: str) -> int:
@@ -259,7 +260,7 @@ class SceneCodec:
         return row
 
     def tokenize(self, scene: SceneLayout) -> TokenizedScene:
-        """Quantize a scene into the N x 12 grid; spare rows become EMPTY."""
+        """Quantize a scene into the N x 12 grid; spare rows become EMPTY; NaN or inf geometry raises."""
         if len(scene.objects) > self.max_objects:
             raise ValueError(f"scene has {len(scene.objects)} objects, max is {self.max_objects}")
         tokens = np.tile(self.empty_row(), (self.max_objects, 1))
@@ -267,6 +268,9 @@ class SceneCodec:
         size_axes = self.spec.size_axes()
         rot_axis = self.spec.rotation_axis()
         for i, obj in enumerate(scene.objects):
+            for name, values in (("position", obj.position), ("size", obj.size), ("yaw_deg", (obj.yaw_deg,))):
+                if not all(map(math.isfinite, values)):
+                    raise ValueError(f"object {i} has non-finite {name} {tuple(values)}")
             row = tokens[i]
             row[0] = self._cat_to_id[obj.category]
             for j, code in enumerate(obj.appearance):
@@ -281,11 +285,20 @@ class SceneCodec:
         return TokenizedScene(tokens=tokens, mask_flags=np.zeros((self.max_objects, GRID_COLUMNS), dtype=bool))
 
     def detokenize(self, grid: TokenizedScene, room_type: str = "bedroom") -> SceneLayout:
-        """Rebuild the continuous scene at bin centers; EMPTY rows are dropped."""
+        """Rebuild the continuous scene at bin centers; EMPTY rows are dropped.
+
+        Live rows must hold output-vocabulary ids only: a PAD, a negative id
+        or an id past a column's head width raises ValueError.
+        """
         mask_hits = grid.tokens == self.mask_ids[None, :]
         if mask_hits.any():
             n = int(mask_hits.sum())
             raise IncompleteSceneError(f"grid still has {n} MASK tokens")
+        outside = (grid.tokens[:, :1] != self.empty_id) & ((grid.tokens < 0) | (grid.tokens >= self._head_widths))
+        if outside.any():
+            r, c = (int(v) for v in np.argwhere(outside)[0])
+            col = self.columns[c]
+            raise ValueError(f"row {r} column {col.name}: token {grid.tokens[r, c]} outside [0, {col.head_width})")
         pos_axes = self.spec.position_axes()
         size_axes = self.spec.size_axes()
         rot_axis = self.spec.rotation_axis()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from scenenat.evaluation import (
+    _max_bipartite,
     attribute_accuracy,
     box_volume,
     collision_metrics,
@@ -12,7 +13,15 @@ from scenenat.evaluation import (
     obb_intersection_volume,
 )
 from scenenat.instructions import Instruction
-from scenenat.relations import GeometryFrame, RelationPredicate, RelationTriplet, frame_of
+from scenenat.relations import (
+    RELATION_SET,
+    GeometryFrame,
+    RelationPredicate,
+    RelationTriplet,
+    classify_relation,
+    extract_triplets,
+    frame_of,
+)
 from scenenat.scene import DiscretizationSpec, SceneCodec, SceneLayout, SceneObject
 
 
@@ -192,6 +201,54 @@ def test_irecall_monotone_under_added_objects():
     richer = SceneLayout("bedroom", scene.objects + [obj("lamp", 0, -1.5)])
     more, _ = irecall([make_instruction([t1, t2])], [richer])
     assert more >= base
+
+
+def realized_oracle(instruction, scene):
+    """Realized triplets of one instruction, classifying each category-matching pair on its own."""
+    frames = [frame_of(o) for o in scene.objects]
+    candidates = [
+        [
+            (i, j)
+            for i, a in enumerate(scene.objects)
+            for j, b in enumerate(scene.objects)
+            if i != j
+            and (a.category, b.category) == (t.subject, t.object)
+            and classify_relation(frames[i], frames[j]) is t.predicate
+        ]
+        for t in instruction.triplets
+    ]
+    return _max_bipartite(candidates)
+
+
+def test_irecall_matches_pairwise_oracle():
+    codec = SceneCodec(["bed", "chair", "desk", "lamp"], DiscretizationSpec(), max_objects=8)
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        objects = [
+            SceneObject(
+                codec.categories[int(rng.integers(3))],
+                (0, 0, 0, 0),
+                (float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)), float(rng.uniform(0, 2))),
+                tuple(rng.uniform(0.05, 2.0, size=3)),
+                float(rng.uniform(0, 360)),
+            )
+            for _ in range(int(rng.integers(0, 9)))
+        ]
+        scene = codec.snap(SceneLayout("bedroom", objects))
+        own = extract_triplets(scene)
+        triplets = [
+            own[int(rng.integers(len(own)))]
+            if own and rng.uniform() < 0.5
+            else RelationTriplet(
+                codec.categories[int(rng.integers(4))],
+                RELATION_SET[int(rng.integers(len(RELATION_SET)))],
+                codec.categories[int(rng.integers(4))],
+            )
+            for _ in range(int(rng.integers(1, 5)))
+        ]
+        instruction = make_instruction(triplets)
+        overall, _ = irecall([instruction], [scene])
+        assert overall == 100.0 * realized_oracle(instruction, scene) / len(triplets)
 
 
 def test_attribute_accuracy_counts_only_scored_non_pad():

@@ -2,19 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from scenenat.relations import (
+    RELATION_SET,
     GeometryFrame,
     RelationPredicate,
+    RelationTriplet,
     classify_relation,
     extract_triplets,
     footprint_corners,
-    ground_distance,
-    inside,
+    frame_of,
     mirror_predicate,
-    relative_orientation,
+    relation_matrix,
 )
-from scenenat.scene import SceneLayout, SceneObject
+from scenenat.scene import DiscretizationSpec, SceneCodec, SceneLayout, SceneObject
 
 
 def box(x, y, z=0.5, w=1.0, d=1.0, h=1.0, yaw=0.0):
@@ -59,6 +62,10 @@ def oracle_classify(s: GeometryFrame, o: GeometryFrame) -> RelationPredicate:
     return RelationPredicate(("closely_" if close else "") + name)
 
 
+def predicate_of(index) -> RelationPredicate:
+    return RelationPredicate.NONE if index < 0 else RELATION_SET[index]
+
+
 def random_frame(rng):
     return GeometryFrame(
         center=tuple(rng.uniform(-3, 3, size=2)) + (float(rng.uniform(0, 2)),),
@@ -69,35 +76,68 @@ def random_frame(rng):
 
 def test_relative_orientation_cardinal_cases():
     o = box(0, 0)
-    assert relative_orientation(box(1, 0), o) == pytest.approx(0.0)
-    assert relative_orientation(box(0, 1), o) == pytest.approx(math.pi / 2)
-    assert relative_orientation(o, o) == 0.0
+    assert classify_relation(box(1, 0), o) is RelationPredicate.CLOSELY_RIGHT_OF
+    assert classify_relation(box(0, 1), o) is RelationPredicate.CLOSELY_IN_FRONT_OF
+    assert classify_relation(box(-1, 0), o) is RelationPredicate.CLOSELY_LEFT_OF
+    assert classify_relation(box(0, -1), o) is RelationPredicate.CLOSELY_BEHIND
+
+
+def test_coincident_centres_classify_closely_right_of_both_orders():
+    """Same ground centre, no vertical relation: the atan2(0, 0) = 0 convention, not mirrored."""
+    a = box(0, 0, z=0.5)
+    b = box(0, 0, z=0.9, w=0.5, d=2.0, yaw=0.3)
+    assert classify_relation(a, b) is RelationPredicate.CLOSELY_RIGHT_OF
+    assert classify_relation(b, a) is RelationPredicate.CLOSELY_RIGHT_OF
+    right = RELATION_SET.index(RelationPredicate.CLOSELY_RIGHT_OF)
+    assert relation_matrix([a, b]).tolist() == [[-1, right], [right, -1]]
 
 
 def test_ground_distance():
-    assert ground_distance(box(0, 0, z=1), box(0, 0, z=5)) == 0.0
-    assert ground_distance(box(3, 4, z=1), box(0, 0, z=2)) == pytest.approx(5.0)
+    """Bands are measured on the ground plane (z does not count) and closed at d = 1 and d = 3."""
+    o = box(0, 0, z=0.5)
+    assert classify_relation(box(1, 0, z=2.5), o) is RelationPredicate.CLOSELY_RIGHT_OF
+    assert classify_relation(box(1 + 2**-40, 0, z=2.5), o) is RelationPredicate.RIGHT_OF
+    assert classify_relation(box(0, 3, z=0.1), o) is RelationPredicate.IN_FRONT_OF
+    assert classify_relation(box(0, 3 + 2**-40, z=0.1), o) is RelationPredicate.NONE
     rng = np.random.default_rng(0)
+    none = RelationPredicate.NONE
     for _ in range(50):
         a, b = random_frame(rng), random_frame(rng)
-        assert ground_distance(a, b) == ground_distance(b, a)
+        assert (classify_relation(a, b) is none) == (classify_relation(b, a) is none)
 
 
 def test_inside_concentric():
-    assert inside(box(0, 0, w=0.5, d=0.5), box(0, 0, w=2, d=2))
+    """A small box centred over a large one stacks: its centre lies inside the footprint."""
+    small = box(0, 0, z=2.0, w=0.5, d=0.5)
+    big = box(0, 0, z=0.5, w=2, d=2)
+    assert classify_relation(small, big) is RelationPredicate.ABOVE
 
 
 def test_inside_rotated_square():
+    """The 45 degree unit square reaches sqrt(2)/2 along x: 0.69 stacks, 0.72 does not."""
     o = box(0, 0, yaw=math.radians(45))
-    assert inside(box(0.69, 0), o)
-    assert not inside(box(0.72, 0), o)
+    assert classify_relation(box(0.69, 0, z=2.0), o) is RelationPredicate.ABOVE
+    assert classify_relation(box(0.72, 0, z=2.0), o) is RelationPredicate.CLOSELY_RIGHT_OF
 
 
 def test_inside_not_symmetric_in_general():
-    small = box(0.8, 0, w=0.2, d=0.2)
-    big = box(0, 0, w=2.0, d=2.0)
-    assert inside(small, big)
-    assert not inside(big, small)
+    """Only the small box's centre lies in the other's footprint; one centre suffices, in both orders."""
+    small = box(0.8, 0, z=1.6, w=0.2, d=0.2)
+    big = box(0, 0, z=0.5, w=2.0, d=2.0)
+    assert classify_relation(small, big) is RelationPredicate.ABOVE
+    assert classify_relation(big, small) is RelationPredicate.BELOW
+
+
+def test_bearing_sectors_match_oracle_on_every_grid_offset():
+    """np.arctan2 may differ from math.atan2 by an ulp; on the 0.125 position grid no sector or band changes."""
+    origin = box(0, 0, w=0.01, d=0.01)
+    steps = np.arange(-26, 27) * 0.125
+    for dy in steps:
+        others = [box(float(dx), float(dy), w=0.01, d=0.01) for dx in steps]
+        rel = relation_matrix([origin] + others)
+        for k, other in enumerate(others, start=1):
+            assert predicate_of(rel[k, 0]) is oracle_classify(other, origin)
+            assert predicate_of(rel[0, k]) is oracle_classify(origin, other)
 
 
 def test_classify_right_of():
@@ -198,3 +238,51 @@ def test_footprint_corners_rotate():
     for (cx, cy), (ex, ey) in zip(corners, expected):
         assert cx == pytest.approx(ex)
         assert cy == pytest.approx(ey)
+
+
+CODEC = SceneCodec(["bed", "chair", "desk"], DiscretizationSpec(), max_objects=8)
+
+
+@st.composite
+def snapped_layouts(draw):
+    """Snapped scenes of 2..8 objects packed into 2 m x 2 m, so stacked and coincident pairs occur."""
+    xy = st.floats(-1.0, 1.0)
+    objects = [
+        SceneObject(
+            draw(st.sampled_from(CODEC.categories)),
+            (0, 0, 0, 0),
+            (draw(xy), draw(xy), draw(st.floats(0.0, 2.0))),
+            tuple(draw(st.floats(0.05, 2.0)) for _ in range(3)),
+            draw(st.floats(0.0, 360.0, exclude_max=True)),
+        )
+        for _ in range(draw(st.integers(2, 8)))
+    ]
+    return CODEC.snap(SceneLayout("bedroom", objects))
+
+
+@given(snapped_layouts())
+def test_relation_matrix_and_extract_triplets_match_oracle(scene):
+    frames = [frame_of(o) for o in scene.objects]
+    rel = relation_matrix(frames)
+    want = []
+    for i, (s, a) in enumerate(zip(frames, scene.objects)):
+        for j, (o, b) in enumerate(zip(frames, scene.objects)):
+            pred = oracle_classify(s, o) if i != j else RelationPredicate.NONE
+            assert predicate_of(rel[i, j]) is pred
+            if pred is not RelationPredicate.NONE:
+                want.append(RelationTriplet(a.category, pred, b.category, i, j))
+    assert extract_triplets(scene) == want
+
+
+@given(snapped_layouts())
+def test_mirror_symmetry_outside_coincident_centres(scene):
+    frames = [frame_of(o) for o in scene.objects]
+    rel = relation_matrix(frames)
+    for i in range(len(frames)):
+        for j in range(i + 1, len(frames)):
+            fwd, back = predicate_of(rel[i, j]), predicate_of(rel[j, i])
+            coincident = frames[i].center[:2] == frames[j].center[:2]
+            if coincident and fwd not in (RelationPredicate.ABOVE, RelationPredicate.BELOW):
+                assert fwd is back is RelationPredicate.CLOSELY_RIGHT_OF
+            else:
+                assert back is mirror_predicate(fwd)

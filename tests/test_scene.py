@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -130,6 +133,48 @@ def test_detokenize_rejects_mask_tokens():
     grid.tokens[0, 5] = codec.columns[5].mask_id
     with pytest.raises(IncompleteSceneError):
         codec.detokenize(grid)
+
+
+def one_object_grid(codec):
+    obj = SceneObject("bed", (1, 2, 3, 4), (0.0, 0.0, 0.5), (1.0, 1.0, 1.0), 0.0)
+    return codec.tokenize(SceneLayout(room_type="bedroom", objects=[obj]))
+
+
+@pytest.mark.parametrize(
+    "column, value, name",
+    [
+        (0, -1, "category"),
+        (0, len(CATEGORIES) + 2, "category"),
+        (1, 64, "appearance0"),
+        (7, 64, "tz"),
+        (11, -3, "rotation"),
+    ],
+)
+def test_detokenize_rejects_out_of_vocabulary_tokens_in_live_rows(column, value, name):
+    codec = make_codec()
+    grid = one_object_grid(codec)
+    grid.tokens[0, column] = value
+    with pytest.raises(ValueError, match=f"row 0 column {name}: token {value} outside"):
+        codec.detokenize(grid)
+
+
+def test_detokenize_leaves_empty_rows_unchecked():
+    codec = make_codec()
+    grid = one_object_grid(codec)
+    grid.tokens[2, 1:] = -7
+    assert len(codec.detokenize(grid).objects) == 1
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("attribute", ["position", "size", "yaw_deg"])
+def test_tokenize_rejects_non_finite_geometry(attribute, value):
+    codec = make_codec()
+    good = SceneObject("bed", (0, 0, 0, 0), (0.0, 0.0, 0.5), (1.0, 1.0, 1.0), 0.0)
+    bad = dataclasses.replace(good, **{attribute: value if attribute == "yaw_deg" else (0.5, value, 0.5)})
+    sc.reset_clamp_events()
+    with pytest.raises(ValueError, match=f"object 1 has non-finite {attribute}"):
+        codec.tokenize(SceneLayout(room_type="bedroom", objects=[good, bad]))
+    assert sc.clamp_event_count() == 0
 
 
 def test_detokenize_all_empty_gives_zero_objects():
