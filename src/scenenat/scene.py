@@ -8,12 +8,16 @@ a 12-column token grid laid out as
 
 Unused rows carry the EMPTY category and PAD tokens in every other column.
 Every column vocabulary is extended by one reserved MASK id (the largest id).
-"""
+
+``ATTRIBUTE_COLUMNS`` says where each attribute sits in the grid. Each codec
+builds one geometry table from ``DiscretizationSpec.axes``: the bounds and bin
+count of the seven geometry columns (tx ty tz lx ly lz rot). ``tokenize``
+clamps and floors all of a scene's geometry against it at once, and
+``detokenize`` maps the bins back to their centres in one expression."""
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -55,43 +59,6 @@ class IncompleteSceneError(ValueError):
 
 
 @dataclass(frozen=True)
-class AxisSpec:
-    """Bounds and bin count of one uniformly quantized axis."""
-
-    lo: float
-    hi: float
-    bins: int
-
-    def __post_init__(self):
-        if self.hi <= self.lo:
-            raise ConfigurationError(f"axis bounds [{self.lo}, {self.hi}] have non-positive width")
-        if self.bins < 2:
-            raise ConfigurationError(f"axis needs at least 2 bins, got {self.bins}")
-
-    @property
-    def bin_width(self) -> float:
-        return (self.hi - self.lo) / self.bins
-
-
-def quantize(value: float, axis: AxisSpec) -> int:
-    """Map a continuous value to its uniform bin index, clamping to bounds."""
-    global _clamp_events
-    clamped = value
-    if value < axis.lo or value > axis.hi:
-        clamped = min(max(value, axis.lo), axis.hi)
-        _clamp_events += 1
-    idx = math.floor((clamped - axis.lo) / (axis.hi - axis.lo) * axis.bins)
-    return min(idx, axis.bins - 1)
-
-
-def dequantize(bin_index: int, axis: AxisSpec) -> float:
-    """Return the center of a bin."""
-    if not 0 <= bin_index < axis.bins:
-        raise ValueError(f"bin {bin_index} out of range [0, {axis.bins})")
-    return axis.lo + (bin_index + 0.5) * axis.bin_width
-
-
-@dataclass(frozen=True)
 class DiscretizationSpec:
     """Quantization grid for positions, sizes and yaw rotation."""
 
@@ -104,23 +71,26 @@ class DiscretizationSpec:
     def __post_init__(self):
         if len(self.position_bounds) != 3 or len(self.size_bounds) != 3:
             raise ConfigurationError("bounds must cover exactly 3 axes")
-        if 360 % self.rotation_bin_degrees != 0:
+        if self.rotation_bin_degrees == 0 or 360 % self.rotation_bin_degrees != 0:
             raise ConfigurationError(f"360 must be a multiple of rotation_bin_degrees={self.rotation_bin_degrees}")
-        for axis in list(self.position_axes()) + list(self.size_axes()):
-            _ = axis  # AxisSpec validates bounds/bins on construction
+        for lo, hi, bins in self.axes:
+            if hi <= lo:
+                raise ConfigurationError(f"axis bounds [{lo}, {hi}] have non-positive width")
+            if bins < 2:
+                raise ConfigurationError(f"axis needs at least 2 bins, got {bins}")
 
     @property
     def rotation_bins(self) -> int:
         return 360 // self.rotation_bin_degrees
 
-    def position_axes(self) -> tuple[AxisSpec, ...]:
-        return tuple(AxisSpec(lo, hi, self.position_bins) for lo, hi in self.position_bounds)
-
-    def size_axes(self) -> tuple[AxisSpec, ...]:
-        return tuple(AxisSpec(lo, hi, self.size_bins) for lo, hi in self.size_bounds)
-
-    def rotation_axis(self) -> AxisSpec:
-        return AxisSpec(0.0, 360.0, self.rotation_bins)
+    @property
+    def axes(self) -> tuple[tuple[float, float, int], ...]:
+        """``(lo, hi, bins)`` of the seven geometry axes, in grid order tx ty tz lx ly lz rot."""
+        return (
+            *((lo, hi, self.position_bins) for lo, hi in self.position_bounds),
+            *((lo, hi, self.size_bins) for lo, hi in self.size_bounds),
+            (0.0, 360.0, self.rotation_bins),
+        )
 
     def to_json(self) -> dict:
         return {
@@ -235,14 +205,23 @@ class SceneCodec:
         cols = [ColumnSpec("category", self.num_classes, None, self.num_classes)]
         for i in range(APPEARANCE_CODES):
             cols.append(ColumnSpec(f"appearance{i}", 64, 64, 65))
-        for name in ("tx", "ty", "tz"):
-            cols.append(ColumnSpec(name, spec.position_bins, spec.position_bins, spec.position_bins + 1))
-        for name in ("lx", "ly", "lz"):
-            cols.append(ColumnSpec(name, spec.size_bins, spec.size_bins, spec.size_bins + 1))
-        cols.append(ColumnSpec("rotation", spec.rotation_bins, spec.rotation_bins, spec.rotation_bins + 1))
+        for name, (_, _, bins) in zip(("tx", "ty", "tz", "lx", "ly", "lz", "rotation"), spec.axes):
+            cols.append(ColumnSpec(name, bins, bins, bins + 1))
         self.columns: tuple[ColumnSpec, ...] = tuple(cols)
         self._head_widths = np.array([c.head_width for c in cols], dtype=np.int64)
         self._cat_to_id = {c: i for i, c in enumerate(categories)}
+        self.mask_ids = np.array([c.mask_id for c in cols], dtype=np.int64)
+        self.mask_ids.flags.writeable = False
+        self._empty_row = np.array([self.empty_id if c.pad_id is None else c.pad_id for c in cols], dtype=np.int64)
+        self._empty_row.flags.writeable = False
+        self._empty_tokens = np.tile(self._empty_row, (max_objects, 1))
+        # Geometry table: the grid columns, bounds and bin widths of the seven
+        # geometry axes, in the order of ``spec.axes``.
+        self._appearance = slice(*ATTRIBUTE_COLUMNS["appearance"])
+        self._geometry = np.concatenate([np.arange(*ATTRIBUTE_COLUMNS[a]) for a in ("position", "size", "rotation")])
+        self._lo, self._hi, self._bins = np.array(spec.axes, dtype=np.float64).T
+        self._span = self._hi - self._lo
+        self._bin_width = self._span / self._bins
 
     def category_id(self, name: str) -> int:
         return self._cat_to_id[name]
@@ -250,38 +229,48 @@ class SceneCodec:
     def category_name(self, cid: int) -> str:
         return self.categories[cid]
 
-    @property
-    def mask_ids(self) -> np.ndarray:
-        return np.array([c.mask_id for c in self.columns], dtype=np.int64)
-
     def empty_row(self) -> np.ndarray:
-        row = np.array([c.pad_id if c.pad_id is not None else 0 for c in self.columns], dtype=np.int64)
-        row[0] = self.empty_id
-        return row
+        """The read-only row of an EMPTY slot: EMPTY category, PAD elsewhere."""
+        return self._empty_row
 
     def tokenize(self, scene: SceneLayout) -> TokenizedScene:
-        """Quantize a scene into the N x 12 grid; spare rows become EMPTY; NaN or inf geometry raises."""
-        if len(scene.objects) > self.max_objects:
-            raise ValueError(f"scene has {len(scene.objects)} objects, max is {self.max_objects}")
-        tokens = np.tile(self.empty_row(), (self.max_objects, 1))
-        pos_axes = self.spec.position_axes()
-        size_axes = self.spec.size_axes()
-        rot_axis = self.spec.rotation_axis()
-        for i, obj in enumerate(scene.objects):
-            for name, values in (("position", obj.position), ("size", obj.size), ("yaw_deg", (obj.yaw_deg,))):
-                if not all(map(math.isfinite, values)):
-                    raise ValueError(f"object {i} has non-finite {name} {tuple(values)}")
-            row = tokens[i]
-            row[0] = self._cat_to_id[obj.category]
-            for j, code in enumerate(obj.appearance):
-                if not 0 <= code < 64:
-                    raise ValueError(f"appearance code {code} outside [0, 64)")
-                row[1 + j] = code
-            for j in range(3):
-                row[5 + j] = quantize(obj.position[j], pos_axes[j])
-            for j in range(3):
-                row[8 + j] = quantize(obj.size[j], size_axes[j])
-            row[11] = quantize(obj.yaw_deg % 360.0, rot_axis)
+        """Quantize a scene into the N x 12 grid; spare rows become EMPTY; clamps are counted.
+
+        Malformed objects (unknown category, wrong field lengths, NaN or inf
+        geometry, appearance codes outside [0, 64)) raise ValueError.
+        """
+        global _clamp_events
+        objects = scene.objects
+        n = len(objects)
+        if n > self.max_objects:
+            raise ValueError(f"scene has {n} objects, max is {self.max_objects}")
+        ids = [self._cat_to_id.get(o.category, -1) for o in objects]
+        if -1 in ids:
+            i = ids.index(-1)
+            raise ValueError(f"object {i} has unknown category {objects[i].category!r}")
+        lengths = [(len(o.appearance), len(o.position), len(o.size)) for o in objects]
+        expected = (APPEARANCE_CODES, 3, 3)
+        if lengths.count(expected) != n:
+            i = [shape == expected for shape in lengths].index(False)
+            raise ValueError(f"object {i} has {lengths[i]} appearance, position and size values, expected {expected}")
+        geometry = np.array([(*o.position, *o.size, o.yaw_deg) for o in objects], dtype=np.float64).reshape(n, 7)
+        finite = np.isfinite(geometry)
+        if not finite.all():
+            i, j = np.argwhere(~finite)[0]
+            k = j // 3  # position, size or yaw
+            name = ("position", "size", "yaw_deg")[k]
+            raise ValueError(f"object {i} has non-finite {name} {tuple(geometry[i, 3 * k : 3 * k + 3].tolist())}")
+        appearance = np.array([o.appearance for o in objects], dtype=np.int64).reshape(n, APPEARANCE_CODES)
+        bad_codes = appearance[(appearance < 0) | (appearance >= 64)]
+        if bad_codes.size:
+            raise ValueError(f"appearance code {bad_codes[0]} outside [0, 64)")
+        geometry[:, -1] %= 360.0
+        _clamp_events += int(np.count_nonzero((geometry < self._lo) | (geometry > self._hi)))
+        clamped = np.clip(geometry, self._lo, self._hi)
+        tokens = self._empty_tokens.copy()
+        tokens[:n, 0] = ids
+        tokens[:n, self._appearance] = appearance
+        tokens[:n, self._geometry] = np.minimum(np.floor((clamped - self._lo) / self._span * self._bins), self._bins - 1)
         return TokenizedScene(tokens=tokens, mask_flags=np.zeros((self.max_objects, GRID_COLUMNS), dtype=bool))
 
     def detokenize(self, grid: TokenizedScene, room_type: str = "bedroom") -> SceneLayout:
@@ -299,29 +288,19 @@ class SceneCodec:
             r, c = (int(v) for v in np.argwhere(outside)[0])
             col = self.columns[c]
             raise ValueError(f"row {r} column {col.name}: token {grid.tokens[r, c]} outside [0, {col.head_width})")
-        pos_axes = self.spec.position_axes()
-        size_axes = self.spec.size_axes()
-        rot_axis = self.spec.rotation_axis()
-        objects = []
-        for row in grid.tokens:
-            if row[0] == self.empty_id:
-                continue
-            objects.append(
-                SceneObject(
-                    category=self.categories[int(row[0])],
-                    appearance=tuple(int(v) for v in row[1:5]),
-                    position=tuple(dequantize(int(row[5 + j]), pos_axes[j]) for j in range(3)),
-                    size=tuple(dequantize(int(row[8 + j]), size_axes[j]) for j in range(3)),
-                    yaw_deg=dequantize(int(row[11]), rot_axis),
-                )
-            )
+        live = grid.tokens[grid.tokens[:, 0] != self.empty_id]
+        centres = (self._lo + (live[:, self._geometry] + 0.5) * self._bin_width).tolist()
+        objects = [
+            SceneObject(self.categories[c], tuple(a), tuple(g[:3]), tuple(g[3:6]), g[6])
+            for c, a, g in zip(live[:, 0].tolist(), live[:, self._appearance].tolist(), centres)
+        ]
         return SceneLayout(room_type=room_type, objects=objects)
 
     def canonicalize(self, grid: TokenizedScene) -> TokenizedScene:
         """Force PAD tokens onto every non-category slot of EMPTY rows."""
         out = grid.copy()
         empty = out.tokens[:, 0] == self.empty_id
-        out.tokens[empty] = self.empty_row()
+        out.tokens[empty] = self._empty_row
         out.mask_flags[empty] = False
         return out
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -17,15 +18,18 @@ from scenenat.scene import DiscretizationSpec, SceneCodec
 from scenenat.tensor import Tensor
 
 
+@functools.cache
+def injections(rows: int, cols: int) -> np.ndarray:
+    """Every injective map of rows into cols, one per row of the result."""
+    return np.array(list(itertools.permutations(range(cols), rows)), dtype=np.intp).reshape(-1, rows)
+
+
 def brute_force_min(cost: np.ndarray) -> float:
     rows, cols = cost.shape
-    best = np.inf
-    for perm in itertools.permutations(range(cols), rows):
-        best = min(best, sum(cost[j, perm[j]] for j in range(rows)))
-    return best
+    return float(cost[np.arange(rows), injections(rows, cols)].sum(axis=1).min())
 
 
-def assignment_total(cost,سigma=None):
+def assignment_total(cost):
     sigma = hungarian(cost)
     return float(sum(cost[j, sigma[j]] for j in range(cost.shape[0])))
 
@@ -120,13 +124,14 @@ def test_triplet_loss_vanishes_for_perfect_prediction():
     assert loss.item() < 1e-12
 
 
-def identity_assignment_loss(gt, s, p, o, weights):
+def assignment_loss(gt, queries, s, p, o, weights):
+    """The triplet loss when ground-truth triplet j is assigned to query queries[j]."""
     n_q = s.data.shape[0]
     targets_s = np.full(n_q, s.data.shape[-1] - 1)
     targets_p = np.full(n_q, p.data.shape[-1] - 1)
     targets_o = np.full(n_q, o.data.shape[-1] - 1)
-    for j, (cs, cp, co) in enumerate(gt):
-        targets_s[j], targets_p[j], targets_o[j] = cs, cp, co
+    for q, (cs, cp, co) in zip(queries, gt):
+        targets_s[q], targets_p[q], targets_o[q] = cs, cp, co
     from scenenat import tensor as tn
 
     def ce(logits, targets, null):
@@ -135,9 +140,9 @@ def identity_assignment_loss(gt, s, p, o, weights):
         return tn.cross_entropy(logits, targets, class_weights=w, reduction="sum").item()
 
     return (
-        ce(s, targets_s, s.data.shape[-1] - 1)
-        + ce(p, targets_p, p.data.shape[-1] - 1)
-        + ce(o, targets_o, o.data.shape[-1] - 1)
+        weights.subject * ce(s, targets_s, s.data.shape[-1] - 1)
+        + weights.predicate * ce(p, targets_p, p.data.shape[-1] - 1)
+        + weights.object * ce(o, targets_o, o.data.shape[-1] - 1)
     )
 
 
@@ -153,8 +158,21 @@ def test_hungarian_loss_never_exceeds_identity_assignment():
         gt = sorted(gt)
         s, p, o = random_heads(rng)
         matched = triplet_loss(gt, s, p, o, weights).item()
-        identity = identity_assignment_loss(gt, s, p, o, weights)
+        identity = assignment_loss(gt, range(len(gt)), s, p, o, weights)
         assert matched <= identity + 1e-9
+
+
+def test_matched_loss_is_minimum_over_every_assignment():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        n_q = int(rng.integers(1, 5))
+        n_t = int(rng.integers(0, n_q + 1))
+        gt = sorted((int(rng.integers(5)), int(rng.integers(10)), int(rng.integers(5))) for _ in range(n_t))
+        weights = LossWeights(*rng.uniform(0.2, 2.0, size=3), null_class=float(rng.uniform(0.05, 1.0)))
+        s, p, o = random_heads(rng, n_q=n_q)
+        matched = triplet_loss(gt, s, p, o, weights).item()
+        every = [assignment_loss(gt, q, s, p, o, weights) for q in itertools.permutations(range(n_q), n_t)]
+        assert matched == pytest.approx(min(every), abs=1e-9)  # so matched <= every assignment
 
 
 def test_triplet_loss_permutation_invariant_bitwise():
