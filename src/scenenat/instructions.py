@@ -2,14 +2,18 @@
 
 Instructions are rendered from a closed template table (4 sentence frames
 per predicate), so the whole corpus tokenizes against a fixed whitespace
-word vocabulary. Sampling keeps at most one member of each symmetric pair,
-orders triplets so consecutive sentences reuse a mentioned category when
-possible, and switches "the" to "another" when a second distinct instance
-of an already-mentioned category is introduced.
+word vocabulary. Sampling is pair-first: the scene's triplets are grouped
+by unordered instance pair, up to k pairs are drawn uniformly without
+replacement, and only then is one member (one orientation) of each drawn
+pair picked uniformly. The picked triplets are ordered so consecutive
+sentences reuse a mentioned category when possible, and "the" switches to
+"another" when a second distinct instance of an already-mentioned category
+is introduced.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,28 +50,27 @@ CONNECTOR = "and"
 PAD_WORD = "<pad>"
 
 
-def template_table() -> dict[RelationPredicate, tuple[str, ...]]:
-    """Four rendered sentence frames per predicate."""
-    return {
-        pred: tuple(frame.replace("{p}", phrase) for frame in SENTENCE_FRAMES)
-        for pred, phrase in PREDICATE_PHRASES.items()
-    }
+#: Four rendered sentence frames per predicate.
+TEMPLATES: dict[RelationPredicate, tuple[str, ...]] = {
+    pred: tuple(frame.replace("{p}", phrase) for frame in SENTENCE_FRAMES)
+    for pred, phrase in PREDICATE_PHRASES.items()
+}
+
+#: Every word an instruction can hold besides the category words.
+TEMPLATE_WORDS = frozenset(
+    {*CONNECTOR.split(), "the", "another"}
+    | {w for frames in TEMPLATES.values() for frame in frames for w in frame.split() if w not in ("{s}", "{o}")}
+)
+
+
+def _words(categories: Iterable[str]) -> frozenset[str]:
+    """Every word an instruction over these categories can hold."""
+    return TEMPLATE_WORDS.union(*(c.split() for c in categories))
 
 
 def build_word_vocab(categories: list[str]) -> dict[str, int]:
-    """Closed word-to-id table: pad, function words, categories, phrases."""
-    words = {PAD_WORD}
-    words.update(CONNECTOR.split())
-    words.update(("the", "another"))
-    for cat in categories:
-        words.update(cat.split())
-    for frames in template_table().values():
-        for frame in frames:
-            for w in frame.split():
-                if w not in ("{s}", "{o}"):
-                    words.add(w)
-    ordered = [PAD_WORD] + sorted(w for w in words if w != PAD_WORD)
-    return {w: i for i, w in enumerate(ordered)}
+    """Closed word-to-id table: pad, then the template and category words in sorted order."""
+    return {w: i for i, w in enumerate([PAD_WORD, *sorted(_words(categories) - {PAD_WORD})])}
 
 
 def tokenize_text(text: str, word_to_id: dict[str, int]) -> list[int]:
@@ -81,35 +84,6 @@ class Instruction:
     text: str
     tokens: list[int]
     triplets: list[RelationTriplet]
-    scene_id: str = ""
-
-    def to_json(self) -> dict:
-        return {
-            "text": self.text,
-            "tokens": self.tokens,
-            "triplets": [[t.subject, t.predicate.value, t.object, t.subject_instance, t.object_instance] for t in self.triplets],
-            "scene_id": self.scene_id,
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "Instruction":
-        triplets = [
-            RelationTriplet(s, RelationPredicate(p), o, si, oi) for s, p, o, si, oi in doc["triplets"]
-        ]
-        return cls(text=doc["text"], tokens=list(doc["tokens"]), triplets=triplets, scene_id=doc["scene_id"])
-
-
-def _dedupe_symmetric(triplets: list[RelationTriplet], rng: np.random.Generator) -> list[RelationTriplet]:
-    """Keep one triplet per unordered instance pair, random orientation."""
-    groups: dict[tuple[int, int], list[RelationTriplet]] = {}
-    for t in triplets:
-        key = (min(t.subject_instance, t.object_instance), max(t.subject_instance, t.object_instance))
-        groups.setdefault(key, []).append(t)
-    kept = []
-    for key in sorted(groups):
-        members = groups[key]
-        kept.append(members[int(rng.integers(len(members)))])
-    return kept
 
 
 def _discourse_order(triplets: list[RelationTriplet]) -> list[RelationTriplet]:
@@ -149,14 +123,17 @@ def synthesize_instruction(
     scene: SceneLayout,
     k: int,
     rng: np.random.Generator,
-    scene_id: str = "",
+    *,
+    word_to_id: dict[str, int],
     triplets: list[RelationTriplet] | None = None,
-    word_to_id: dict[str, int] | None = None,
 ) -> Instruction:
     """Sample up to k relations from the scene and render them as text.
 
-    Fewer than k usable (symmetric-deduped) triplets yields all of them;
-    the returned instruction records the actual count via its triplet list.
+    The triplets (``extract_triplets(scene)`` when not given) are grouped by
+    unordered instance pair; min(k, pairs) pairs are drawn uniformly without
+    replacement and one member of each uniformly, so the returned triplet
+    list records the actual count. Triplets without instance ids and words
+    missing from ``word_to_id`` raise ValueError before any draw.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -164,18 +141,26 @@ def synthesize_instruction(
         triplets = extract_triplets(scene)
     if not triplets:
         raise ValueError("scene has no relation triplets to describe")
-    usable = _dedupe_symmetric(triplets, rng)
-    count = min(k, len(usable))
-    chosen_idx = rng.choice(len(usable), size=count, replace=False)
-    chosen = _discourse_order([usable[int(i)] for i in sorted(chosen_idx)])
+    pairs: dict[tuple[int, int], list[RelationTriplet]] = {}
+    for i, t in enumerate(triplets):
+        a, b = t.subject_instance, t.object_instance
+        if a is None or b is None:
+            raise ValueError(f"triplet {i} has no instance ids")
+        pairs.setdefault((a, b) if a < b else (b, a), []).append(t)
+    missing = sorted(_words({t.subject for t in triplets} | {t.object for t in triplets}) - word_to_id.keys())
+    if missing:
+        raise ValueError(f"words missing from word_to_id: {missing}")
+    keys = list(pairs)
+    picked = sorted(keys[i] for i in rng.choice(len(keys), size=min(k, len(keys)), replace=False).tolist())
+    members = rng.integers([len(pairs[key]) for key in picked]).tolist()
+    chosen = _discourse_order([pairs[key][j] for key, j in zip(picked, members)])
     articles = _referring_expressions(chosen)
-    frames = template_table()
     sentences = []
     for t, (art_s, art_o) in zip(chosen, articles):
-        frame = frames[t.predicate][int(rng.integers(len(SENTENCE_FRAMES)))]
+        frame = TEMPLATES[t.predicate][int(rng.integers(len(SENTENCE_FRAMES)))]
         sentences.append(frame.replace("{s}", f"{art_s} {t.subject}").replace("{o}", f"{art_o} {t.object}"))
     text = f" {CONNECTOR} ".join(sentences)
-    tokens = tokenize_text(text, word_to_id) if word_to_id is not None else []
+    tokens = tokenize_text(text, word_to_id)
     if len(tokens) > MAX_TOKENS:
         raise ValueError(f"instruction tokenizes to {len(tokens)} > {MAX_TOKENS} words")
-    return Instruction(text=text, tokens=tokens, triplets=chosen, scene_id=scene_id)
+    return Instruction(text=text, tokens=tokens, triplets=chosen)

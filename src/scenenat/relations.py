@@ -89,8 +89,9 @@ def frame_of(obj: SceneObject) -> GeometryFrame:
 def footprint_corners(f: GeometryFrame) -> list[tuple[float, float]]:
     """Ground-plane corners of the yaw-rotated box, counter-clockwise.
 
-    Shared by the relation rules, the collision metrics and the renderer so
-    all three agree on the footprint geometry.
+    Shared by the collision clip and the Monte-Carlo sampling bounds in
+    ``evaluation`` and by the benchmark's collision gate, so all three agree
+    on the footprint geometry.
     """
     cx, cy = f.center[0], f.center[1]
     hx, hy = f.half_extents[0], f.half_extents[1]
@@ -160,9 +161,6 @@ class RelationTriplet:
     def __post_init__(self):
         if self.predicate is RelationPredicate.NONE:
             raise ValueError("stored triplets must have a real predicate")
-
-    def key(self) -> tuple:
-        return (self.subject, self.predicate.value, self.object, self.subject_instance, self.object_instance)
 
 
 def extract_triplets(scene: SceneLayout) -> list[RelationTriplet]:

@@ -92,25 +92,6 @@ class DiscretizationSpec:
             (0.0, 360.0, self.rotation_bins),
         )
 
-    def to_json(self) -> dict:
-        return {
-            "position_bounds": [list(b) for b in self.position_bounds],
-            "size_bounds": [list(b) for b in self.size_bounds],
-            "position_bins": self.position_bins,
-            "size_bins": self.size_bins,
-            "rotation_bin_degrees": self.rotation_bin_degrees,
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "DiscretizationSpec":
-        return cls(
-            position_bounds=tuple(tuple(b) for b in doc["position_bounds"]),
-            size_bounds=tuple(tuple(b) for b in doc["size_bounds"]),
-            position_bins=int(doc["position_bins"]),
-            size_bins=int(doc["size_bins"]),
-            rotation_bin_degrees=int(doc["rotation_bin_degrees"]),
-        )
-
 
 @dataclass
 class SceneObject:
@@ -226,9 +207,6 @@ class SceneCodec:
     def category_id(self, name: str) -> int:
         return self._cat_to_id[name]
 
-    def category_name(self, cid: int) -> str:
-        return self.categories[cid]
-
     def empty_row(self) -> np.ndarray:
         """The read-only row of an EMPTY slot: EMPTY category, PAD elsewhere."""
         return self._empty_row
@@ -295,14 +273,6 @@ class SceneCodec:
             for c, a, g in zip(live[:, 0].tolist(), live[:, self._appearance].tolist(), centres)
         ]
         return SceneLayout(room_type=room_type, objects=objects)
-
-    def canonicalize(self, grid: TokenizedScene) -> TokenizedScene:
-        """Force PAD tokens onto every non-category slot of EMPTY rows."""
-        out = grid.copy()
-        empty = out.tokens[:, 0] == self.empty_id
-        out.tokens[empty] = self._empty_row
-        out.mask_flags[empty] = False
-        return out
 
     def snap(self, scene: SceneLayout) -> SceneLayout:
         """Round continuous attributes to their bin centers (idempotent)."""

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -347,9 +348,15 @@ specs = st.builds(
     size_bins=st.integers(2, 128),
     rotation_bin_degrees=st.sampled_from([d for d in range(1, 181) if 360 % d == 0]),
 )
-finite = st.floats(allow_nan=False, allow_infinity=False)
-coordinates = st.one_of(st.floats(-12, 12), finite, st.sampled_from([-0.0, -1e-20, 4.0, -4.0]))
-yaws = st.one_of(st.floats(-720, 720), finite, st.sampled_from([-0.0, -1e-20, 360.0, 359.99999999999994, -720.0]))
+# The continuous draws are bounded so that a failing property shrinks in seconds; the extreme
+# finite values come in as sampled members.
+extremes = [-0.0, -1e-20, 5e-324, 1e300, -1e300, sys.float_info.max, -sys.float_info.max]
+coordinates = st.one_of(st.floats(-12, 12), st.floats(-1e6, 1e6), st.sampled_from([4.0, -4.0, *extremes]))
+yaws = st.one_of(
+    st.floats(-720, 720),
+    st.floats(-1e6, 1e6),
+    st.sampled_from([360.0, 359.99999999999994, -720.0, 1080.5, -1e17, *extremes]),
+)
 objects = st.builds(
     SceneObject,
     category=st.sampled_from(CATEGORIES),
