@@ -206,10 +206,14 @@ def irecall(instructions: list[Instruction], scenes: list[SceneLayout]) -> tuple
     A triplet is realized when distinct generated objects of the right
     categories stand in the stated relation; when one instruction repeats a
     category pair, each triplet needs its own object pair (injective
-    matching). Also returns the recall split by relation count k.
+    matching). Also returns the recall split by relation count k. An
+    instruction with no triplets raises ValueError.
     """
     if len(instructions) != len(scenes):
         raise ValueError("instruction/scene lists differ in length")
+    for i, instr in enumerate(instructions):
+        if not instr.triplets:
+            raise ValueError(f"instruction {i} has no triplets")
     realized_total = 0
     count_total = 0
     by_k: dict[int, list[int]] = {}

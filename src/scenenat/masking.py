@@ -29,6 +29,8 @@ def mask_ratio(tau: float) -> float:
 
 def remask_count(step: int, total_steps: int, total_masked: int) -> int:
     """Tokens still masked after a decoding step; 0 after the final step."""
+    if total_steps < 1:
+        raise ValueError(f"total_steps must be at least 1, got {total_steps}")
     if not 0 <= step <= total_steps:
         raise ValueError(f"step {step} outside [0, {total_steps}]")
     return math.floor(total_masked * math.cos(math.pi / 2 * step / total_steps))
@@ -38,9 +40,7 @@ def remask_count(step: int, total_steps: int, total_masked: int) -> int:
 class MaskPlan:
     """One grid's sampled corruption: which positions, and how."""
 
-    tau: float
     gamma: float
-    p_obj: float
     object_rows: np.ndarray  # int row indices masked whole
     positions: np.ndarray  # bool [N, 12], all selected positions
 
@@ -73,7 +73,7 @@ def sample_mask(grid: TokenizedScene, rng: np.random.Generator) -> MaskPlan:
         take = min(remaining, flat.shape[0])
         chosen = rng.choice(flat, size=take, replace=False)
         positions.reshape(-1)[chosen] = True
-    return MaskPlan(tau=tau, gamma=gamma, p_obj=p_obj, object_rows=np.sort(rows), positions=positions)
+    return MaskPlan(gamma=gamma, object_rows=np.sort(rows), positions=positions)
 
 
 def corrupt(

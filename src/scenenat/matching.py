@@ -10,7 +10,6 @@ diagnostic; nothing in the loss assigns with it.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +19,6 @@ from . import tensor as tn
 from .relations import RelationTriplet, predicate_id
 from .scene import ATTRIBUTE_COLUMNS, SceneCodec
 from .tensor import Tensor
-
-log = logging.getLogger(__name__)
 
 _truncated_triplets = 0
 
@@ -120,7 +117,6 @@ def triplet_loss(
     n_q = subject_logits.data.shape[0]
     if len(gt) > n_q:
         _truncated_triplets += len(gt) - n_q
-        log.warning("truncating %d ground-truth triplets to %d queries", len(gt), n_q)
         gt = gt[:n_q]
     heads = ((subject_logits, weights.subject), (predicate_logits, weights.predicate), (object_logits, weights.object))
     classes = np.asarray(gt, dtype=np.int64).reshape(-1, 3).T

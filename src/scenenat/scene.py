@@ -17,9 +17,7 @@ clamps and floors all of a scene's geometry against it at once, and
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -71,11 +69,15 @@ class DiscretizationSpec:
     def __post_init__(self):
         if len(self.position_bounds) != 3 or len(self.size_bounds) != 3:
             raise ConfigurationError("bounds must cover exactly 3 axes")
+        for name in ("position_bins", "size_bins", "rotation_bin_degrees"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigurationError(f"{name} must be an int, got {value!r}")
         if self.rotation_bin_degrees == 0 or 360 % self.rotation_bin_degrees != 0:
             raise ConfigurationError(f"360 must be a multiple of rotation_bin_degrees={self.rotation_bin_degrees}")
         for lo, hi, bins in self.axes:
-            if hi <= lo:
-                raise ConfigurationError(f"axis bounds [{lo}, {hi}] have non-positive width")
+            if not (lo < hi and np.isfinite(hi - lo)):
+                raise ConfigurationError(f"axis bounds [{lo}, {hi}] need a finite, positive width")
             if bins < 2:
                 raise ConfigurationError(f"axis needs at least 2 bins, got {bins}")
 
@@ -103,25 +105,6 @@ class SceneObject:
     size: tuple[float, float, float]
     yaw_deg: float
 
-    def to_json(self) -> dict:
-        return {
-            "category": self.category,
-            "appearance": list(self.appearance),
-            "position": list(self.position),
-            "size": list(self.size),
-            "yaw_deg": self.yaw_deg,
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "SceneObject":
-        return cls(
-            category=doc["category"],
-            appearance=tuple(doc["appearance"]),
-            position=tuple(doc["position"]),
-            size=tuple(doc["size"]),
-            yaw_deg=float(doc["yaw_deg"]),
-        )
-
 
 @dataclass
 class SceneLayout:
@@ -129,13 +112,6 @@ class SceneLayout:
 
     room_type: str
     objects: list[SceneObject] = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {"room_type": self.room_type, "objects": [o.to_json() for o in self.objects]}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "SceneLayout":
-        return cls(room_type=doc["room_type"], objects=[SceneObject.from_json(o) for o in doc["objects"]])
 
 
 @dataclass(frozen=True)
@@ -277,20 +253,3 @@ class SceneCodec:
     def snap(self, scene: SceneLayout) -> SceneLayout:
         """Round continuous attributes to their bin centers (idempotent)."""
         return self.detokenize(self.tokenize(scene), room_type=scene.room_type)
-
-
-def write_scenes_jsonl(path: Path, scenes: list[SceneLayout], scene_ids: list[str]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for sid, scene in zip(scene_ids, scenes):
-            doc = {"scene_id": sid, **scene.to_json()}
-            fh.write(json.dumps(doc, sort_keys=True) + "\n")
-
-
-def read_scenes_jsonl(path: Path) -> tuple[list[str], list[SceneLayout]]:
-    ids, scenes = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            doc = json.loads(line)
-            ids.append(doc["scene_id"])
-            scenes.append(SceneLayout.from_json(doc))
-    return ids, scenes

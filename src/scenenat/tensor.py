@@ -6,8 +6,13 @@ order. Dense row-major arrays only; broadcasting is limited to missing
 leading (batch) dims plus size-1 axes, and the backward rules undo it by
 summation so every rule stays auditable.
 
-Float32 is the training precision; gradient checks run the same code in
-float64.
+Ops: add, mul, scale, matmul, transpose, reshape, slice_rows,
+embedding_lookup, softmax, layer_norm, silu, tensor_sum,
+scaled_dot_product_attention and cross_entropy. log_softmax_array works on
+plain arrays, outside the graph.
+
+Float32 is the training precision and every op keeps its inputs' dtype in
+forward and backward; gradient checks run the same code in float64.
 """
 
 from __future__ import annotations
@@ -81,20 +86,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype}, requires_grad={self.requires_grad})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, scale(other, -1.0))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, other)
-        return mul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
 
 def build_tape(root: Tensor) -> list[Tensor]:
     """Operations in topological order: every node's inputs precede it."""
@@ -167,6 +158,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scale(a: Tensor, c: float) -> Tensor:
+    c = float(c)  # under numpy 2 promotion a np.float64 constant would turn float32 into float64
+
     def backward(g):
         if a.requires_grad:
             a.accumulate_grad(g * c)
@@ -210,20 +203,6 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _make(a.data.reshape(shape), (a,), backward)
 
 
-def concat(tensors: list[Tensor], axis: int) -> Tensor:
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                index = [slice(None)] * g.ndim
-                index[axis] = slice(lo, hi)
-                t.accumulate_grad(g[tuple(index)])
-
-    return _make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), backward)
-
-
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     """First-axis slice with gradient scattered back into place."""
 
@@ -250,40 +229,32 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
     return _make(table.data[ids], (table,), backward)
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+def softmax(a: Tensor) -> Tensor:
+    """Softmax over the last axis."""
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
+    s = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g):
         if a.requires_grad:
-            dot = (g * s).sum(axis=axis, keepdims=True)
+            dot = (g * s).sum(axis=-1, keepdims=True)
             a.accumulate_grad((g - dot) * s)
 
     return _make(s, (a,), backward)
 
 
-def log_softmax_array(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable log-softmax of a plain numpy array (no graph)."""
-    shifted = x - x.max(axis=axis, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+def log_softmax_array(x: np.ndarray) -> np.ndarray:
+    """Numerically stable log-softmax over the last axis of a plain numpy array (no graph)."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    ls = log_softmax_array(a.data, axis)
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(g - np.exp(ls) * g.sum(axis=axis, keepdims=True))
-
-    return _make(ls, (a,), backward)
-
-
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Normalize the last axis (epsilon 1e-5), then scale by gamma and shift by beta."""
     mu = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + 1e-5)
     xhat = centered * inv_std
 
     def backward(g):
@@ -312,43 +283,14 @@ def silu(a: Tensor) -> Tensor:
     return _make(a.data * sig, (a,), backward)
 
 
-def dropout(a: Tensor, p: float, rng: np.random.Generator, training: bool = True) -> Tensor:
-    if not training or p == 0.0:
-        return a
-    keep = (rng.random(a.data.shape) >= p).astype(a.data.dtype) / (1.0 - p)
+def tensor_sum(a: Tensor) -> Tensor:
+    """Sum of every element, as a 0-d tensor."""
 
     def backward(g):
         if a.requires_grad:
-            a.accumulate_grad(g * keep)
+            a.accumulate_grad(np.broadcast_to(g, a.data.shape))
 
-    return _make(a.data * keep, (a,), backward)
-
-
-def _reduce(a: Tensor, axis, keepdims: bool, op: str) -> Tensor:
-    if op == "sum":
-        out_data = a.data.sum(axis=axis, keepdims=keepdims)
-        denom = 1.0
-    else:
-        out_data = a.data.mean(axis=axis, keepdims=keepdims)
-        denom = a.data.size / max(out_data.size, 1)
-
-    def backward(g):
-        if not a.requires_grad:
-            return
-        g = np.asarray(g)
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        a.accumulate_grad(np.broadcast_to(g, a.data.shape) / denom)
-
-    return _make(out_data, (a,), backward)
-
-
-def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    return _reduce(a, axis, keepdims, "sum")
-
-
-def tensor_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    return _reduce(a, axis, keepdims, "mean")
+    return _make(a.data.sum(), (a,), backward)
 
 
 def scaled_dot_product_attention(
@@ -370,7 +312,7 @@ def scaled_dot_product_attention(
         while bias.ndim < scores.data.ndim:
             bias = np.expand_dims(bias, -2)
         scores = add(scores, Tensor(bias))
-    return matmul(softmax(scores, axis=-1), v)
+    return matmul(softmax(scores), v)
 
 
 def cross_entropy(

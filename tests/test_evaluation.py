@@ -181,6 +181,13 @@ def test_irecall_empty_scene_scores_zero():
     assert overall == 0.0
 
 
+def test_irecall_rejects_instruction_without_triplets():
+    scene = SceneLayout("bedroom", [obj("chair", 2, 0), obj("desk", 0, 0)])
+    t = RelationTriplet("chair", RelationPredicate.RIGHT_OF, "desk")
+    with pytest.raises(ValueError, match="instruction 1 has no triplets"):
+        irecall([make_instruction([t]), make_instruction([])], [scene, scene])
+
+
 def test_irecall_injective_matching():
     # two identical instructed triplets but only one realizing pair
     scene = SceneLayout("bedroom", [obj("chair", 2, 0), obj("desk", 0, 0)])

@@ -34,6 +34,9 @@ def test_remask_count_endpoints_and_monotonicity():
     assert remask_count(30, 30, total) == 0
     counts = [remask_count(t, 30, total) for t in range(31)]
     assert all(a >= b for a, b in zip(counts, counts[1:]))
+    for step, steps in ((0, 0), (-1, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            remask_count(step, steps, total)
 
 
 def test_object_level_masks_cover_full_rows():

@@ -182,12 +182,20 @@ def test_invalid_axis_raises_configuration_error():
     bad_specs = [
         {"position_bounds": ((1.0, 1.0),) * 3},
         {"size_bounds": ((0.0, 4.0), (2.0, 1.0), (0.0, 4.0))},
+        {"position_bounds": ((math.nan, 4.0),) * 3},
+        {"size_bounds": ((0.0, math.inf),) * 3},
+        {"position_bounds": ((-1e308, 1e308),) * 3},
         {"position_bins": 1},
         {"size_bins": 0},
         {"rotation_bin_degrees": 7},
         {"rotation_bin_degrees": 0},
         {"rotation_bin_degrees": 360},
         {"rotation_bin_degrees": -10},
+        {"position_bins": 64.5},
+        {"size_bins": 64.0},
+        {"position_bins": True},
+        {"rotation_bin_degrees": 7.5},
+        {"rotation_bin_degrees": 10.0},
     ]
     for kwargs in bad_specs:
         with pytest.raises(ConfigurationError):
@@ -324,18 +332,6 @@ def test_out_of_bounds_values_clamp_and_count():
     assert grid.tokens[0, 5] == codec.spec.position_bins - 1
     assert sc.clamp_event_count() == 1
     sc.reset_clamp_events()
-
-
-def test_scene_jsonl_roundtrip(tmp_path):
-    codec = make_codec()
-    rng = np.random.default_rng(13)
-    scenes = [random_scene(rng, codec) for _ in range(5)]
-    ids = [f"scene-{i:06d}" for i in range(5)]
-    path = tmp_path / "scenes.jsonl"
-    sc.write_scenes_jsonl(path, scenes, ids)
-    back_ids, back = sc.read_scenes_jsonl(path)
-    assert back_ids == ids
-    assert [s.to_json() for s in back] == [s.to_json() for s in scenes]
 
 
 # Arbitrary valid specs, and finite geometry reaching far outside the bounds.
