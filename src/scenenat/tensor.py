@@ -325,7 +325,8 @@ def cross_entropy(
 
     logits is [*, V], targets [*]. class_weights (length V) scale each
     position by the weight of its target class. "mean" divides by the
-    number of positions, "sum" does not.
+    number of positions, "sum" does not; "mean" over zero positions raises
+    ValueError.
     """
     targets = np.asarray(targets)
     vocab = logits.data.shape[-1]
@@ -333,6 +334,8 @@ def cross_entropy(
         raise ShapeError(f"targets outside vocabulary of size {vocab}")
     flat = logits.data.reshape(-1, vocab)
     t = targets.reshape(-1)
+    if reduction == "mean" and t.shape[0] == 0:
+        raise ValueError("cross_entropy over zero positions")
     log_probs = log_softmax_array(flat)
     w = np.ones(t.shape[0], dtype=flat.dtype)
     if class_weights is not None:

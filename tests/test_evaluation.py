@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from scenenat import evaluation
 from scenenat.evaluation import (
+    CollisionReport,
     _max_bipartite,
     attribute_accuracy,
     box_volume,
@@ -20,6 +24,7 @@ from scenenat.relations import (
     RelationTriplet,
     classify_relation,
     extract_triplets,
+    footprint_corners,
     frame_of,
 )
 from scenenat.scene import DiscretizationSpec, SceneCodec, SceneLayout, SceneObject
@@ -153,6 +158,158 @@ def test_collision_sum_additivity():
     assert both == pytest.approx(pair_ab + pair_cd, abs=1e-12)
     report = collision_metrics(SceneLayout("r", [a, b, c, d]))
     assert report.v_sum >= report.v_avg * report.colliding_pairs - 1e-9
+
+
+def collision_oracle(scene):
+    """collision_metrics without a broad phase: every pair goes through obb_intersection_volume."""
+    frames = [frame_of(o) for o in scene.objects]
+    v_sum = 0.0
+    volumes = []
+    ratios = []
+    for i in range(len(frames)):
+        for j in range(i + 1, len(frames)):
+            v = obb_intersection_volume(frames[i], frames[j])
+            if v > 0.0:
+                v_sum += v
+                volumes.append(v)
+                ratios.append(v / min(box_volume(frames[i]), box_volume(frames[j])))
+    pairs = len(volumes)
+    return CollisionReport(
+        v_sum=v_sum,
+        v_avg=float(np.mean(volumes)) if pairs else 0.0,
+        io_min=float(np.mean(ratios)) if pairs else 0.0,
+        colliding_pairs=pairs,
+    )
+
+
+COLLISION_CODEC = SceneCodec(["bed", "lamp"], DiscretizationSpec(), max_objects=6)
+# snapped yaws are bin centres 5, 15, ..., 355 degrees; 0 and 90 give exactly touching faces
+YAWS = st.sampled_from((0.0, 90.0, 45.0, 135.0, 225.0, 315.0, 5.0, 175.0))
+
+
+def nudge(value, ulps):
+    for _ in range(abs(ulps)):
+        value = float(np.nextafter(value, math.copysign(math.inf, ulps)))
+    return value
+
+
+@st.composite
+def collision_scenes(draw):
+    """A snapped scene plus neighbours of its objects that touch or sit ulps apart side by side,
+    share a centre, or stand on top."""
+    xy = st.floats(-1.0, 1.0)
+    drawn = [
+        SceneObject(
+            "bed",
+            (0, 0, 0, 0),
+            (draw(xy), draw(xy), draw(st.floats(0.0, 2.0))),
+            tuple(draw(st.floats(0.05, 2.0)) for _ in range(3)),
+            draw(st.one_of(YAWS, st.floats(0.0, 360.0, exclude_max=True))),
+        )
+        for _ in range(draw(st.integers(1, 6)))
+    ]
+    objects = COLLISION_CODEC.snap(SceneLayout("bedroom", drawn)).objects
+    sizes = [o.size for o in objects]
+    for _ in range(draw(st.integers(0, 6))):
+        base = draw(st.sampled_from(objects))
+        (x, y, z), (w, d, h) = base.position, base.size
+        size = draw(st.sampled_from(sizes))
+        ulps = draw(st.integers(-1, 1))
+        kind = draw(st.sampled_from(("side", "centre", "stack")))
+        if kind == "side":
+            # same yaw, offset along the base's own x or y axis so the facing sides meet
+            yaw = draw(YAWS)
+            base = SceneObject(base.category, base.appearance, base.position, base.size, yaw)
+            along_x = draw(st.booleans())
+            reach = (w + size[0]) / 2 if along_x else (d + size[1]) / 2
+            angle = math.radians(yaw) + (0.0 if along_x else math.pi / 2)
+            position = (nudge(x + reach * math.cos(angle), ulps), nudge(y + reach * math.sin(angle), ulps), z)
+            objects.append(base)
+        elif kind == "centre":
+            position, yaw = base.position, draw(YAWS)
+        else:  # z ranges touch, or overlap or part by one ulp
+            position, yaw = (x, y, nudge(z + (h + size[2]) / 2, ulps)), base.yaw_deg
+        objects.append(SceneObject("lamp", (0, 0, 0, 0), position, size, yaw))
+    return SceneLayout("bedroom", objects)
+
+
+@given(collision_scenes())
+def test_collision_broad_phase_changes_no_report(scene):
+    assert collision_metrics(scene) == collision_oracle(scene)
+
+
+def test_clip_rounding_scores_footprints_with_apart_bounds():
+    # The clip scores these ~1e-33 although b's footprint bounds lie ulps right of a's;
+    # the broad phase widens the bounds, so it keeps the pair all the same.
+    a = SceneObject("bed", (0, 0, 0, 0), (-0.875, 0.375, 0.5), (1.75, 2.0, 2.0), 0.0)
+    b = SceneObject("lamp", (0, 0, 0, 0), (1.2374368670764584, 0.612436867076458, 0.5), (0.75, 2.75, 0.5), 315.0)
+    a_x_hi = max(x for x, _ in footprint_corners(frame_of(a)))
+    b_x_lo = min(x for x, _ in footprint_corners(frame_of(b)))
+    assert a_x_hi < b_x_lo
+    scene = SceneLayout("bedroom", [a, b])
+    report = collision_metrics(scene)
+    assert report == collision_oracle(scene)
+    assert report.colliding_pairs == 1 and 0.0 < report.v_sum < 1e-30
+
+
+def count_clips(monkeypatch):
+    calls = []
+    clipped_area = evaluation._clipped_area
+
+    def counting(subject, clip):
+        calls.append(1)
+        return clipped_area(subject, clip)
+
+    monkeypatch.setattr(evaluation, "_clipped_area", counting)
+    return calls
+
+
+def test_broad_phase_keeps_apart_pairs_from_the_clip(monkeypatch):
+    calls = count_clips(monkeypatch)
+    assert collision_metrics(SceneLayout("r", [obj("a", 0.0, 0.0), obj("b", 10.0, 0.0)])).colliding_pairs == 0
+    # stacked on one footprint with a 0.25 gap between the z ranges [0, 0.5] and [0.75, 1.25]
+    assert collision_metrics(SceneLayout("r", [obj("a", 0.0, 0.0), obj("b", 0.0, 0.0, z=1.0)])).colliding_pairs == 0
+    assert calls == []
+
+
+def test_broad_phase_clips_exactly_the_pairs_whose_bounds_overlap(monkeypatch):
+    rng = np.random.default_rng(29)
+    objects = [
+        SceneObject(
+            "bed",
+            (0, 0, 0, 0),
+            (float(rng.uniform(-4, 4)), float(rng.uniform(-4, 4)), float(rng.uniform(0.2, 1.5))),
+            tuple(rng.uniform(0.1, 1.0, size=3)),
+            float(rng.uniform(0, 360)),
+        )
+        for _ in range(32)
+    ]
+    corners = np.array([footprint_corners(frame_of(o)) for o in objects])
+    lo, hi = corners.min(axis=1), corners.max(axis=1)  # [32, 2] xy bounds
+    z = np.array([o.position[2] for o in objects])
+    half_h = np.array([o.size[2] / 2 for o in objects])
+    xy_overlap = ((lo[:, None] <= hi) & (lo <= hi[:, None])).all(axis=2)
+    z_overlap = np.minimum(z[:, None] + half_h[:, None], z + half_h) > np.maximum(z[:, None] - half_h[:, None], z - half_h)
+    expected = int(np.triu(xy_overlap & z_overlap, k=1).sum())
+    calls = count_clips(monkeypatch)
+    scene = SceneLayout("bedroom", objects)
+    report = collision_metrics(scene)
+    assert len(calls) == expected
+    assert 0 < report.colliding_pairs <= expected < 496 // 4
+    assert report == collision_oracle(scene)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        SceneObject("lamp", (0, 0, 0, 0), (math.nan, 0.0, 0.5), (0.5, 0.5, 0.5), 0.0),
+        SceneObject("lamp", (0, 0, 0, 0), (0.0, 0.0, 0.5), (math.inf, 0.5, 0.5), 0.0),
+        SceneObject("lamp", (0, 0, 0, 0), (0.0, 0.0, 0.5), (0.5, 0.5, 0.5), math.nan),
+    ],
+)
+def test_collision_rejects_non_finite_geometry(bad):
+    with pytest.raises(ValueError, match="object 1 has non-finite geometry"):
+        collision_metrics(SceneLayout("bedroom", [obj("bed", 0.0, 0.0), bad]))
 
 
 def make_instruction(triplets):

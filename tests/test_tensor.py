@@ -72,6 +72,16 @@ def test_cross_entropy_class_weight_linearity():
     np.testing.assert_allclose(weighted, 0.1 * plain, rtol=1e-12)
 
 
+def test_cross_entropy_over_zero_positions():
+    logits = Tensor(np.zeros((0, 5)), requires_grad=True)
+    with pytest.raises(ValueError, match="cross_entropy over zero positions"):
+        T.cross_entropy(logits, np.zeros(0, dtype=np.int64))
+    loss = T.cross_entropy(logits, np.zeros(0, dtype=np.int64), reduction="sum")
+    assert loss.item() == 0.0
+    loss.backward()
+    assert logits.grad.shape == (0, 5)
+
+
 def test_tape_is_topologically_ordered():
     rng = np.random.default_rng(2)
     x = randt(rng, 3, 3)
