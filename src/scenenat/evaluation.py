@@ -4,15 +4,19 @@ recall, and exact-match attribute accuracies for infill tasks.
 The analytic intersection volume clips the two yaw-rotated footprints
 against each other (Sutherland-Hodgman) and multiplies the polygon area by
 the vertical overlap; a Monte-Carlo estimator serves as its independent
-cross-check.
+cross-check. Footprints that only touch clip to a rounding-noise sliver
+whose size depends on the argument order, so an overlap area at or below
+``_TOUCH_AREA`` (1e-13) times (1 + the footprints' largest coordinate
+magnitude)^2 counts as 0.
 
 ``collision_metrics`` builds each object's frame, footprint corners, their
 world-axis bounds, its z range and its volume once. A broad phase then keeps
 a pair from the clip when its z ranges do not overlap or its footprint
-bounds lie apart. The clip's rounding can score footprints a few ulps apart
-as overlapping by about 1e-17, so each object's bounds are first widened by
-``_BOUNDS_SLACK`` of its coordinates' size: the broad phase drops only pairs
-the clip scores 0, and the reports equal those of clipping every pair.
+bounds lie apart. The raw clip's rounding can score footprints a few ulps
+apart as overlapping by about 1e-17, so each object's bounds are first
+widened by ``_BOUNDS_SLACK`` of its coordinates' size: the broad phase drops
+only pairs the clip scores 0 even without the touch floor, and the reports
+equal those of clipping every pair.
 """
 
 from __future__ import annotations
@@ -69,9 +73,21 @@ def _polygon_area(points: list[tuple[float, float]]) -> float:
     return abs(area) / 2.0
 
 
-def _clipped_area(subject: list[tuple[float, float]], clip: list[tuple[float, float]]) -> float:
-    """Area of the overlap of two footprints: the one narrow phase of the collision metrics."""
-    return _polygon_area(_clip_polygon(subject, clip))
+# The shoelace sum over coordinates of magnitude M rounds by about 1e-16 * (1 + M)^2, so footprints
+# that only touch clip to a sliver of that area, whose size depends on which footprint clips which.
+# Overlaps at or below _TOUCH_AREA * (1 + M)^2 count as 0: over 100 times the largest sliver seen in
+# probes of touching and ulps-apart footprints, while a 1e-5 m corner poke (area 1e-10) still counts.
+_TOUCH_AREA = 1e-13
+
+
+def _clipped_area(subject: list[tuple[float, float]], clip: list[tuple[float, float]], reach: float) -> float:
+    """Area of the overlap of two footprints: the one narrow phase of the collision metrics.
+
+    reach is 1 plus the largest coordinate magnitude of the two footprints; an overlap at or
+    below the touch floor ``_TOUCH_AREA * reach**2`` counts as 0.
+    """
+    area = _polygon_area(_clip_polygon(subject, clip))
+    return 0.0 if area <= _TOUCH_AREA * reach * reach else area
 
 
 def box_volume(f: GeometryFrame) -> float:
@@ -85,7 +101,9 @@ def obb_intersection_volume(a: GeometryFrame, b: GeometryFrame) -> float:
     z_hi = min(a.center[2] + a.half_extents[2], b.center[2] + b.half_extents[2])
     if z_hi <= z_lo:
         return 0.0
-    return _clipped_area(footprint_corners(a), footprint_corners(b)) * (z_hi - z_lo)
+    corners_a, corners_b = footprint_corners(a), footprint_corners(b)
+    reach = 1.0 + max(abs(v) for point in corners_a + corners_b for v in point)
+    return _clipped_area(corners_a, corners_b, reach) * (z_hi - z_lo)
 
 
 def _points_inside(points: np.ndarray, f: GeometryFrame) -> np.ndarray:
@@ -164,19 +182,20 @@ def collision_metrics(scene: SceneLayout) -> CollisionReport:
         corners = footprint_corners(f)
         xs, ys = [x for x, _ in corners], [y for _, y in corners]
         x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
-        pad = _BOUNDS_SLACK * (1.0 + max(-x_lo, x_hi, -y_lo, y_hi))
+        reach = 1.0 + max(-x_lo, x_hi, -y_lo, y_hi)  # 1 plus the largest coordinate magnitude
+        pad = _BOUNDS_SLACK * reach
         z, hz = f.center[2], f.half_extents[2]
-        boxes.append((corners, x_lo - pad, x_hi + pad, y_lo - pad, y_hi + pad, z - hz, z + hz, box_volume(f)))
+        boxes.append((corners, reach, x_lo - pad, x_hi + pad, y_lo - pad, y_hi + pad, z - hz, z + hz, box_volume(f)))
     v_sum = 0.0
     volumes = []
     ratios = []
-    for i, (corners_a, ax_lo, ax_hi, ay_lo, ay_hi, az_lo, az_hi, volume_a) in enumerate(boxes):
-        for corners_b, bx_lo, bx_hi, by_lo, by_hi, bz_lo, bz_hi, volume_b in boxes[i + 1 :]:
+    for i, (corners_a, reach_a, ax_lo, ax_hi, ay_lo, ay_hi, az_lo, az_hi, volume_a) in enumerate(boxes):
+        for corners_b, reach_b, bx_lo, bx_hi, by_lo, by_hi, bz_lo, bz_hi, volume_b in boxes[i + 1 :]:
             z_lo = max(az_lo, bz_lo)
             z_hi = min(az_hi, bz_hi)
             if z_hi <= z_lo or bx_lo > ax_hi or ax_lo > bx_hi or by_lo > ay_hi or ay_lo > by_hi:
                 continue
-            v = _clipped_area(corners_a, corners_b) * (z_hi - z_lo)
+            v = _clipped_area(corners_a, corners_b, max(reach_a, reach_b)) * (z_hi - z_lo)
             if v > 0.0:
                 v_sum += v
                 volumes.append(v)

@@ -2,10 +2,11 @@
 
 Instructions are rendered from a closed template table (4 sentence frames
 per predicate), so the whole corpus tokenizes against a fixed whitespace
-word vocabulary. Sampling is pair-first: the scene's triplets are grouped
-by unordered instance pair, up to k pairs are drawn uniformly without
-replacement, and only then is one member (one orientation) of each drawn
-pair picked uniformly. The picked triplets are ordered so consecutive
+word vocabulary. Sampling is pair-first over the scene's ``RelationTable``:
+its rows are grouped by unordered instance pair with one stable argsort,
+up to k pairs are drawn uniformly without replacement, and only then is one
+member (one orientation) of each drawn pair picked uniformly. Only the
+picked rows become ``RelationTriplet``s. They are ordered so consecutive
 sentences reuse a mentioned category when possible, and "the" switches to
 "another" when a second distinct instance of an already-mentioned category
 is introduced.
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .relations import RelationPredicate, RelationTriplet, extract_triplets
+from .relations import RelationPredicate, RelationTable, RelationTriplet, extract_triplets
 from .scene import SceneLayout
 
 MAX_RELATIONS = 4
@@ -125,35 +126,40 @@ def synthesize_instruction(
     rng: np.random.Generator,
     *,
     word_to_id: dict[str, int],
-    triplets: list[RelationTriplet] | None = None,
+    triplets: RelationTable | None = None,
 ) -> Instruction:
     """Sample up to k relations from the scene and render them as text.
 
-    The triplets (``extract_triplets(scene)`` when not given) are grouped by
-    unordered instance pair; min(k, pairs) pairs are drawn uniformly without
-    replacement and one member of each uniformly, so the returned triplet
-    list records the actual count. Triplets without instance ids and words
-    missing from ``word_to_id`` raise ValueError before any draw.
+    The table's rows (``extract_triplets(scene)`` when not given) are grouped
+    by unordered instance pair, in (min, max) index order: the order in which
+    the pairs first occur in ``extract_triplets``' row-major rows. min(k, pairs)
+    pairs are drawn uniformly without replacement and one member of each
+    uniformly, so the returned triplet list records the actual count. Words
+    of the table's categories missing from ``word_to_id`` raise ValueError,
+    and triplets that are not a ``RelationTable`` TypeError, before any draw.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if triplets is None:
-        triplets = extract_triplets(scene)
-    if not triplets:
+    table = extract_triplets(scene) if triplets is None else triplets
+    if not isinstance(table, RelationTable):
+        raise TypeError(f"triplets must be a RelationTable, got {type(table).__name__}")
+    if not len(table):
         raise ValueError("scene has no relation triplets to describe")
-    pairs: dict[tuple[int, int], list[RelationTriplet]] = {}
-    for i, t in enumerate(triplets):
-        a, b = t.subject_instance, t.object_instance
-        if a is None or b is None:
-            raise ValueError(f"triplet {i} has no instance ids")
-        pairs.setdefault((a, b) if a < b else (b, a), []).append(t)
-    missing = sorted(_words({t.subject for t in triplets} | {t.object for t in triplets}) - word_to_id.keys())
+    missing = sorted(_words(table.categories) - word_to_id.keys())
     if missing:
         raise ValueError(f"words missing from word_to_id: {missing}")
-    keys = list(pairs)
-    picked = sorted(keys[i] for i in rng.choice(len(keys), size=min(k, len(keys)), replace=False).tolist())
-    members = rng.integers([len(pairs[key]) for key in picked]).tolist()
-    chosen = _discourse_order([pairs[key][j] for key, j in zip(picked, members)])
+    s, o = table.rows[:, 0], table.rows[:, 2]
+    codes = np.minimum(s, o) * len(table.categories) + np.maximum(s, o)
+    order = np.argsort(codes, kind="stable")
+    codes = codes[order]
+    # Pair g holds the rows order[bounds[g]:bounds[g + 1]], in table order.
+    edges = np.ones(len(codes) + 1, dtype=bool)
+    np.not_equal(codes[1:], codes[:-1], out=edges[1:-1])
+    bounds = np.flatnonzero(edges)
+    pairs = len(bounds) - 1
+    picked = np.sort(rng.choice(pairs, size=min(k, pairs), replace=False))
+    members = rng.integers(bounds[picked + 1] - bounds[picked])
+    chosen = _discourse_order([table[i] for i in order[bounds[picked] + members].tolist()])
     articles = _referring_expressions(chosen)
     sentences = []
     for t, (art_s, art_o) in zip(chosen, articles):

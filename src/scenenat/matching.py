@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import tensor as tn
-from .relations import RelationTriplet, predicate_id
+from .relations import RelationTable, RelationTriplet, predicate_id
 from .scene import ATTRIBUTE_COLUMNS, SceneCodec
 from .tensor import Tensor
 
@@ -85,12 +85,19 @@ def matching_cost(
     return cost
 
 
-def encode_triplets(triplets: list[RelationTriplet], codec: SceneCodec) -> list[tuple[int, int, int]]:
+def encode_triplets(triplets: RelationTable | list[RelationTriplet], codec: SceneCodec) -> list[tuple[int, int, int]]:
     """(subject id, predicate id, object id) class targets, canonically sorted.
 
     Sorting makes the eventual assignment independent of input list order,
-    so the loss is bitwise permutation-invariant.
+    so the loss is bitwise permutation-invariant. A table is encoded with one
+    category-id lookup per instance and one lexsort over its rows.
     """
+    if isinstance(triplets, RelationTable):
+        cat = np.array([codec.category_id(c) for c in triplets.categories], dtype=np.int64)
+        rows = triplets.rows
+        s, p, o = cat[rows[:, 0]], rows[:, 1], cat[rows[:, 2]]
+        order = np.lexsort((o, p, s))
+        return list(zip(s[order].tolist(), p[order].tolist(), o[order].tolist()))
     encoded = [
         (codec.category_id(t.subject), predicate_id(t.predicate), codec.category_id(t.object))
         for t in triplets

@@ -5,11 +5,19 @@ ground, Z is up, yaw rotates about Z. All distances are in absolute scene
 units; the close and medium bands end at CLOSE_DISTANCE (1) and
 MEDIUM_DISTANCE (3). ``relation_matrix`` classifies every ordered pair of a
 scene in one array pass.
+
+``extract_triplets`` returns a scene's relations as a ``RelationTable``: the
+per-instance categories plus one int row (subject index, predicate id,
+object index) per related ordered pair. The table reads as a sequence of
+``RelationTriplet``s but builds one only when a row is read, so a scene's
+~1000 relations cost one array and no objects until something asks for
+text.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -142,12 +150,6 @@ def relation_matrix(frames: list[GeometryFrame]) -> np.ndarray:
     return rel
 
 
-def classify_relation(s: GeometryFrame, o: GeometryFrame) -> RelationPredicate:
-    """Classify the subject relative to the object: ``relation_matrix`` on the pair."""
-    p = relation_matrix([s, o])[0, 1]
-    return RelationPredicate.NONE if p < 0 else RELATION_SET[p]
-
-
 @dataclass(frozen=True)
 class RelationTriplet:
     """Symbolic (subject category, predicate, object category) constraint."""
@@ -163,15 +165,53 @@ class RelationTriplet:
             raise ValueError("stored triplets must have a real predicate")
 
 
-def extract_triplets(scene: SceneLayout) -> list[RelationTriplet]:
+class RelationTable(Sequence[RelationTriplet]):
+    """A scene's relations as an int [T, 3] table of (subject index, predicate id, object index).
+
+    ``categories`` holds each instance's category and ``rows`` the
+    ``RELATION_SET`` ids; both are read-only. Reading row i builds its
+    ``RelationTriplet``, with the instance ids filled in. A row that is not
+    an int triple, points outside ``categories`` or ``RELATION_SET``, or
+    relates an instance to itself raises ValueError.
+    """
+
+    def __init__(self, categories: Sequence[str], rows: np.ndarray):
+        rows = np.array(rows)
+        if rows.dtype.kind not in "iu" or rows.ndim != 2 or rows.shape[1] != 3:
+            raise ValueError(f"rows must be an int [T, 3] array, got {rows.dtype} {rows.shape}")
+        if rows.size:
+            if rows[:, 0::2].min() < 0 or rows[:, 0::2].max() >= len(categories):
+                raise ValueError(f"instance index outside the {len(categories)} categories")
+            if rows[:, 1].min() < 0 or rows[:, 1].max() >= len(RELATION_SET):
+                raise ValueError("predicate id outside RELATION_SET")
+            if (rows[:, 0] == rows[:, 2]).any():
+                raise ValueError("a row relates an instance to itself")
+        rows.flags.writeable = False
+        self.categories = tuple(categories)
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def _triplet(self, s: int, p: int, o: int) -> RelationTriplet:
+        return RelationTriplet(self.categories[s], RELATION_SET[p], self.categories[o], s, o)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._triplet(*row) for row in self.rows[i].tolist()]
+        return self._triplet(*self.rows[i].tolist())
+
+    def __iter__(self) -> Iterator[RelationTriplet]:
+        return (self._triplet(*row) for row in self.rows.tolist())
+
+
+def extract_triplets(scene: SceneLayout) -> RelationTable:
     """Every ordered object pair whose relation is not none.
 
-    Returned in (subject index, object index) order; deterministic.
+    Rows are in (subject index, object index) order, the row-major
+    ``np.nonzero`` of ``relation_matrix``; deterministic.
     """
     rel = relation_matrix([frame_of(obj) for obj in scene.objects])
     subjects, objects = np.nonzero(rel >= 0)
-    cats = [obj.category for obj in scene.objects]
-    return [
-        RelationTriplet(cats[i], RELATION_SET[p], cats[j], subject_instance=i, object_instance=j)
-        for i, j, p in zip(subjects.tolist(), objects.tolist(), rel[subjects, objects].tolist())
-    ]
+    rows = np.stack([subjects, rel[subjects, objects], objects], axis=1)
+    return RelationTable([obj.category for obj in scene.objects], rows)

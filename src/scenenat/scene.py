@@ -169,9 +169,8 @@ class SceneCodec:
         self._cat_to_id = {c: i for i, c in enumerate(categories)}
         self.mask_ids = np.array([c.mask_id for c in cols], dtype=np.int64)
         self.mask_ids.flags.writeable = False
-        self._empty_row = np.array([self.empty_id if c.pad_id is None else c.pad_id for c in cols], dtype=np.int64)
-        self._empty_row.flags.writeable = False
-        self._empty_tokens = np.tile(self._empty_row, (max_objects, 1))
+        empty_row = [self.empty_id if c.pad_id is None else c.pad_id for c in cols]
+        self._empty_tokens = np.tile(np.array(empty_row, dtype=np.int64), (max_objects, 1))
         # Geometry table: the grid columns, bounds and bin widths of the seven
         # geometry axes, in the order of ``spec.axes``.
         self._appearance = slice(*ATTRIBUTE_COLUMNS["appearance"])
@@ -182,10 +181,6 @@ class SceneCodec:
 
     def category_id(self, name: str) -> int:
         return self._cat_to_id[name]
-
-    def empty_row(self) -> np.ndarray:
-        """The read-only row of an EMPTY slot: EMPTY category, PAD elsewhere."""
-        return self._empty_row
 
     def tokenize(self, scene: SceneLayout) -> TokenizedScene:
         """Quantize a scene into the N x 12 grid; spare rows become EMPTY; clamps are counted.

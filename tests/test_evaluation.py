@@ -22,10 +22,11 @@ from scenenat.relations import (
     GeometryFrame,
     RelationPredicate,
     RelationTriplet,
-    classify_relation,
     extract_triplets,
     footprint_corners,
     frame_of,
+    predicate_id,
+    relation_matrix,
 )
 from scenenat.scene import DiscretizationSpec, SceneCodec, SceneLayout, SceneObject
 
@@ -238,27 +239,41 @@ def test_collision_broad_phase_changes_no_report(scene):
     assert collision_metrics(scene) == collision_oracle(scene)
 
 
-def test_clip_rounding_scores_footprints_with_apart_bounds():
-    # The clip scores these ~1e-33 although b's footprint bounds lie ulps right of a's;
-    # the broad phase widens the bounds, so it keeps the pair all the same.
+def test_rounding_sliver_between_footprints_with_apart_bounds_scores_zero():
+    # The raw clip scores these ~1e-33 although b's footprint bounds lie ulps right of a's;
+    # the touch floor scores the sliver 0, and the broad phase agrees with every-pair clipping.
     a = SceneObject("bed", (0, 0, 0, 0), (-0.875, 0.375, 0.5), (1.75, 2.0, 2.0), 0.0)
     b = SceneObject("lamp", (0, 0, 0, 0), (1.2374368670764584, 0.612436867076458, 0.5), (0.75, 2.75, 0.5), 315.0)
-    a_x_hi = max(x for x, _ in footprint_corners(frame_of(a)))
-    b_x_lo = min(x for x, _ in footprint_corners(frame_of(b)))
-    assert a_x_hi < b_x_lo
-    scene = SceneLayout("bedroom", [a, b])
-    report = collision_metrics(scene)
-    assert report == collision_oracle(scene)
-    assert report.colliding_pairs == 1 and 0.0 < report.v_sum < 1e-30
+    corners_a, corners_b = footprint_corners(frame_of(a)), footprint_corners(frame_of(b))
+    assert max(x for x, _ in corners_a) < min(x for x, _ in corners_b)
+    assert 0.0 < evaluation._polygon_area(evaluation._clip_polygon(corners_a, corners_b)) < 1e-30
+    for objects in ([a, b], [b, a]):
+        scene = SceneLayout("bedroom", objects)
+        assert collision_metrics(scene) == collision_oracle(scene) == CollisionReport(0.0, 0.0, 0.0, 0)
+
+
+@pytest.mark.parametrize("order", [1, -1])
+def test_face_to_face_boxes_at_45_degrees_do_not_collide(order):
+    # The clip used to score 25 (one order) and 57 (the other) of these touching pairs ~1e-16.
+    yaw = math.radians(45)
+    for k in range(1, 200):
+        w = k / 64
+        a = SceneObject("bed", (0, 0, 0, 0), (0.0, 0.0, 0.5), (w, 1.0, 1.0), 45.0)
+        b = SceneObject("lamp", (0, 0, 0, 0), (w * math.cos(yaw), w * math.sin(yaw), 0.5), (w, 1.0, 1.0), 45.0)
+        assert collision_metrics(SceneLayout("bedroom", [a, b][::order])).colliding_pairs == 0, w
+    # pushed a thousandth of w closer, the same boxes overlap by 0.001 w
+    b = SceneObject("lamp", (0, 0, 0, 0), (0.999 * w * math.cos(yaw), 0.999 * w * math.sin(yaw), 0.5), b.size, 45.0)
+    report = collision_metrics(SceneLayout("bedroom", [a, b][::order]))
+    assert report.colliding_pairs == 1 and report.v_sum == pytest.approx(0.001 * w, rel=1e-6)
 
 
 def count_clips(monkeypatch):
     calls = []
     clipped_area = evaluation._clipped_area
 
-    def counting(subject, clip):
+    def counting(*args):
         calls.append(1)
-        return clipped_area(subject, clip)
+        return clipped_area(*args)
 
     monkeypatch.setattr(evaluation, "_clipped_area", counting)
     return calls
@@ -377,7 +392,7 @@ def realized_oracle(instruction, scene):
             for j, b in enumerate(scene.objects)
             if i != j
             and (a.category, b.category) == (t.subject, t.object)
-            and classify_relation(frames[i], frames[j]) is t.predicate
+            and relation_matrix([frames[i], frames[j]])[0, 1] == predicate_id(t.predicate)
         ]
         for t in instruction.triplets
     ]

@@ -13,8 +13,8 @@ from scenenat.matching import (
     total_loss,
     triplet_loss,
 )
-from scenenat.relations import RelationPredicate, RelationTriplet
-from scenenat.scene import DiscretizationSpec, SceneCodec
+from scenenat.relations import RelationPredicate, RelationTriplet, extract_triplets
+from scenenat.scene import DiscretizationSpec, SceneCodec, SceneLayout, SceneObject
 from scenenat.tensor import Tensor
 
 
@@ -189,6 +189,26 @@ def test_triplet_loss_permutation_invariant_bitwise():
     for perm in itertools.permutations(triplets):
         value = triplet_loss(encode_triplets(list(perm), codec), s, p, o, weights).item()
         assert value == base  # bitwise
+
+
+def test_encode_table_equals_encode_of_its_triplets():
+    rng = np.random.default_rng(8)
+    codec = make_codec()
+    for n in (0, 1, 2, 8, 8, 8):
+        objects = [
+            SceneObject(
+                codec.categories[int(rng.integers(len(codec.categories)))],
+                (0, 0, 0, 0),
+                (*rng.uniform(-1.5, 1.5, size=2), float(rng.uniform(0, 2))),
+                tuple(rng.uniform(0.1, 1.5, size=3)),
+                float(rng.uniform(0, 360)),
+            )
+            for _ in range(n)
+        ]
+        table = extract_triplets(SceneLayout("bedroom", objects))
+        encoded = encode_triplets(table, codec)
+        assert encoded == encode_triplets(list(table), codec)
+        assert all(type(v) is int for row in encoded for v in row)
 
 
 def test_triplet_loss_truncates_excess_ground_truth():

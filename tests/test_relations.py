@@ -9,8 +9,8 @@ from scenenat.relations import (
     RELATION_SET,
     GeometryFrame,
     RelationPredicate,
+    RelationTable,
     RelationTriplet,
-    classify_relation,
     extract_triplets,
     footprint_corners,
     frame_of,
@@ -66,6 +66,11 @@ def predicate_of(index) -> RelationPredicate:
     return RelationPredicate.NONE if index < 0 else RELATION_SET[index]
 
 
+def classify(s: GeometryFrame, o: GeometryFrame) -> RelationPredicate:
+    """The subject's relation to the object: ``relation_matrix`` on the pair."""
+    return predicate_of(relation_matrix([s, o])[0, 1])
+
+
 def random_frame(rng):
     return GeometryFrame(
         center=tuple(rng.uniform(-3, 3, size=2)) + (float(rng.uniform(0, 2)),),
@@ -76,18 +81,18 @@ def random_frame(rng):
 
 def test_relative_orientation_cardinal_cases():
     o = box(0, 0)
-    assert classify_relation(box(1, 0), o) is RelationPredicate.CLOSELY_RIGHT_OF
-    assert classify_relation(box(0, 1), o) is RelationPredicate.CLOSELY_IN_FRONT_OF
-    assert classify_relation(box(-1, 0), o) is RelationPredicate.CLOSELY_LEFT_OF
-    assert classify_relation(box(0, -1), o) is RelationPredicate.CLOSELY_BEHIND
+    assert classify(box(1, 0), o) is RelationPredicate.CLOSELY_RIGHT_OF
+    assert classify(box(0, 1), o) is RelationPredicate.CLOSELY_IN_FRONT_OF
+    assert classify(box(-1, 0), o) is RelationPredicate.CLOSELY_LEFT_OF
+    assert classify(box(0, -1), o) is RelationPredicate.CLOSELY_BEHIND
 
 
 def test_coincident_centres_classify_closely_right_of_both_orders():
     """Same ground centre, no vertical relation: the atan2(0, 0) = 0 convention, not mirrored."""
     a = box(0, 0, z=0.5)
     b = box(0, 0, z=0.9, w=0.5, d=2.0, yaw=0.3)
-    assert classify_relation(a, b) is RelationPredicate.CLOSELY_RIGHT_OF
-    assert classify_relation(b, a) is RelationPredicate.CLOSELY_RIGHT_OF
+    assert classify(a, b) is RelationPredicate.CLOSELY_RIGHT_OF
+    assert classify(b, a) is RelationPredicate.CLOSELY_RIGHT_OF
     right = RELATION_SET.index(RelationPredicate.CLOSELY_RIGHT_OF)
     assert relation_matrix([a, b]).tolist() == [[-1, right], [right, -1]]
 
@@ -95,37 +100,37 @@ def test_coincident_centres_classify_closely_right_of_both_orders():
 def test_ground_distance():
     """Bands are measured on the ground plane (z does not count) and closed at d = 1 and d = 3."""
     o = box(0, 0, z=0.5)
-    assert classify_relation(box(1, 0, z=2.5), o) is RelationPredicate.CLOSELY_RIGHT_OF
-    assert classify_relation(box(1 + 2**-40, 0, z=2.5), o) is RelationPredicate.RIGHT_OF
-    assert classify_relation(box(0, 3, z=0.1), o) is RelationPredicate.IN_FRONT_OF
-    assert classify_relation(box(0, 3 + 2**-40, z=0.1), o) is RelationPredicate.NONE
+    assert classify(box(1, 0, z=2.5), o) is RelationPredicate.CLOSELY_RIGHT_OF
+    assert classify(box(1 + 2**-40, 0, z=2.5), o) is RelationPredicate.RIGHT_OF
+    assert classify(box(0, 3, z=0.1), o) is RelationPredicate.IN_FRONT_OF
+    assert classify(box(0, 3 + 2**-40, z=0.1), o) is RelationPredicate.NONE
     rng = np.random.default_rng(0)
     none = RelationPredicate.NONE
     for _ in range(50):
         a, b = random_frame(rng), random_frame(rng)
-        assert (classify_relation(a, b) is none) == (classify_relation(b, a) is none)
+        assert (classify(a, b) is none) == (classify(b, a) is none)
 
 
 def test_inside_concentric():
     """A small box centred over a large one stacks: its centre lies inside the footprint."""
     small = box(0, 0, z=2.0, w=0.5, d=0.5)
     big = box(0, 0, z=0.5, w=2, d=2)
-    assert classify_relation(small, big) is RelationPredicate.ABOVE
+    assert classify(small, big) is RelationPredicate.ABOVE
 
 
 def test_inside_rotated_square():
     """The 45 degree unit square reaches sqrt(2)/2 along x: 0.69 stacks, 0.72 does not."""
     o = box(0, 0, yaw=math.radians(45))
-    assert classify_relation(box(0.69, 0, z=2.0), o) is RelationPredicate.ABOVE
-    assert classify_relation(box(0.72, 0, z=2.0), o) is RelationPredicate.CLOSELY_RIGHT_OF
+    assert classify(box(0.69, 0, z=2.0), o) is RelationPredicate.ABOVE
+    assert classify(box(0.72, 0, z=2.0), o) is RelationPredicate.CLOSELY_RIGHT_OF
 
 
 def test_inside_not_symmetric_in_general():
     """Only the small box's centre lies in the other's footprint; one centre suffices, in both orders."""
     small = box(0.8, 0, z=1.6, w=0.2, d=0.2)
     big = box(0, 0, z=0.5, w=2.0, d=2.0)
-    assert classify_relation(small, big) is RelationPredicate.ABOVE
-    assert classify_relation(big, small) is RelationPredicate.BELOW
+    assert classify(small, big) is RelationPredicate.ABOVE
+    assert classify(big, small) is RelationPredicate.BELOW
 
 
 def test_bearing_sectors_match_oracle_on_every_grid_offset():
@@ -143,24 +148,24 @@ def test_bearing_sectors_match_oracle_on_every_grid_offset():
 def test_classify_right_of():
     s = box(2, 0, z=0.5)
     o = box(0, 0, z=0.5)
-    assert classify_relation(s, o) is RelationPredicate.RIGHT_OF
+    assert classify(s, o) is RelationPredicate.RIGHT_OF
 
 
 def test_classify_closely_in_front_of():
     s = box(0, 0.5, z=0.5)
     o = box(0, 0, z=0.5)
-    assert classify_relation(s, o) is RelationPredicate.CLOSELY_IN_FRONT_OF
+    assert classify(s, o) is RelationPredicate.CLOSELY_IN_FRONT_OF
 
 
 def test_classify_lamp_above_table():
     lamp = box(0, 0, z=1.2, w=0.2, d=0.2, h=0.2)
     table = box(0, 0, z=0.5, w=1.0, d=1.0, h=1.0)
-    assert classify_relation(lamp, table) is RelationPredicate.ABOVE
-    assert classify_relation(table, lamp) is RelationPredicate.BELOW
+    assert classify(lamp, table) is RelationPredicate.ABOVE
+    assert classify(table, lamp) is RelationPredicate.BELOW
 
 
 def test_classify_far_pair_is_none():
-    assert classify_relation(box(5, 0), box(0, 0)) is RelationPredicate.NONE
+    assert classify(box(5, 0), box(0, 0)) is RelationPredicate.NONE
 
 
 def test_sector_totality():
@@ -175,16 +180,16 @@ def test_sector_totality():
     for _ in range(500):
         theta = float(rng.uniform(-math.pi, math.pi))
         s = box(2 * math.cos(theta), 2 * math.sin(theta))
-        assert classify_relation(s, o) in horizontals
+        assert classify(s, o) in horizontals
 
 
 def test_oracle_agreement_and_antisymmetry():
     rng = np.random.default_rng(2024)
     for _ in range(10_000):
         s, o = random_frame(rng), random_frame(rng)
-        got = classify_relation(s, o)
+        got = classify(s, o)
         assert got is oracle_classify(s, o)
-        flipped = classify_relation(o, s)
+        flipped = classify(o, s)
         if got is not RelationPredicate.NONE and flipped is not RelationPredicate.NONE:
             # vertical pairs mirror exactly; horizontal pairs mirror unless
             # the flip itself is vertical (possible only when neither gap
@@ -201,7 +206,7 @@ def obj(cat, x, y, z=0.25, w=0.5, d=0.5, h=0.5, yaw=0.0):
 
 
 def test_extract_single_object_scene_is_empty():
-    assert extract_triplets(scene_with([obj("bed", 0, 0)])) == []
+    assert len(extract_triplets(scene_with([obj("bed", 0, 0)]))) == 0
 
 
 def test_extract_mirrored_pair():
@@ -271,7 +276,7 @@ def test_relation_matrix_and_extract_triplets_match_oracle(scene):
             assert predicate_of(rel[i, j]) is pred
             if pred is not RelationPredicate.NONE:
                 want.append(RelationTriplet(a.category, pred, b.category, i, j))
-    assert extract_triplets(scene) == want
+    assert list(extract_triplets(scene)) == want
 
 
 @given(snapped_layouts())
@@ -286,3 +291,51 @@ def test_mirror_symmetry_outside_coincident_centres(scene):
                 assert fwd is back is RelationPredicate.CLOSELY_RIGHT_OF
             else:
                 assert back is mirror_predicate(fwd)
+
+
+def test_table_reads_rows_as_triplets():
+    scene = scene_with([obj("chair", 2, 0), obj("desk", 0, 0), obj("lamp", 9, 0)])
+    table = extract_triplets(scene)
+    assert table.categories == ("chair", "desk", "lamp")
+    right, left = RELATION_SET.index(RelationPredicate.RIGHT_OF), RELATION_SET.index(RelationPredicate.LEFT_OF)
+    assert table.rows.tolist() == [[0, right, 1], [1, left, 0]]
+    first = RelationTriplet("chair", RelationPredicate.RIGHT_OF, "desk", 0, 1)
+    second = RelationTriplet("desk", RelationPredicate.LEFT_OF, "chair", 1, 0)
+    assert len(table) == 2 and table[0] == first and table[-1] == second
+    assert list(table) == table[:] == [first, second]
+    assert second in table and RelationTriplet("chair", RelationPredicate.RIGHT_OF, "desk") not in table
+    with pytest.raises(IndexError):
+        table[2]
+    with pytest.raises(ValueError):
+        table.rows[0, 0] = 1
+
+
+def test_empty_table_has_an_int_rows_array():
+    table = extract_triplets(scene_with([obj("bed", 0, 0), obj("desk", 9, 0)]))
+    assert len(table) == 0 and not table and list(table) == []
+    assert table.rows.shape == (0, 3) and table.rows.dtype.kind == "i"
+
+
+@pytest.mark.parametrize(
+    "rows, match",
+    [
+        ([[0.0, 1.0, 1.0]], "int"),
+        ([], "int"),
+        ([[0, 1]], "int"),
+        ([[0, 1, 3]], "outside the 3 categories"),
+        ([[-1, 1, 2]], "outside the 3 categories"),
+        ([[0, len(RELATION_SET), 1]], "predicate id"),
+        ([[0, -1, 1]], "predicate id"),
+        ([[0, 1, 1], [2, 0, 2]], "relates an instance to itself"),
+    ],
+)
+def test_table_rejects_bad_rows(rows, match):
+    with pytest.raises(ValueError, match=match):
+        RelationTable(["bed", "chair", "desk"], rows)
+
+
+def test_table_keeps_its_own_rows():
+    rows = np.array([[0, 1, 1]])
+    table = RelationTable(["bed", "chair"], rows)
+    rows[0, 0] = 1
+    assert table.rows.tolist() == [[0, 1, 1]] and rows.flags.writeable
