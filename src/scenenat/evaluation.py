@@ -9,19 +9,21 @@ whose size depends on the argument order, so an overlap area at or below
 ``_TOUCH_AREA`` (1e-13) times (1 + the footprints' largest coordinate
 magnitude)^2 counts as 0.
 
-``collision_metrics`` builds each object's frame, footprint corners, their
-world-axis bounds, its z range and its volume once. A broad phase then keeps
-a pair from the clip when its z ranges do not overlap or its footprint
-bounds lie apart. The raw clip's rounding can score footprints a few ulps
-apart as overlapping by about 1e-17, so each object's bounds are first
-widened by ``_BOUNDS_SLACK`` of its coordinates' size: the broad phase drops
-only pairs the clip scores 0 even without the touch floor, and the reports
-equal those of clipping every pair.
+``collision_metrics`` builds each object's footprint, bounds, z range and
+volume once, and skips the clip for pairs whose z ranges or footprint bounds
+lie apart. The clip scores such footprints at most a rounding sliver, which
+the touch floor counts as 0: that floor is the one tolerance, and the
+reports equal those of clipping every pair.
+
+``irecall`` counts instead of matching: an ordered object pair holds one
+relation, so the injective matching of an instruction's triplets to pairs
+gives each distinct triplet min(times instructed, realizing pairs).
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,11 +164,6 @@ class CollisionReport:
         }
 
 
-# Widening of an object's footprint bounds per unit of its coordinates' size (module docstring);
-# the clip's rounding is a few ulps, about 1e-16 per unit.
-_BOUNDS_SLACK = 1e-9
-
-
 def collision_metrics(scene: SceneLayout) -> CollisionReport:
     """Intersection-volume metrics over unordered object pairs.
 
@@ -183,9 +180,8 @@ def collision_metrics(scene: SceneLayout) -> CollisionReport:
         xs, ys = [x for x, _ in corners], [y for _, y in corners]
         x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
         reach = 1.0 + max(-x_lo, x_hi, -y_lo, y_hi)  # 1 plus the largest coordinate magnitude
-        pad = _BOUNDS_SLACK * reach
         z, hz = f.center[2], f.half_extents[2]
-        boxes.append((corners, reach, x_lo - pad, x_hi + pad, y_lo - pad, y_hi + pad, z - hz, z + hz, box_volume(f)))
+        boxes.append((corners, reach, x_lo, x_hi, y_lo, y_hi, z - hz, z + hz, box_volume(f)))
     v_sum = 0.0
     volumes = []
     ratios = []
@@ -209,77 +205,52 @@ def collision_metrics(scene: SceneLayout) -> CollisionReport:
     )
 
 
-def _candidate_pairs(instr: Instruction, scene: SceneLayout) -> list[list[tuple[int, int]]]:
-    """For each triplet, the (row, column) pairs of one relation matrix that realize it.
+def _realized(instr: Instruction, scene: SceneLayout) -> int:
+    """The most triplets of one instruction that distinct ordered object pairs of the scene realize.
 
-    The matrix holds only the objects of triplets whose two categories both occur in the scene.
+    Pair (i, j) holds the one relation rel[i, j], so it is a candidate only for triplets keyed
+    (category i, rel[i, j], category j): equal keys share their candidates, different keys share
+    none, and m equal triplets with c candidate pairs match min(m, c). The relation matrix holds
+    only the objects of keys whose two categories both occur in the scene.
     """
+    wanted = Counter((t.subject, predicate_id(t.predicate), t.object) for t in instr.triplets)
     present = {o.category for o in scene.objects}
-    used = {c for t in instr.triplets if t.subject in present and t.object in present for c in (t.subject, t.object)}
+    used = {c for s, _, o in wanted if s in present and o in present for c in (s, o)}
     if not used:
-        return []
+        return 0
     objects = [o for o in scene.objects if o.category in used]
     rel = relation_matrix([frame_of(o) for o in objects])
     rows_of: dict[str, list[int]] = {}
     for i, o in enumerate(objects):
         rows_of.setdefault(o.category, []).append(i)
-    candidates = []
-    for t in instr.triplets:
-        rows, cols = rows_of.get(t.subject, []), rows_of.get(t.object, [])
-        hits = np.nonzero(rel[np.array(rows, dtype=np.intp)[:, None], cols] == predicate_id(t.predicate))
-        candidates.append([(rows[a], cols[b]) for a, b in zip(*hits)])
-    return candidates
-
-
-def _max_bipartite(candidates: list[list[tuple[int, int]]]) -> int:
-    """Most triplets satisfiable with each object pair used at most once."""
-    assigned: dict[tuple[int, int], int] = {}
-
-    def try_assign(t: int, seen: set) -> bool:
-        for pair in candidates[t]:
-            if pair in seen:
-                continue
-            seen.add(pair)
-            if pair not in assigned or try_assign(assigned[pair], seen):
-                assigned[pair] = t
-                return True
-        return False
-
-    matched = 0
-    for t in range(len(candidates)):
-        if try_assign(t, set()):
-            matched += 1
-    return matched
+    realized = 0
+    for (subject, p, obj), m in wanted.items():
+        rows, cols = rows_of.get(subject, []), rows_of.get(obj, [])
+        realized += min(m, int(np.count_nonzero(rel[np.array(rows, dtype=np.intp)[:, None], cols] == p)))
+    return realized
 
 
 def irecall(instructions: list[Instruction], scenes: list[SceneLayout]) -> tuple[float, dict[int, float]]:
     """Percentage of instructed triplets realized in the paired scenes.
 
     A triplet is realized when distinct generated objects of the right
-    categories stand in the stated relation; when one instruction repeats a
-    category pair, each triplet needs its own object pair (injective
-    matching). Also returns the recall split by relation count k. An
-    instruction with no triplets raises ValueError.
+    categories stand in the stated relation, each triplet with its own
+    object pair: an injective matching, counted without a matcher (module
+    docstring). Also returns the recall split by relation count k. An
+    instruction with no triplets raises ValueError, and so does non-finite
+    geometry of an object that a triplet could match.
     """
     if len(instructions) != len(scenes):
         raise ValueError("instruction/scene lists differ in length")
     for i, instr in enumerate(instructions):
         if not instr.triplets:
             raise ValueError(f"instruction {i} has no triplets")
-    realized_total = 0
-    count_total = 0
     by_k: dict[int, list[int]] = {}
     for instr, scene in zip(instructions, scenes):
-        k = len(instr.triplets)
-        realized = _max_bipartite(_candidate_pairs(instr, scene))
-        realized_total += realized
-        count_total += k
-        by_k.setdefault(k, []).append((realized, k))
-    per_k = {
-        k: 100.0 * sum(r for r, _ in vals) / sum(n for _, n in vals)
-        for k, vals in sorted(by_k.items())
-    }
-    overall = 100.0 * realized_total / count_total if count_total else 0.0
+        by_k.setdefault(len(instr.triplets), []).append(_realized(instr, scene))
+    per_k = {k: 100.0 * sum(counts) / (k * len(counts)) for k, counts in sorted(by_k.items())}
+    count_total = sum(k * len(counts) for k, counts in by_k.items())
+    overall = 100.0 * sum(map(sum, by_k.values())) / count_total if count_total else 0.0
     return overall, per_k
 
 

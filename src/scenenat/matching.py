@@ -10,6 +10,7 @@ diagnostic; nothing in the loss assigns with it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +43,8 @@ class LossWeights:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if value < 0:
-                raise ValueError(f"loss weight {name} must be non-negative")
+            if not math.isfinite(value) or value < 0:
+                raise ValueError(f"loss weight {name} must be finite and non-negative, got {value}")
 
 
 def hungarian(cost: np.ndarray) -> np.ndarray:

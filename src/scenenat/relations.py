@@ -130,9 +130,13 @@ def relation_matrix(frames: list[GeometryFrame]) -> np.ndarray:
     the sector of the bearing atan2(dy, dx), closely_* within CLOSE_DISTANCE.
     Coincident ground centres with no vertical relation keep atan2(0, 0) = 0:
     each box is closely_right_of the other, the one pair whose two orders
-    are not mirror predicates.
+    are not mirror predicates. A frame with a non-finite centre, half extent
+    or yaw raises ValueError naming its index in ``frames``.
     """
     geometry = np.array([(*f.center, *f.half_extents, f.yaw) for f in frames], dtype=float).reshape(-1, 7)
+    if not np.isfinite(geometry).all():
+        bad = int(np.argmin(np.isfinite(geometry).all(axis=1)))
+        raise ValueError(f"object {bad} has non-finite geometry")
     x, y, z, hx, hy, hz, yaw = geometry.T
     # Offsets of subject i (rows) from object j (columns); per-object values broadcast along the columns.
     dx, dy, dz = x[:, None] - x, y[:, None] - y, z[:, None] - z

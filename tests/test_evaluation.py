@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from scenenat import evaluation
 from scenenat.evaluation import (
     CollisionReport,
-    _max_bipartite,
     attribute_accuracy,
     box_volume,
     collision_metrics,
@@ -360,6 +360,14 @@ def test_irecall_rejects_instruction_without_triplets():
         irecall([make_instruction([t]), make_instruction([])], [scene, scene])
 
 
+def test_irecall_rejects_non_finite_geometry_of_a_matched_category():
+    # unchecked, the chair at x = NaN relates the pair both ways and this instruction scores 100
+    scene = SceneLayout("bedroom", [obj("bed", 0, 0), obj("chair", math.nan, 0)])
+    t = RelationTriplet("bed", RelationPredicate.LEFT_OF, "chair")
+    with pytest.raises(ValueError, match="object 1 has non-finite geometry"):
+        irecall([make_instruction([t, RelationTriplet("chair", RelationPredicate.LEFT_OF, "bed")])], [scene])
+
+
 def test_irecall_injective_matching():
     # two identical instructed triplets but only one realizing pair
     scene = SceneLayout("bedroom", [obj("chair", 2, 0), obj("desk", 0, 0)])
@@ -370,6 +378,9 @@ def test_irecall_injective_matching():
     scene2 = SceneLayout("bedroom", [obj("chair", 2, 0), obj("desk", 0, 0), obj("chair", 2, 0.5)])
     overall2, _ = irecall([make_instruction([t, t])], [scene2])
     assert overall2 == pytest.approx(100.0)
+    # three identical triplets share the two pairs
+    overall3, by_k = irecall([make_instruction([t, t, t])], [scene2])
+    assert overall3 == pytest.approx(200.0 / 3) and by_k == {3: pytest.approx(200.0 / 3)}
 
 
 def test_irecall_monotone_under_added_objects():
@@ -383,20 +394,23 @@ def test_irecall_monotone_under_added_objects():
 
 
 def realized_oracle(instruction, scene):
-    """Realized triplets of one instruction, classifying each category-matching pair on its own."""
+    """Realized triplets of one instruction: a maximum matching of triplets to distinct ordered
+    object pairs, over a 0/1 candidate matrix that classifies each category-matching pair on its own."""
     frames = [frame_of(o) for o in scene.objects]
-    candidates = [
+    pairs = [(i, j) for i in range(len(frames)) for j in range(len(frames)) if i != j]
+    candidates = np.array(
         [
-            (i, j)
-            for i, a in enumerate(scene.objects)
-            for j, b in enumerate(scene.objects)
-            if i != j
-            and (a.category, b.category) == (t.subject, t.object)
-            and relation_matrix([frames[i], frames[j]])[0, 1] == predicate_id(t.predicate)
-        ]
-        for t in instruction.triplets
-    ]
-    return _max_bipartite(candidates)
+            [
+                (scene.objects[i].category, scene.objects[j].category) == (t.subject, t.object)
+                and relation_matrix([frames[i], frames[j]])[0, 1] == predicate_id(t.predicate)
+                for i, j in pairs
+            ]
+            for t in instruction.triplets
+        ],
+        dtype=float,
+    )
+    rows, cols = linear_sum_assignment(candidates, maximize=True)
+    return int(candidates[rows, cols].sum())
 
 
 def test_irecall_matches_pairwise_oracle():
@@ -415,6 +429,7 @@ def test_irecall_matches_pairwise_oracle():
         ]
         scene = codec.snap(SceneLayout("bedroom", objects))
         own = extract_triplets(scene)
+        repeat = rng.uniform() < 0.5
         triplets = [
             own[int(rng.integers(len(own)))]
             if own and rng.uniform() < 0.5
@@ -423,8 +438,10 @@ def test_irecall_matches_pairwise_oracle():
                 RELATION_SET[int(rng.integers(len(RELATION_SET)))],
                 codec.categories[int(rng.integers(4))],
             )
-            for _ in range(int(rng.integers(1, 5)))
+            for _ in range(int(rng.integers(1, 4 if repeat else 5)))
         ]
+        if repeat:  # half the instructions name one triplet twice, so min(m, c) meets a general matching
+            triplets.append(triplets[int(rng.integers(len(triplets)))])
         instruction = make_instruction(triplets)
         overall, _ = irecall([instruction], [scene])
         assert overall == 100.0 * realized_oracle(instruction, scene) / len(triplets)

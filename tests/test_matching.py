@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -319,3 +320,11 @@ def test_total_loss_linearity():
     assert total_loss(recon, triplet, LossWeights(triplet=0.0)).item() == 2.0
     assert total_loss(recon, triplet, LossWeights(triplet=1.0)).item() == 5.0
     assert total_loss(recon, triplet, LossWeights(triplet=2.0)).item() == 8.0
+
+
+@pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
+def test_loss_weights_reject_negative_and_non_finite(value):
+    with pytest.raises(ValueError, match="loss weight subject must be finite and non-negative"):
+        LossWeights(subject=value)
+    with pytest.raises(ValueError, match="loss weight null_class must be finite and non-negative"):
+        LossWeights(null_class=value)

@@ -209,6 +209,23 @@ def test_extract_single_object_scene_is_empty():
     assert len(extract_triplets(scene_with([obj("bed", 0, 0)]))) == 0
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        SceneObject("chair", (0, 0, 0, 0), (math.nan, 0.0, 0.5), (0.5, 0.5, 0.5), 0.0),
+        SceneObject("chair", (0, 0, 0, 0), (0.0, 0.0, 0.5), (math.inf, 0.5, 0.5), 0.0),
+        SceneObject("chair", (0, 0, 0, 0), (0.0, 0.0, 0.5), (0.5, 0.5, 0.5), math.nan),
+    ],
+)
+def test_relation_matrix_rejects_non_finite_geometry(bad):
+    # unchecked, a NaN x relates the pair both ways: bed left_of chair and chair left_of bed
+    scene = scene_with([obj("bed", 2, 0), bad])
+    with pytest.raises(ValueError, match="object 1 has non-finite geometry"):
+        relation_matrix([frame_of(o) for o in scene.objects])
+    with pytest.raises(ValueError, match="object 1 has non-finite geometry"):
+        extract_triplets(scene)
+
+
 def test_extract_mirrored_pair():
     scene = scene_with([obj("chair", 2, 0), obj("desk", 0, 0)])
     triplets = extract_triplets(scene)
