@@ -9,11 +9,12 @@ whose size depends on the argument order, so an overlap area at or below
 ``_TOUCH_AREA`` (1e-13) times (1 + the footprints' largest coordinate
 magnitude)^2 counts as 0.
 
-``collision_metrics`` builds each object's footprint, bounds, z range and
-volume once, and skips the clip for pairs whose z ranges or footprint bounds
-lie apart. The clip scores such footprints at most a rounding sliver, which
-the touch floor counts as 0: that floor is the one tolerance, and the
-reports equal those of clipping every pair.
+``collision_metrics`` reads each object's ``relations.box_table`` row, builds
+its footprint, bounds, z range and volume once, and skips the clip for pairs
+whose z ranges or footprint bounds lie apart. The clip scores such
+footprints at most a rounding sliver, which the touch floor counts as 0:
+that floor is the one tolerance, and the reports equal those of clipping
+every pair.
 
 ``irecall`` counts instead of matching: an ordered object pair holds one
 relation, so the injective matching of an instruction's triplets to pairs
@@ -22,14 +23,13 @@ gives each distinct triplet min(times instructed, realizing pairs).
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .instructions import Instruction
-from .relations import GeometryFrame, footprint_corners, frame_of, predicate_id, relation_matrix
+from .relations import GeometryFrame, box_corners, box_table, footprint_corners, predicate_id, relation_matrix
 from .scene import ATTRIBUTE_COLUMNS, GRID_COLUMNS, LAYOUT_ATTRIBUTES, SceneLayout, TokenizedScene
 
 
@@ -168,20 +168,15 @@ def collision_metrics(scene: SceneLayout) -> CollisionReport:
     """Intersection-volume metrics over unordered object pairs.
 
     v_avg and io_min average over colliding pairs only; a collision-free
-    scene reports zeros. An object with a non-finite position, size or yaw
-    raises ValueError.
+    scene reports zeros.
     """
     boxes = []
-    for i, o in enumerate(scene.objects):
-        if not all(map(math.isfinite, (*o.position, *o.size, o.yaw_deg))):
-            raise ValueError(f"object {i} has non-finite geometry")
-        f = frame_of(o)
-        corners = footprint_corners(f)
-        xs, ys = [x for x, _ in corners], [y for _, y in corners]
+    for x, y, z, hx, hy, hz, yaw in box_table(scene.objects).tolist():
+        corners = box_corners(x, y, hx, hy, yaw)
+        xs, ys = zip(*corners)
         x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
         reach = 1.0 + max(-x_lo, x_hi, -y_lo, y_hi)  # 1 plus the largest coordinate magnitude
-        z, hz = f.center[2], f.half_extents[2]
-        boxes.append((corners, reach, x_lo, x_hi, y_lo, y_hi, z - hz, z + hz, box_volume(f)))
+        boxes.append((corners, reach, x_lo, x_hi, y_lo, y_hi, z - hz, z + hz, 8.0 * hx * hy * hz))
     v_sum = 0.0
     volumes = []
     ratios = []
@@ -211,18 +206,18 @@ def _realized(instr: Instruction, scene: SceneLayout) -> int:
     Pair (i, j) holds the one relation rel[i, j], so it is a candidate only for triplets keyed
     (category i, rel[i, j], category j): equal keys share their candidates, different keys share
     none, and m equal triplets with c candidate pairs match min(m, c). The relation matrix holds
-    only the objects of keys whose two categories both occur in the scene.
+    only the objects of keys whose two categories both occur in the scene: rows of its box table.
     """
     wanted = Counter((t.subject, predicate_id(t.predicate), t.object) for t in instr.triplets)
     present = {o.category for o in scene.objects}
     used = {c for s, _, o in wanted if s in present and o in present for c in (s, o)}
     if not used:
         return 0
-    objects = [o for o in scene.objects if o.category in used]
-    rel = relation_matrix([frame_of(o) for o in objects])
+    keep = [i for i, o in enumerate(scene.objects) if o.category in used]
+    rel = relation_matrix(box_table(scene.objects)[keep])
     rows_of: dict[str, list[int]] = {}
-    for i, o in enumerate(objects):
-        rows_of.setdefault(o.category, []).append(i)
+    for row, i in enumerate(keep):
+        rows_of.setdefault(scene.objects[i].category, []).append(row)
     realized = 0
     for (subject, p, obj), m in wanted.items():
         rows, cols = rows_of.get(subject, []), rows_of.get(obj, [])
@@ -237,8 +232,7 @@ def irecall(instructions: list[Instruction], scenes: list[SceneLayout]) -> tuple
     categories stand in the stated relation, each triplet with its own
     object pair: an injective matching, counted without a matcher (module
     docstring). Also returns the recall split by relation count k. An
-    instruction with no triplets raises ValueError, and so does non-finite
-    geometry of an object that a triplet could match.
+    instruction with no triplets raises ValueError.
     """
     if len(instructions) != len(scenes):
         raise ValueError("instruction/scene lists differ in length")

@@ -3,8 +3,10 @@
 Ten directional/vertical predicates plus ``none``. The XY plane is the
 ground, Z is up, yaw rotates about Z. All distances are in absolute scene
 units; the close and medium bands end at CLOSE_DISTANCE (1) and
-MEDIUM_DISTANCE (3). ``relation_matrix`` classifies every ordered pair of a
-scene in one array pass.
+MEDIUM_DISTANCE (3). ``box_table`` packs a scene's objects into one float64
+[n, 7] array of ``GeometryFrame`` fields, which ``relation_matrix`` classifies
+in one array pass and the collision metric reads row by row. ``GeometryFrame``
+stays the scalar reference of the volume functions and the test oracles.
 
 ``extract_triplets`` returns a scene's relations as a ``RelationTable``: the
 per-instance categories plus one int row (subject index, predicate id,
@@ -82,32 +84,37 @@ class GeometryFrame:
     yaw: float
 
     def __post_init__(self):
-        if min(self.half_extents) <= 0:
-            raise ValueError(f"half extents must be positive, got {self.half_extents}")
+        if not all(map(math.isfinite, (*self.center, *self.half_extents, self.yaw))) or min(self.half_extents) <= 0:
+            raise ValueError(f"frame needs finite values and positive half extents, got {self}")
 
 
 def frame_of(obj: SceneObject) -> GeometryFrame:
-    return GeometryFrame(
-        center=obj.position,
-        half_extents=tuple(s / 2.0 for s in obj.size),
-        yaw=math.radians(obj.yaw_deg),
-    )
+    return GeometryFrame(obj.position, tuple(s / 2.0 for s in obj.size), math.radians(obj.yaw_deg))
+
+
+def box_table(objects: Sequence[SceneObject]) -> np.ndarray:
+    """``frame_of``'s fields of each object as a float64 [n, 7] array: x y z, hx hy hz, yaw in radians.
+
+    An object whose half size is not positive raises ValueError naming its index.
+    """
+    table = np.array([(*o.position, *o.size, o.yaw_deg) for o in objects], dtype=np.float64).reshape(-1, 7)
+    table[:, 3:6] /= 2.0
+    if (table[:, 3:6] <= 0).any():
+        i = int(np.argmax((table[:, 3:6] <= 0).any(axis=1)))
+        raise ValueError(f"object {i} has non-positive size {objects[i].size}")
+    table[:, 6] = np.radians(table[:, 6])
+    return table
+
+
+def box_corners(x: float, y: float, hx: float, hy: float, yaw: float) -> list[tuple[float, float]]:
+    """Ground-plane corners of a yaw-rotated box, counter-clockwise; footprint_corners and collision_metrics call it."""
+    c, s = math.cos(yaw), math.sin(yaw)
+    return [(x + dx * c - dy * s, y + dx * s + dy * c) for dx, dy in ((-hx, -hy), (hx, -hy), (hx, hy), (-hx, hy))]
 
 
 def footprint_corners(f: GeometryFrame) -> list[tuple[float, float]]:
-    """Ground-plane corners of the yaw-rotated box, counter-clockwise.
-
-    Shared by the collision clip and the Monte-Carlo sampling bounds in
-    ``evaluation`` and by the benchmark's collision gate, so all three agree
-    on the footprint geometry.
-    """
-    cx, cy = f.center[0], f.center[1]
-    hx, hy = f.half_extents[0], f.half_extents[1]
-    c, s = math.cos(f.yaw), math.sin(f.yaw)
-    corners = []
-    for dx, dy in ((-hx, -hy), (hx, -hy), (hx, hy), (-hx, hy)):
-        corners.append((cx + dx * c - dy * s, cy + dx * s + dy * c))
-    return corners
+    """``box_corners`` of a frame; the Monte-Carlo bounds and the benchmark's collision gate read it."""
+    return box_corners(f.center[0], f.center[1], f.half_extents[0], f.half_extents[1], f.yaw)
 
 
 # np.searchsorted(_BEARING_EDGES, theta, side="right") counts the edges at or below theta, so the
@@ -120,24 +127,20 @@ _ABOVE_ID = _PREDICATE_IDS[RelationPredicate.ABOVE]
 _BELOW_ID = _PREDICATE_IDS[RelationPredicate.BELOW]
 
 
-def relation_matrix(frames: list[GeometryFrame]) -> np.ndarray:
+def relation_matrix(boxes: np.ndarray) -> np.ndarray:
     """Relation of every ordered pair of boxes, as an int [N, N] matrix.
 
-    Entry [i, j] is the ``RELATION_SET`` index of frame i (subject) relative
-    to frame j (object); -1 is none and fills the diagonal. In order: above
-    or below when either centre lies in the other's footprint and the z gap
-    exceeds the mean height; none beyond MEDIUM_DISTANCE on the ground; else
-    the sector of the bearing atan2(dy, dx), closely_* within CLOSE_DISTANCE.
+    ``boxes`` is a float [N, 7] ``box_table``. Entry [i, j] is the
+    ``RELATION_SET`` index of box i (subject) relative to box j (object); -1
+    is none and fills the diagonal. In order: above or below when either
+    centre lies in the other's footprint and the z gap exceeds the mean
+    height; none beyond MEDIUM_DISTANCE on the ground; else the sector of the
+    bearing atan2(dy, dx), closely_* within CLOSE_DISTANCE.
     Coincident ground centres with no vertical relation keep atan2(0, 0) = 0:
     each box is closely_right_of the other, the one pair whose two orders
-    are not mirror predicates. A frame with a non-finite centre, half extent
-    or yaw raises ValueError naming its index in ``frames``.
+    are not mirror predicates.
     """
-    geometry = np.array([(*f.center, *f.half_extents, f.yaw) for f in frames], dtype=float).reshape(-1, 7)
-    if not np.isfinite(geometry).all():
-        bad = int(np.argmin(np.isfinite(geometry).all(axis=1)))
-        raise ValueError(f"object {bad} has non-finite geometry")
-    x, y, z, hx, hy, hz, yaw = geometry.T
+    x, y, z, hx, hy, hz, yaw = boxes.T
     # Offsets of subject i (rows) from object j (columns); per-object values broadcast along the columns.
     dx, dy, dz = x[:, None] - x, y[:, None] - y, z[:, None] - z
     c, s = np.cos(yaw), np.sin(yaw)
@@ -215,7 +218,7 @@ def extract_triplets(scene: SceneLayout) -> RelationTable:
     Rows are in (subject index, object index) order, the row-major
     ``np.nonzero`` of ``relation_matrix``; deterministic.
     """
-    rel = relation_matrix([frame_of(obj) for obj in scene.objects])
+    rel = relation_matrix(box_table(scene.objects))
     subjects, objects = np.nonzero(rel >= 0)
     rows = np.stack([subjects, rel[subjects, objects], objects], axis=1)
     return RelationTable([obj.category for obj in scene.objects], rows)

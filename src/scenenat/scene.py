@@ -9,6 +9,10 @@ a 12-column token grid laid out as
 Unused rows carry the EMPTY category and PAD tokens in every other column.
 Every column vocabulary is extended by one reserved MASK id (the largest id).
 
+A ``SceneObject`` is checked once, when built: 4 appearance codes in [0, 64)
+and a finite 3-value position, 3-value size and yaw. No path checks them
+again; the codec checks only the object count and the category vocabulary.
+
 ``ATTRIBUTE_COLUMNS`` says where each attribute sits in the grid. Each codec
 builds one geometry table from ``DiscretizationSpec.axes``: the bounds and bin
 count of the seven geometry columns (tx ty tz lx ly lz rot). ``tokenize``
@@ -17,11 +21,14 @@ clamps and floors all of a scene's geometry against it at once, and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 APPEARANCE_CODES = 4
+APPEARANCE_VOCAB = 64  # each appearance code lies in [0, APPEARANCE_VOCAB)
+_APPEARANCE_IDS = frozenset(range(APPEARANCE_VOCAB))
 GRID_COLUMNS = 12
 
 # Attribute -> half-open column range of the grid; the one column table.
@@ -95,15 +102,28 @@ class DiscretizationSpec:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SceneObject:
-    """One object with continuous geometry and discrete appearance codes."""
+    """One object with continuous geometry and discrete appearance codes; a bad field raises ValueError."""
 
     category: str
     appearance: tuple[int, int, int, int]
     position: tuple[float, float, float]
     size: tuple[float, float, float]
     yaw_deg: float
+
+    def __post_init__(self):
+        a, p, s, yaw = self.appearance, self.position, self.size, self.yaw_deg
+        if len(a) == APPEARANCE_CODES and len(p) == len(s) == 3 and _APPEARANCE_IDS.issuperset(a):
+            if all(map(math.isfinite, (*p, *s, yaw))):
+                return  # one pass over a valid object; the checks below name the bad field
+        for name, values, length in (("appearance", a, APPEARANCE_CODES), ("position", p, 3), ("size", s, 3)):
+            if len(values) != length:
+                raise ValueError(f"{name} needs {length} values, got {values}")
+        if not _APPEARANCE_IDS.issuperset(a):
+            raise ValueError(f"appearance codes must lie in [0, {APPEARANCE_VOCAB}), got {a}")
+        name = next(n for n, v in (("position", p), ("size", s), ("yaw_deg", (yaw,))) if not all(map(math.isfinite, v)))
+        raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass
@@ -154,6 +174,8 @@ class SceneCodec:
     def __init__(self, categories: list[str], spec: DiscretizationSpec, max_objects: int = 8):
         if len(set(categories)) != len(categories):
             raise ConfigurationError("duplicate category names")
+        if isinstance(max_objects, bool) or not isinstance(max_objects, int) or max_objects < 1:
+            raise ConfigurationError(f"max_objects must be an int of at least 1, got {max_objects!r}")
         self.categories = list(categories)
         self.spec = spec
         self.max_objects = max_objects
@@ -161,7 +183,7 @@ class SceneCodec:
         self.num_classes = len(categories) + 1  # real categories + EMPTY
         cols = [ColumnSpec("category", self.num_classes, None, self.num_classes)]
         for i in range(APPEARANCE_CODES):
-            cols.append(ColumnSpec(f"appearance{i}", 64, 64, 65))
+            cols.append(ColumnSpec(f"appearance{i}", APPEARANCE_VOCAB, APPEARANCE_VOCAB, APPEARANCE_VOCAB + 1))
         for name, (_, _, bins) in zip(("tx", "ty", "tz", "lx", "ly", "lz", "rotation"), spec.axes):
             cols.append(ColumnSpec(name, bins, bins, bins + 1))
         self.columns: tuple[ColumnSpec, ...] = tuple(cols)
@@ -185,8 +207,7 @@ class SceneCodec:
     def tokenize(self, scene: SceneLayout) -> TokenizedScene:
         """Quantize a scene into the N x 12 grid; spare rows become EMPTY; clamps are counted.
 
-        Malformed objects (unknown category, wrong field lengths, NaN or inf
-        geometry, appearance codes outside [0, 64)) raise ValueError.
+        More than ``max_objects`` objects or an unknown category raise ValueError.
         """
         global _clamp_events
         objects = scene.objects
@@ -197,22 +218,8 @@ class SceneCodec:
         if -1 in ids:
             i = ids.index(-1)
             raise ValueError(f"object {i} has unknown category {objects[i].category!r}")
-        lengths = [(len(o.appearance), len(o.position), len(o.size)) for o in objects]
-        expected = (APPEARANCE_CODES, 3, 3)
-        if lengths.count(expected) != n:
-            i = [shape == expected for shape in lengths].index(False)
-            raise ValueError(f"object {i} has {lengths[i]} appearance, position and size values, expected {expected}")
         geometry = np.array([(*o.position, *o.size, o.yaw_deg) for o in objects], dtype=np.float64).reshape(n, 7)
-        finite = np.isfinite(geometry)
-        if not finite.all():
-            i, j = np.argwhere(~finite)[0]
-            k = j // 3  # position, size or yaw
-            name = ("position", "size", "yaw_deg")[k]
-            raise ValueError(f"object {i} has non-finite {name} {tuple(geometry[i, 3 * k : 3 * k + 3].tolist())}")
         appearance = np.array([o.appearance for o in objects], dtype=np.int64).reshape(n, APPEARANCE_CODES)
-        bad_codes = appearance[(appearance < 0) | (appearance >= 64)]
-        if bad_codes.size:
-            raise ValueError(f"appearance code {bad_codes[0]} outside [0, 64)")
         geometry[:, -1] %= 360.0
         _clamp_events += int(np.count_nonzero((geometry < self._lo) | (geometry > self._hi)))
         clamped = np.clip(geometry, self._lo, self._hi)
@@ -225,9 +232,11 @@ class SceneCodec:
     def detokenize(self, grid: TokenizedScene, room_type: str = "bedroom") -> SceneLayout:
         """Rebuild the continuous scene at bin centers; EMPTY rows are dropped.
 
-        Live rows must hold output-vocabulary ids only: a PAD, a negative id
-        or an id past a column's head width raises ValueError.
+        A grid not of shape ``(max_objects, 12)``, or a live row holding a PAD,
+        a negative id or an id past a column's head width, raises ValueError.
         """
+        if grid.tokens.shape != (self.max_objects, GRID_COLUMNS):
+            raise ValueError(f"grid has shape {grid.tokens.shape}, expected {(self.max_objects, GRID_COLUMNS)}")
         mask_hits = grid.tokens == self.mask_ids[None, :]
         if mask_hits.any():
             n = int(mask_hits.sum())

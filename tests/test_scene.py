@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import sys
 from typing import NamedTuple
 
@@ -269,36 +270,74 @@ def test_detokenize_leaves_empty_rows_unchecked():
     assert len(codec.detokenize(grid).objects) == 1
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("attribute", ["position", "size", "yaw_deg"])
-def test_tokenize_rejects_non_finite_geometry(attribute, value):
-    codec = make_codec()
-    good = SceneObject("bed", (0, 0, 0, 0), (0.0, 0.0, 0.5), (1.0, 1.0, 1.0), 0.0)
-    bad = dataclasses.replace(good, **{attribute: value if attribute == "yaw_deg" else (0.5, value, 0.5)})
-    sc.reset_clamp_events()
-    with pytest.raises(ValueError, match=f"object 1 has non-finite {attribute}"):
-        codec.tokenize(SceneLayout(room_type="bedroom", objects=[good, bad]))
-    assert sc.clamp_event_count() == 0
+GOOD_FIELDS = {
+    "category": "bed",
+    "appearance": (0, 0, 0, 0),
+    "position": (0.0, 0.0, 0.5),
+    "size": (1.0, 1.0, 1.0),
+    "yaw_deg": 0.0,
+}
 
 
 @pytest.mark.parametrize(
-    "change, message",
+    "name, value, problem",
     [
-        ({"appearance": (1, 2, 3)}, r"object 1 has \(3, 3, 3\) appearance"),
-        ({"appearance": (1, 2, 3, 4, 5)}, r"object 1 has \(5, 3, 3\) appearance"),
-        ({"position": (0.5, 0.5)}, r"object 1 has \(4, 2, 3\) appearance"),
-        ({"category": "sofa"}, "object 1 has unknown category 'sofa'"),
+        *(
+            pytest.param(name, bad if name == "yaw_deg" else (0.5, bad, 0.5), "must be finite", id=f"{name}-{bad}")
+            for name in ("position", "size", "yaw_deg")
+            for bad in (math.nan, math.inf, -math.inf)
+        ),
+        pytest.param("appearance", (1, 2, 3), "needs 4 values", id="appearance-3"),
+        pytest.param("appearance", (1, 2, 3, 4, 5), "needs 4 values", id="appearance-5"),
+        # unchecked, a lamp with a 2-value position and a 4-value size related to a bed by shifted
+        # values (its z read from its first size value) and made collision_metrics raise IndexError
+        pytest.param("position", (0.5, 0.5), "needs 3 values", id="position-2"),
+        pytest.param("size", (0.4, 0.4, 0.6, 0.6), "needs 3 values", id="size-4"),
+        pytest.param("appearance", (0, 0, -1, 0), "codes must lie in [0, 64)", id="code--1"),
+        pytest.param("appearance", (0, 64, 0, 0), "codes must lie in [0, 64)", id="code-64"),
     ],
-    ids=["appearance-3", "appearance-5", "position-2", "unknown-category"],
 )
-def test_tokenize_rejects_malformed_objects(change, message):
+def test_scene_object_rejects_bad_fields(name, value, problem):
+    with pytest.raises(ValueError, match=re.escape(f"{name} {problem}, got {value}")):
+        SceneObject(**{**GOOD_FIELDS, name: value})
+
+
+def test_scene_object_is_frozen_and_accepts_the_code_range_ends():
+    obj = SceneObject(**GOOD_FIELDS)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        obj.position = (0.0, 0.0, 0.0)
+    assert SceneObject(**{**GOOD_FIELDS, "appearance": (0, 63, 0, 63)}).appearance == (0, 63, 0, 63)
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ([SceneObject(**{**GOOD_FIELDS, "category": "sofa"})], "object 1 has unknown category 'sofa'"),
+        ([SceneObject(**GOOD_FIELDS)] * 4, "scene has 5 objects, max is 4"),
+    ],
+    ids=["unknown-category", "too-many-objects"],
+)
+def test_tokenize_rejects_malformed_objects(extra, message):
     codec = make_codec()
     clamped = SceneObject("bed", (0, 0, 0, 0), (99.0, 0.0, 0.5), (1.0, 1.0, 1.0), 0.0)
-    bad = dataclasses.replace(clamped, **{"position": (0.0, 0.0, 0.5), **change})
     sc.reset_clamp_events()
     with pytest.raises(ValueError, match=message):
-        codec.tokenize(SceneLayout(room_type="bedroom", objects=[clamped, bad]))
+        codec.tokenize(SceneLayout(room_type="bedroom", objects=[clamped, *extra]))
     assert sc.clamp_event_count() == 0
+
+
+@pytest.mark.parametrize("max_objects", [0, -1, 2.5, True, 8.0])
+def test_codec_rejects_bad_max_objects(max_objects):
+    with pytest.raises(ConfigurationError, match="max_objects"):
+        SceneCodec(CATEGORIES, DiscretizationSpec(), max_objects=max_objects)
+
+
+@pytest.mark.parametrize("shape", [(3, 12), (1, 12), (2, 11), (2, 13)], ids=["3x12", "1x12", "2x11", "2x13"])
+def test_detokenize_rejects_a_grid_of_the_wrong_shape(shape):
+    codec = make_codec(max_objects=2)
+    grid = sc.TokenizedScene(np.full(shape, codec.empty_id), np.zeros(shape, dtype=bool))
+    with pytest.raises(ValueError, match=re.escape(f"grid has shape {shape}, expected (2, 12)")):
+        codec.detokenize(grid)
 
 
 def test_mask_ids_are_shared_and_read_only():
