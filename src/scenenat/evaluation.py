@@ -92,11 +92,6 @@ def _clipped_area(subject: list[tuple[float, float]], clip: list[tuple[float, fl
     return 0.0 if area <= _TOUCH_AREA * reach * reach else area
 
 
-def box_volume(f: GeometryFrame) -> float:
-    hx, hy, hz = f.half_extents
-    return 8.0 * hx * hy * hz
-
-
 def obb_intersection_volume(a: GeometryFrame, b: GeometryFrame) -> float:
     """Exact intersection volume of two yaw-only oriented boxes."""
     z_lo = max(a.center[2] - a.half_extents[2], b.center[2] - b.half_extents[2])
@@ -258,8 +253,11 @@ def attribute_accuracy(
 
     Frozen positions are excluded by construction; positions whose target
     is a PAD token (empty rows) are skipped since heads cannot emit PAD.
-    Layout columns also report a within-one-bin rate.
+    Layout columns also report a within-one-bin rate. Lists of unequal
+    length raise ValueError.
     """
+    if not len(target_grids) == len(generated_grids) == len(scored_positions):
+        raise ValueError("target/generated/scored lists differ in length")
     pads = np.array([-1 if c.pad_id is None else c.pad_id for c in codec.columns])
     target = np.array([g.tokens for g in target_grids], dtype=np.int64).reshape(-1, GRID_COLUMNS)
     generated = np.array([g.tokens for g in generated_grids], dtype=np.int64).reshape(-1, GRID_COLUMNS)

@@ -146,14 +146,14 @@ def triplet_loss(
     return loss
 
 
-def recon_loss(logits: dict[str, Tensor], targets: np.ndarray, weights: LossWeights, reduction: str = "mean") -> Tensor:
+def recon_loss(logits: dict[str, Tensor], targets: np.ndarray, weights: LossWeights) -> Tensor:
     """Per-attribute cross-entropy over the supervised grid positions.
 
     logits maps attribute name to [B, N, columns, width] (category/rotation
     have a single column). targets is [B, N, 12] with -1 at unsupervised
     positions. PAD targets (empty-row filler outside the heads' vocabulary)
-    are skipped. "mean" averages each attribute over its own positions;
-    "sum" yields the plain negative log-likelihood total over positions.
+    are skipped. Each attribute's term is its mean negative log-likelihood
+    over its own positions, scaled by its weight.
     """
     total = None
     for name, (lo, hi) in ATTRIBUTE_COLUMNS.items():
@@ -165,7 +165,7 @@ def recon_loss(logits: dict[str, Tensor], targets: np.ndarray, weights: LossWeig
         if selected.size == 0:
             continue
         rows = tn.embedding_lookup(flat_logits, selected)
-        term = tn.cross_entropy(rows, flat_targets[selected], reduction=reduction)
+        term = tn.cross_entropy(rows, flat_targets[selected])
         term = tn.scale(term, getattr(weights, name))
         total = term if total is None else tn.add(total, term)
     if total is None:

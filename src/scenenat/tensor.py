@@ -1,10 +1,12 @@
 """Minimal dense-tensor library with reverse-mode automatic differentiation.
 
-numpy holds the values; each op records a closure that pushes gradients to
-its inputs. backward() walks the recorded graph in reverse topological
-order. Dense row-major arrays only; broadcasting is limited to missing
-leading (batch) dims plus size-1 axes, and the backward rules undo it by
-summation so every rule stays auditable.
+numpy holds the values. Each op records a closure that maps its output's
+gradient to one gradient per input, in input order and of that input's
+shape. Tensor.backward walks the recorded graph in reverse topological order
+and alone accumulates those gradients into the inputs that require grad.
+Dense row-major arrays only; broadcasting is limited to missing leading
+(batch) dims plus size-1 axes, and the backward rules undo it by summation
+so every rule stays auditable.
 
 Ops: add, mul, scale, matmul, transpose, reshape, slice_rows,
 embedding_lookup, softmax, layer_norm, silu, tensor_sum,
@@ -81,7 +83,9 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(build_tape(self)):
             if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+                for parent, grad in zip(node._parents, node._backward(node.grad)):
+                    if parent.requires_grad:
+                        parent.accumulate_grad(grad)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype}, requires_grad={self.requires_grad})"
@@ -133,10 +137,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             raise ShapeError(f"add: incompatible shapes {a.data.shape} vs {b.data.shape}") from None
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g, b.data.shape))
+        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
 
     return _make(a.data + b.data, (a, b), backward)
 
@@ -149,10 +150,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
             raise ShapeError(f"mul: incompatible shapes {a.data.shape} vs {b.data.shape}") from None
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g * a.data, b.data.shape))
+        return _unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)
 
     return _make(a.data * b.data, (a, b), backward)
 
@@ -161,8 +159,7 @@ def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)  # under numpy 2 promotion a np.float64 constant would turn float32 into float64
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * c)
+        return (g * c,)
 
     return _make(a.data * c, (a,), backward)
 
@@ -173,12 +170,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data @ b.data
 
     def backward(g):
-        if a.requires_grad:
-            ga = g @ np.swapaxes(b.data, -1, -2)
-            a.accumulate_grad(_unbroadcast(ga, a.data.shape))
-        if b.requires_grad:
-            gb = np.swapaxes(a.data, -1, -2) @ g
-            b.accumulate_grad(_unbroadcast(gb, b.data.shape))
+        ga = g @ np.swapaxes(b.data, -1, -2)
+        gb = np.swapaxes(a.data, -1, -2) @ g
+        return _unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape)
 
     return _make(out_data, (a, b), backward)
 
@@ -187,8 +181,7 @@ def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
     inverse = tuple(int(i) for i in np.argsort(axes))
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(np.transpose(g, inverse))
+        return (np.transpose(g, inverse),)
 
     return _make(np.transpose(a.data, axes), (a,), backward)
 
@@ -197,8 +190,7 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     orig = a.data.shape
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(g.reshape(orig))
+        return (g.reshape(orig),)
 
     return _make(a.data.reshape(shape), (a,), backward)
 
@@ -207,10 +199,9 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     """First-axis slice with gradient scattered back into place."""
 
     def backward(g):
-        if a.requires_grad:
-            full = np.zeros_like(a.data)
-            full[start:stop] = g
-            a.accumulate_grad(full)
+        full = np.zeros_like(a.data)
+        full[start:stop] = g
+        return (full,)
 
     return _make(a.data[start:stop].copy(), (a,), backward)
 
@@ -221,10 +212,9 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
         raise ShapeError(f"ids outside table of {table.data.shape[0]} rows")
 
     def backward(g):
-        if table.requires_grad:
-            gt = np.zeros_like(table.data)
-            np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.data.shape[1]))
-            table.accumulate_grad(gt)
+        gt = np.zeros_like(table.data)
+        np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.data.shape[1]))
+        return (gt,)
 
     return _make(table.data[ids], (table,), backward)
 
@@ -236,9 +226,8 @@ def softmax(a: Tensor) -> Tensor:
     s = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g):
-        if a.requires_grad:
-            dot = (g * s).sum(axis=-1, keepdims=True)
-            a.accumulate_grad((g - dot) * s)
+        dot = (g * s).sum(axis=-1, keepdims=True)
+        return ((g - dot) * s,)
 
     return _make(s, (a,), backward)
 
@@ -258,17 +247,11 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     xhat = centered * inv_std
 
     def backward(g):
-        if gamma.requires_grad:
-            axes = tuple(range(g.ndim - 1))
-            gamma.accumulate_grad((g * xhat).sum(axis=axes))
-        if beta.requires_grad:
-            axes = tuple(range(g.ndim - 1))
-            beta.accumulate_grad(g.sum(axis=axes))
-        if x.requires_grad:
-            dxhat = g * gamma.data
-            m1 = dxhat.mean(axis=-1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-            x.accumulate_grad((dxhat - m1 - xhat * m2) * inv_std)
+        axes = tuple(range(g.ndim - 1))
+        dxhat = g * gamma.data
+        m1 = dxhat.mean(axis=-1, keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        return (dxhat - m1 - xhat * m2) * inv_std, (g * xhat).sum(axis=axes), g.sum(axis=axes)
 
     return _make(gamma.data * xhat + beta.data, (x, gamma, beta), backward)
 
@@ -277,8 +260,7 @@ def silu(a: Tensor) -> Tensor:
     sig = 1.0 / (1.0 + np.exp(-a.data))
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * sig * (1.0 + a.data * (1.0 - sig)))
+        return (g * sig * (1.0 + a.data * (1.0 - sig)),)
 
     return _make(a.data * sig, (a,), backward)
 
@@ -287,8 +269,7 @@ def tensor_sum(a: Tensor) -> Tensor:
     """Sum of every element, as a 0-d tensor."""
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(np.broadcast_to(g, a.data.shape))
+        return (np.broadcast_to(g, a.data.shape),)
 
     return _make(a.data.sum(), (a,), backward)
 
@@ -323,13 +304,17 @@ def cross_entropy(
 ) -> Tensor:
     """Weighted negative log-likelihood of integer targets.
 
-    logits is [*, V], targets [*]. class_weights (length V) scale each
+    logits is [*, V], targets [*]. class_weights (shape (V,)) scale each
     position by the weight of its target class. "mean" divides by the
     number of positions, "sum" does not; "mean" over zero positions raises
-    ValueError.
+    ValueError. Any other shape of targets or class_weights raises ShapeError.
     """
     targets = np.asarray(targets)
     vocab = logits.data.shape[-1]
+    if targets.shape != logits.data.shape[:-1]:
+        raise ShapeError(f"cross_entropy: targets {targets.shape} for logits {logits.data.shape}")
+    if class_weights is not None and np.shape(class_weights) != (vocab,):
+        raise ShapeError(f"cross_entropy: class_weights {np.shape(class_weights)} for vocabulary of size {vocab}")
     if targets.size and (targets.min() < 0 or targets.max() >= vocab):
         raise ShapeError(f"targets outside vocabulary of size {vocab}")
     flat = logits.data.reshape(-1, vocab)
@@ -345,10 +330,9 @@ def cross_entropy(
     value = np.asarray(nll.sum() / denom, dtype=flat.dtype)
 
     def backward(g):
-        if logits.requires_grad:
-            probs = np.exp(log_probs)
-            probs[np.arange(t.shape[0]), t] -= 1.0
-            probs *= (w * float(g) / denom)[:, None]
-            logits.accumulate_grad(probs.reshape(logits.data.shape))
+        probs = np.exp(log_probs)
+        probs[np.arange(t.shape[0]), t] -= 1.0
+        probs *= (w * float(g) / denom)[:, None]
+        return (probs.reshape(logits.data.shape),)
 
     return _make(value, (logits,), backward)

@@ -11,7 +11,6 @@ from scenenat import evaluation
 from scenenat.evaluation import (
     CollisionReport,
     attribute_accuracy,
-    box_volume,
     collision_metrics,
     irecall,
     monte_carlo_volume,
@@ -35,6 +34,11 @@ from scenenat.scene import DiscretizationSpec, SceneCodec, SceneLayout, SceneObj
 
 def frame(x=0.0, y=0.0, z=0.5, w=1.0, d=1.0, h=1.0, yaw=0.0):
     return GeometryFrame(center=(x, y, z), half_extents=(w / 2, d / 2, h / 2), yaw=yaw)
+
+
+def box_volume(f: GeometryFrame) -> float:
+    hx, hy, hz = f.half_extents
+    return 8.0 * hx * hy * hz
 
 
 def random_frame(rng):
@@ -476,6 +480,16 @@ def test_attribute_accuracy_counts_only_scored_non_pad():
     assert acc["position"]["count"] == 3  # PAD targets on the empty row skipped
     assert acc["position"]["exact"] == pytest.approx(2 / 3)
     assert acc["position"]["within_one_bin"] == 1.0
+
+
+@pytest.mark.parametrize("counts", [(3, 1, 3), (1, 3, 3), (3, 3, 1), (2, 2, 3), (0, 1, 1)])
+def test_attribute_accuracy_rejects_lists_of_unequal_length(counts):
+    # with one object per grid, 3 targets against 1 generated grid would broadcast
+    codec = SceneCodec(["bed"], DiscretizationSpec(), max_objects=1)
+    grid = codec.tokenize(SceneLayout("bedroom", [SceneObject("bed", (1, 2, 3, 4), (0, 0, 0.5), (1, 1, 1), 0.0)]))
+    targets, generated, scored = ([grid] * counts[0], [grid] * counts[1], [np.ones((1, 12), dtype=bool)] * counts[2])
+    with pytest.raises(ValueError, match="differ in length"):
+        attribute_accuracy(targets, generated, scored, codec)
 
 
 def attribute_accuracy_oracle(target_grids, generated_grids, scored_positions, codec):

@@ -267,7 +267,7 @@ def test_recon_mean_equals_position_by_position_nll():
                 if rng.random() < 0.5:
                     targets[b, i, c] = int(rng.integers(widths[c]))
 
-    summed = recon_loss(logits, targets, LossWeights(), reduction="sum").item()
+    got = recon_loss(logits, targets, LossWeights()).item()
 
     # independent position-by-position negative log-likelihood
     def log_softmax(x):
@@ -281,7 +281,7 @@ def test_recon_mean_equals_position_by_position_nll():
         column_of[c] = ("position", c - 5)
     for c in range(8, 11):
         column_of[c] = ("size", c - 8)
-    nll = 0.0
+    nll = {}
     for b in range(B):
         for i in range(N):
             for c in range(12):
@@ -290,8 +290,9 @@ def test_recon_mean_equals_position_by_position_nll():
                     continue
                 name, sub = column_of[c]
                 row = logits[name].data[b, i] if name in ("category", "rotation") else logits[name].data[b, i, sub]
-                nll += -log_softmax(row)[t]
-    assert summed == pytest.approx(nll, abs=1e-6)
+                nll.setdefault(name, []).append(-log_softmax(row)[t])
+    # each attribute averages over its own positions; the weights are all 1
+    assert got == pytest.approx(sum(np.mean(v) for v in nll.values()), abs=1e-6)
 
 
 def test_recon_loss_directional_sanity():

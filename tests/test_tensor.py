@@ -82,6 +82,23 @@ def test_cross_entropy_over_zero_positions():
     assert logits.grad.shape == (0, 5)
 
 
+@pytest.mark.parametrize(
+    "n_targets, class_weights",
+    [
+        (2, None),
+        (4, None),
+        (3, np.ones((5, 1))),  # would broadcast the per-row losses into a 3x3 sum
+        (3, np.ones(6)),
+        (3, np.ones(4)),
+    ],
+    ids=["2-targets", "4-targets", "weights-5x1", "weights-6", "weights-4"],
+)
+def test_cross_entropy_rejects_mismatched_shapes(n_targets, class_weights):
+    logits = Tensor(np.random.default_rng(0).standard_normal((3, 5)), requires_grad=True)
+    with pytest.raises(T.ShapeError):
+        T.cross_entropy(logits, np.zeros(n_targets, dtype=np.int64), class_weights=class_weights)
+
+
 def test_tape_is_topologically_ordered():
     rng = np.random.default_rng(2)
     x = randt(rng, 3, 3)
@@ -241,6 +258,26 @@ def test_op_keeps_dtype_in_forward_and_backward(op, dtype):
     loss.backward()
     assert loss.dtype == dtype
     assert [i.grad.dtype for i in inputs] == [np.dtype(dtype)] * len(inputs)
+    assert [i.grad.shape for i in inputs] == [i.shape for i in inputs]
+
+
+@pytest.mark.parametrize(
+    "op, constant_shapes", [("add", [(4,)]), ("matmul", [(4, 5)]), ("layer_norm", [(4,), (4,)])], ids=["add", "matmul", "layer_norm"]
+)
+def test_constant_inputs_get_no_grad_and_leave_the_others_unchanged(op, constant_shapes):
+    def grads(constant):
+        rng = np.random.default_rng(7)
+        x = Tensor(rng.standard_normal((2, 3, 4)).astype(np.float32), requires_grad=True)
+        others = [Tensor(rng.standard_normal(s).astype(np.float32), requires_grad=not constant) for s in constant_shapes]
+        out = getattr(T, op)(x, *others)
+        T.tensor_sum(T.mul(out, Tensor(rng.standard_normal(out.shape).astype(np.float32)))).backward()
+        return x.grad, [o.grad for o in others]
+
+    x_grad, constant_grads = grads(constant=True)
+    x_grad_all, other_grads = grads(constant=False)
+    assert all(g is None for g in constant_grads)
+    assert all(g is not None for g in other_grads)
+    assert x_grad.dtype == x_grad_all.dtype and x_grad.tobytes() == x_grad_all.tobytes()
 
 
 def test_embedding_attention_cross_entropy_step_grads_stay_float32():
