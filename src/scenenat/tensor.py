@@ -6,7 +6,10 @@ shape. Tensor.backward walks the recorded graph in reverse topological order
 and alone accumulates those gradients into the inputs that require grad.
 Dense row-major arrays only; broadcasting is limited to missing leading
 (batch) dims plus size-1 axes, and the backward rules undo it by summation
-so every rule stays auditable.
+so every rule stays auditable. Two rules sum without a per-element loop:
+embedding_lookup scatters its grad back into the table with one bincount,
+duplicate ids included, and matmul against a shared 2-D weight folds the
+input's batch dims into rows, so each grad is one 2-D GEMM.
 
 Ops: add, mul, scale, matmul, transpose, reshape, slice_rows,
 embedding_lookup, softmax, layer_norm, silu, tensor_sum,
@@ -168,8 +171,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape[-1] != b.data.shape[-2 if b.data.ndim > 1 else 0]:
         raise ShapeError(f"matmul: inner dims differ, {a.data.shape} @ {b.data.shape}")
     out_data = a.data @ b.data
+    shared_weight = b.data.ndim == 2 and a.data.ndim > 2
 
     def backward(g):
+        if shared_weight:
+            # Fold the batch dims into rows: one GEMM per grad, no per-batch products to sum.
+            g2 = g.reshape(-1, g.shape[-1])
+            return (g2 @ b.data.T).reshape(a.data.shape), a.data.reshape(-1, a.data.shape[-1]).T @ g2
         ga = g @ np.swapaxes(b.data, -1, -2)
         gb = np.swapaxes(a.data, -1, -2) @ g
         return _unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape)
@@ -207,14 +215,19 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
 
 
 def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Gather rows of a [V, d] table; grads scatter-add into the table."""
-    if ids.min(initial=0) < 0 or (ids.size and ids.max() >= table.data.shape[0]):
-        raise ShapeError(f"ids outside table of {table.data.shape[0]} rows")
+    """Gather rows of a [V, d] table by integer ids; grads scatter-add into the table."""
+    if ids.dtype.kind not in "iu":
+        raise ShapeError(f"embedding_lookup: ids must be integers, got {ids.dtype}")
+    rows, d = table.data.shape
+    if ids.min(initial=0) < 0 or (ids.size and ids.max() >= rows):
+        raise ShapeError(f"ids outside table of {rows} rows")
 
     def backward(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.data.shape[1]))
-        return (gt,)
+        # One bincount over flat (row, column) cells sums duplicate ids. The cells are
+        # built here, not in forward, so the graph holds only the ids until backward.
+        cells = (ids.reshape(-1, 1).astype(np.intp, copy=False) * d + np.arange(d)).reshape(-1)
+        gt = np.bincount(cells, weights=g.reshape(-1), minlength=rows * d)
+        return (gt.reshape(rows, d).astype(table.data.dtype, copy=False),)
 
     return _make(table.data[ids], (table,), backward)
 
@@ -306,9 +319,12 @@ def cross_entropy(
 
     logits is [*, V], targets [*]. class_weights (shape (V,)) scale each
     position by the weight of its target class. "mean" divides by the
-    number of positions, "sum" does not; "mean" over zero positions raises
-    ValueError. Any other shape of targets or class_weights raises ShapeError.
+    number of positions, "sum" does not; any other reduction, and "mean" over
+    zero positions, raise ValueError. Any other shape of targets or
+    class_weights raises ShapeError.
     """
+    if reduction not in ("mean", "sum"):
+        raise ValueError(f"cross_entropy: reduction must be 'mean' or 'sum', got {reduction!r}")
     targets = np.asarray(targets)
     vocab = logits.data.shape[-1]
     if targets.shape != logits.data.shape[:-1]:

@@ -99,6 +99,64 @@ def test_cross_entropy_rejects_mismatched_shapes(n_targets, class_weights):
         T.cross_entropy(logits, np.zeros(n_targets, dtype=np.int64), class_weights=class_weights)
 
 
+@pytest.mark.parametrize("reduction", ["none", "Mean"])
+def test_cross_entropy_rejects_unknown_reduction(reduction):
+    logits = Tensor(np.zeros((3, 5)), requires_grad=True)
+    with pytest.raises(ValueError, match="reduction"):
+        T.cross_entropy(logits, np.zeros(3, dtype=np.int64), reduction=reduction)
+
+
+@pytest.mark.parametrize(
+    "ids",
+    [np.ones(4, dtype=bool), np.array([0.0, 1.0, 3.0]), np.zeros(0)],
+    ids=["bool", "float", "empty-float"],
+)
+def test_embedding_lookup_rejects_non_integer_ids(ids):
+    table = Tensor(np.zeros((4, 3)), requires_grad=True)
+    with pytest.raises(T.ShapeError, match="integers"):
+        T.embedding_lookup(table, ids)
+
+
+def scatter_add_oracle(rows: int, ids: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Table gradient of a gather: each id's output-gradient row added into that table row."""
+    out = np.zeros((rows, g.shape[-1]), dtype=g.dtype)
+    np.add.at(out, ids.reshape(-1), g.reshape(-1, g.shape[-1]))
+    return out
+
+
+_SCATTER_IDS = {
+    "1d": np.random.default_rng(0).integers(0, 4, size=40),
+    "2d": np.random.default_rng(1).integers(0, 4, size=(6, 7)),
+    "3d": np.random.default_rng(2).integers(0, 4, size=(2, 3, 5)),
+    "one-row": np.full((4, 4), 6),
+    "uint8": np.array([8, 8, 7, 0, 8], dtype=np.uint8),  # row * width overflows uint8
+    "empty": np.zeros(0, dtype=np.int64),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("name", sorted(_SCATTER_IDS))
+def test_embedding_grad_matches_add_at_oracle(name, dtype):
+    """Duplicate ids sum, unused rows stay zero; float32 is exact up to one rounding of the sum."""
+    rows, width = 9, 40
+    ids = _SCATTER_IDS[name]
+    rng = np.random.default_rng(3)
+    table = Tensor(rng.standard_normal((rows, width)).astype(dtype), requires_grad=True)
+    out = T.embedding_lookup(table, ids)
+    g = rng.standard_normal(out.shape).astype(dtype)
+    T.tensor_sum(T.mul(out, Tensor(g))).backward()
+    assert table.grad.dtype == dtype
+    exact = scatter_add_oracle(rows, ids, g.astype(np.float64))
+    if dtype == np.float64:
+        np.testing.assert_allclose(table.grad, exact, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(table.grad, scatter_add_oracle(rows, ids, g), rtol=1e-12, atol=1e-12)
+    else:
+        bound = np.finfo(np.float32).eps * scatter_add_oracle(rows, ids, np.abs(g.astype(np.float64)))
+        assert np.all(np.abs(table.grad - exact) <= bound)
+    unused = np.setdiff1d(np.arange(rows), ids)
+    assert not table.grad[unused].any()
+
+
 def test_tape_is_topologically_ordered():
     rng = np.random.default_rng(2)
     x = randt(rng, 3, 3)
@@ -151,6 +209,22 @@ class TestFiniteDifferences:
     def test_matmul_broadcast_weight(self):
         x, w = randt(self.rng, 2, 3, 4), randt(self.rng, 4, 4)
         check_gradients(lambda: T.tensor_sum(T.matmul(x, w)), [x, w])
+
+    def test_matmul_broadcast_weight_4d(self):
+        x, w = randt(self.rng, 2, 2, 3, 4), randt(self.rng, 4, 5)
+        check_gradients(lambda: T.tensor_sum(T.mul(T.matmul(x, w), T.silu(T.matmul(x, w)))), [x, w], max_probes_per_tensor=48)
+
+    def test_matmul_broadcast_weight_non_contiguous(self):
+        """A transposed view as input, and an upstream grad that arrives as a transposed view."""
+        x, w = randt(self.rng, 3, 2, 4), randt(self.rng, 4, 5)
+        u = randt(self.rng, 5, 3, 2, requires_grad=False)
+
+        def loss():
+            xt = T.transpose(x, (1, 0, 2))
+            assert not xt.data.flags.c_contiguous
+            return T.tensor_sum(T.mul(T.transpose(T.matmul(xt, w), (2, 1, 0)), u))
+
+        check_gradients(loss, [x, w], max_probes_per_tensor=24)
 
     def test_transpose_reshape(self):
         x = randt(self.rng, 2, 3, 4)
