@@ -3,9 +3,14 @@ relation triplets to prediction queries, the matched triplet loss, and the
 masked-token reconstruction loss.
 
 triplet_loss assigns with the loss's own per-pair cost, so the matched loss
-is never above that of any other assignment. matching_cost is the DETR-style
-negative-probability cost (Carion et al., arXiv 2005.12872), kept only as a
-diagnostic; nothing in the loss assigns with it.
+is never above that of any other assignment. It takes one log-softmax per
+head and uses it for both the assignment cost and the loss. matching_cost is
+the DETR-style negative-probability cost (Carion et al., arXiv 2005.12872),
+kept only as a diagnostic; nothing in the loss assigns with it.
+
+Each loss is recorded as one autodiff node whose inputs are the logits it
+reads, with the float arithmetic of the cross_entropy -> scale -> add chain
+it replaces, so values and grads equal that chain's bit for bit.
 """
 
 from __future__ import annotations
@@ -106,6 +111,39 @@ def encode_triplets(triplets: RelationTable | list[RelationTriplet], codec: Scen
     return sorted(encoded)
 
 
+def _summed_nll(terms: list[tuple]) -> Tensor:
+    """One graph node: the sum over terms of lam * (sum of w * NLL of targets) / denom.
+
+    Each term is (logits, rows, log_probs, targets, w, lam, denom). log_probs
+    [n, V] is the log-softmax of the [*, V] logits' flat rows `rows`, or of all
+    of them in order when rows is None; targets and w are [n]. The logits are
+    the node's inputs, in term order, and each gets (softmax - onehot) * w *
+    lam / denom in the rows it supplied, zero elsewhere. Value and grads repeat
+    the float arithmetic of cross_entropy -> scale -> add bit for bit.
+    """
+    value = None
+    for _, _, log_probs, t, w, lam, denom in terms:
+        nll = -(log_probs[np.arange(t.shape[0]), t]) * w
+        term = np.asarray(nll.sum() / denom, dtype=log_probs.dtype) * float(lam)
+        value = term if value is None else value + term
+
+    def backward(g):
+        grads = []
+        for logits, rows, log_probs, t, w, lam, denom in terms:
+            probs = np.exp(log_probs)
+            probs[np.arange(t.shape[0]), t] -= 1.0
+            probs *= (w * float(g * lam) / denom)[:, None]
+            if rows is None:
+                grads.append(probs.reshape(logits.data.shape))
+            else:
+                full = np.zeros(logits.data.shape, dtype=probs.dtype)
+                full.reshape(-1, probs.shape[-1])[rows] = probs
+                grads.append(full)
+        return grads
+
+    return tn._make(value, tuple(term[0] for term in terms), backward)
+
+
 def triplet_loss(
     gt: list[tuple[int, int, int]],
     subject_logits: Tensor,
@@ -115,35 +153,41 @@ def triplet_loss(
 ) -> Tensor:
     """Hungarian-matched weighted cross-entropy over all queries (Eq. sum form).
 
-    Unmatched queries are supervised with the null class (last index of each
-    head), down-weighted by weights.null_class. Query k takes triplet j at
-    cost sum over heads of lambda * (CE(gt_j) - null_class * CE(null)), the
-    loss's change from null to gt_j, so the matched loss is the minimum over
-    all assignments.
+    Each head is [Q, classes]. Unmatched queries are supervised with the null
+    class (last index of each head), down-weighted by weights.null_class.
+    Query k takes triplet j at cost sum over heads of lambda * (CE(gt_j) -
+    null_class * CE(null)), the loss's change from null to gt_j, so the
+    matched loss is the minimum over all assignments. Class ids outside a
+    head raise ShapeError.
     """
     global _truncated_triplets
+    heads = ((subject_logits, weights.subject), (predicate_logits, weights.predicate), (object_logits, weights.object))
     n_q = subject_logits.data.shape[0]
+    if any(logits.data.ndim != 2 or logits.data.shape[0] != n_q for logits, _ in heads):
+        raise tn.ShapeError(f"triplet heads must be [queries, classes], got {[logits.shape for logits, _ in heads]}")
     if len(gt) > n_q:
         _truncated_triplets += len(gt) - n_q
         gt = gt[:n_q]
-    heads = ((subject_logits, weights.subject), (predicate_logits, weights.predicate), (object_logits, weights.object))
     classes = np.asarray(gt, dtype=np.int64).reshape(-1, 3).T
+    vocab = np.array([logits.data.shape[-1] for logits, _ in heads])
+    if classes.size and (classes.min() < 0 or (classes.max(axis=1) >= vocab).any()):
+        raise tn.ShapeError(f"triplet classes outside heads of {vocab.tolist()} classes")
+    log_probs = [tn.log_softmax_array(logits.data) for logits, _ in heads]
     cost = np.zeros((len(gt), n_q))
-    for (logits, lam), c in zip(heads, classes):
-        nll = -tn.log_softmax_array(logits.data)
+    for lp, (_, lam), c in zip(log_probs, heads, classes):
+        nll = -lp
         cost += lam * (nll[:, c].T - weights.null_class * nll[:, -1])
     sigma = hungarian(cost)
 
-    loss = None
-    for (logits, lam), c in zip(heads, classes):
-        null_id = logits.data.shape[-1] - 1
+    terms = []
+    for lp, (logits, lam), c in zip(log_probs, heads, classes):
+        null_id = lp.shape[-1] - 1
         targets = np.full(n_q, null_id, dtype=np.int64)
         targets[sigma] = c
-        class_w = np.ones(null_id + 1)
+        class_w = np.ones(null_id + 1, dtype=lp.dtype)
         class_w[null_id] = weights.null_class
-        term = tn.scale(tn.cross_entropy(logits, targets, class_weights=class_w, reduction="sum"), lam)
-        loss = term if loss is None else tn.add(loss, term)
-    return loss
+        terms.append((logits, None, lp, targets, class_w[targets], lam, 1))
+    return _summed_nll(terms)
 
 
 def recon_loss(logits: dict[str, Tensor], targets: np.ndarray, weights: LossWeights) -> Tensor:
@@ -153,24 +197,27 @@ def recon_loss(logits: dict[str, Tensor], targets: np.ndarray, weights: LossWeig
     have a single column). targets is [B, N, 12] with -1 at unsupervised
     positions. PAD targets (empty-row filler outside the heads' vocabulary)
     are skipped. Each attribute's term is its mean negative log-likelihood
-    over its own positions, scaled by its weight.
+    over its own positions, scaled by its weight. Only attributes with a
+    supervised position are inputs of the loss's node; with none, the loss
+    is a constant zero.
     """
-    total = None
+    terms = []
     for name, (lo, hi) in ATTRIBUTE_COLUMNS.items():
         t = logits[name]
         width = t.data.shape[-1]
-        flat_logits = tn.reshape(t, (-1, width))
+        flat_logits = t.data.reshape(-1, width)
         flat_targets = targets[:, :, lo:hi].reshape(-1)
+        if flat_logits.shape[0] != flat_targets.shape[0]:
+            raise tn.ShapeError(f"recon_loss: {name} logits {t.shape} for targets {targets[:, :, lo:hi].shape}")
         selected = np.nonzero((flat_targets >= 0) & (flat_targets < width))[0]
         if selected.size == 0:
             continue
-        rows = tn.embedding_lookup(flat_logits, selected)
-        term = tn.cross_entropy(rows, flat_targets[selected])
-        term = tn.scale(term, getattr(weights, name))
-        total = term if total is None else tn.add(total, term)
-    if total is None:
-        total = Tensor(np.zeros((), dtype=next(iter(logits.values())).data.dtype))
-    return total
+        log_probs = tn.log_softmax_array(flat_logits[selected])
+        w = np.ones(selected.size, dtype=log_probs.dtype)
+        terms.append((t, selected, log_probs, flat_targets[selected], w, getattr(weights, name), selected.size))
+    if not terms:
+        return Tensor(np.zeros((), dtype=next(iter(logits.values())).data.dtype))
+    return _summed_nll(terms)
 
 
 def total_loss(recon: Tensor, triplet: Tensor, weights: LossWeights) -> Tensor:

@@ -4,6 +4,10 @@ numpy holds the values. Each op records a closure that maps its output's
 gradient to one gradient per input, in input order and of that input's
 shape. Tensor.backward walks the recorded graph in reverse topological order
 and alone accumulates those gradients into the inputs that require grad.
+A leaf's grad is its own writable array; an interior node's grad may alias
+the array an op's backward returned (or another node's grad), so it is only
+read. _make records a node under this contract; scenenat.matching builds
+its fused loss nodes with it, and it is not public API.
 Dense row-major arrays only; broadcasting is limited to missing leading
 (batch) dims plus size-1 axes, and the backward rules undo it by summation
 so every rule stays auditable. Two rules sum without a per-element loop:
@@ -74,7 +78,10 @@ class Tensor:
         return float(self.data)
 
     def accumulate_grad(self, g: np.ndarray) -> None:
-        if self.grad is None:
+        if self._backward is not None:
+            # Interior: adopt g as is, add out of place, so an aliased array is never written.
+            self.grad = np.asarray(g) if self.grad is None else np.asarray(self.grad + g)
+        elif self.grad is None:
             self.grad = g.copy() if isinstance(g, np.ndarray) else np.asarray(g)
         else:
             self.grad += g

@@ -5,7 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from scenenat import matching
+from scenenat import tensor as tn
 from scenenat.matching import (
+    ATTRIBUTE_COLUMNS,
     LossWeights,
     encode_triplets,
     hungarian,
@@ -16,7 +19,9 @@ from scenenat.matching import (
 )
 from scenenat.relations import RelationPredicate, RelationTriplet, extract_triplets
 from scenenat.scene import DiscretizationSpec, SceneCodec, SceneLayout, SceneObject
-from scenenat.tensor import Tensor
+from scenenat.tensor import ShapeError, Tensor
+
+from gradcheck import check_gradients
 
 
 @functools.cache
@@ -220,6 +225,26 @@ def test_triplet_loss_truncates_excess_ground_truth():
     assert np.isfinite(loss.item())
 
 
+@pytest.mark.parametrize("gt", [[(-1, 0, 0)], [(0, 11, 0)], [(0, 0, 6)]], ids=["negative", "predicate-null+1", "object-null+1"])
+def test_triplet_loss_rejects_classes_outside_heads(gt):
+    s, p, o = random_heads(np.random.default_rng(0))
+    with pytest.raises(ShapeError, match="outside heads"):
+        triplet_loss(gt, s, p, o, LossWeights())
+
+
+@pytest.mark.parametrize("p_shape", [(3, 11), (4, 2, 11)], ids=["fewer-queries", "3-d"])
+def test_triplet_loss_rejects_mismatched_heads(p_shape):
+    s, _, o = random_heads(np.random.default_rng(0))
+    with pytest.raises(ShapeError, match="queries, classes"):
+        triplet_loss([(0, 0, 0)], s, Tensor(np.zeros(p_shape)), o, LossWeights())
+
+
+def test_recon_loss_rejects_logits_of_another_grid():
+    logits = {k: Tensor(v) for k, v in attribute_logits(np.random.default_rng(0), np.float64, n=2).items()}
+    with pytest.raises(ShapeError, match="category logits"):
+        recon_loss(logits, np.zeros((2, 3, 12), dtype=np.int64), LossWeights())
+
+
 def test_recon_loss_uniform_single_token():
     n_classes = 7
     logits = {
@@ -329,3 +354,154 @@ def test_loss_weights_reject_negative_and_non_finite(value):
         LossWeights(subject=value)
     with pytest.raises(ValueError, match="loss weight null_class must be finite and non-negative"):
         LossWeights(null_class=value)
+
+
+# -- fused loss nodes against the composed chains they replaced -----------------
+
+
+def composed_triplet_loss(gt, s, p, o, weights):
+    """Oracle: the triplet loss as per-head cross_entropy -> scale -> add, three log-softmaxes for the cost."""
+    n_q = s.data.shape[0]
+    gt = gt[:n_q]
+    heads = ((s, weights.subject), (p, weights.predicate), (o, weights.object))
+    classes = np.asarray(gt, dtype=np.int64).reshape(-1, 3).T
+    cost = np.zeros((len(gt), n_q))
+    for (logits, lam), c in zip(heads, classes):
+        nll = -tn.log_softmax_array(logits.data)
+        cost += lam * (nll[:, c].T - weights.null_class * nll[:, -1])
+    sigma = hungarian(cost)
+    loss = None
+    for (logits, lam), c in zip(heads, classes):
+        null_id = logits.data.shape[-1] - 1
+        targets = np.full(n_q, null_id, dtype=np.int64)
+        targets[sigma] = c
+        class_w = np.ones(null_id + 1)
+        class_w[null_id] = weights.null_class
+        term = tn.scale(tn.cross_entropy(logits, targets, class_weights=class_w, reduction="sum"), lam)
+        loss = term if loss is None else tn.add(loss, term)
+    return loss
+
+
+def composed_recon_loss(logits, targets, weights):
+    """Oracle: the reconstruction loss as reshape -> embedding_lookup -> cross_entropy -> scale -> add."""
+    total = None
+    for name, (lo, hi) in ATTRIBUTE_COLUMNS.items():
+        t = logits[name]
+        width = t.data.shape[-1]
+        flat_logits = tn.reshape(t, (-1, width))
+        flat_targets = targets[:, :, lo:hi].reshape(-1)
+        selected = np.nonzero((flat_targets >= 0) & (flat_targets < width))[0]
+        if selected.size == 0:
+            continue
+        rows = tn.embedding_lookup(flat_logits, selected)
+        term = tn.scale(tn.cross_entropy(rows, flat_targets[selected]), getattr(weights, name))
+        total = term if total is None else tn.add(total, term)
+    if total is None:
+        total = Tensor(np.zeros((), dtype=next(iter(logits.values())).data.dtype))
+    return total
+
+
+def loss_and_grads(loss_fn, data, *args):
+    """Value bytes and every input's grad bytes (None without one), from fresh leaves over data."""
+    leaves = {k: Tensor(v.copy(), requires_grad=True) for k, v in data.items()}
+    loss = loss_fn(leaves, *args)
+    tn.scale(loss, 0.7).backward()  # an upstream grad other than 1
+    grads = {k: None if t.grad is None else (t.grad.dtype, t.grad.shape, t.grad.tobytes()) for k, t in leaves.items()}
+    return (loss.dtype, loss.data.tobytes()), grads, loss, leaves
+
+
+TRIPLET_CASES = {
+    "two-triplets": [(0, 3, 1), (2, 5, 0)],
+    "no-triplets": [],
+    "truncated": [(0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 3, 3), (4, 4, 4), (0, 9, 1)],
+    "duplicates": [(1, 2, 3), (1, 2, 3), (1, 2, 3)],
+}
+
+
+def triplet_data(rng, dtype, n_q=4, n_cat=6, n_pred=11):
+    return {h: rng.standard_normal((n_q, n)).astype(dtype) for h, n in zip("spo", (n_cat, n_pred, n_cat))}
+
+
+def attribute_logits(rng, dtype, b=2, n=3, n_cat=5):
+    shapes = {"category": (b, n, n_cat), "appearance": (b, n, 4, 64), "position": (b, n, 3, 64),
+              "size": (b, n, 3, 64), "rotation": (b, n, 36)}
+    return {name: rng.standard_normal(shape).astype(dtype) for name, shape in shapes.items()}
+
+
+def recon_targets(rng, b=2, n=3, n_cat=5, unsupervised=()):
+    """Targets with about half the positions supervised, a few PAD (out-of-head) ids, and none in `unsupervised`."""
+    widths = np.array([n_cat] + [64] * 10 + [36])
+    targets = np.where(rng.random((b, n, 12)) < 0.5, rng.integers(0, widths, size=(b, n, 12)), -1)
+    targets[0, 0, :] = widths  # PAD filler: outside every head, so skipped
+    for name in unsupervised:
+        lo, hi = ATTRIBUTE_COLUMNS[name]
+        targets[:, :, lo:hi] = -1
+    return targets
+
+
+WEIGHTS = LossWeights(0.7, 1.3, 0.9, 1.1, 0.6, 1.7, 0.8, 1.2, null_class=0.15)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", sorted(TRIPLET_CASES))
+def test_triplet_loss_is_one_node_bitwise_equal_to_composed_chain(case, dtype):
+    data = triplet_data(np.random.default_rng(11), dtype)
+    gt = TRIPLET_CASES[case]
+    value, grads, loss, leaves = loss_and_grads(lambda t, g: triplet_loss(g, t["s"], t["p"], t["o"], WEIGHTS), data, gt)
+    want_value, want_grads, _, _ = loss_and_grads(lambda t, g: composed_triplet_loss(g, t["s"], t["p"], t["o"], WEIGHTS), data, gt)
+    assert value == want_value
+    assert grads == want_grads
+    assert loss._parents == (leaves["s"], leaves["p"], leaves["o"])
+    assert len(tn.build_tape(loss)) == 1 + len(loss._parents)
+
+
+RECON_CASES = {"all-supervised": (), "no-rotation": ("rotation",), "none-supervised": tuple(ATTRIBUTE_COLUMNS)}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", sorted(RECON_CASES))
+def test_recon_loss_is_one_node_bitwise_equal_to_composed_chain(case, dtype):
+    rng = np.random.default_rng(12)
+    data = attribute_logits(rng, dtype)
+    targets = recon_targets(rng, unsupervised=RECON_CASES[case])
+    value, grads, loss, leaves = loss_and_grads(lambda t, y: recon_loss(t, y, WEIGHTS), data, targets)
+    want_value, want_grads, _, _ = loss_and_grads(lambda t, y: composed_recon_loss(t, y, WEIGHTS), data, targets)
+    assert value == want_value
+    assert grads == want_grads
+    supervised = [leaves[name] for name in ATTRIBUTE_COLUMNS if name not in RECON_CASES[case]]
+    assert loss._parents == tuple(supervised)
+    assert len(tn.build_tape(loss)) == 1 + len(supervised)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_fused_losses_keep_dtype_in_value_and_grads(dtype):
+    rng = np.random.default_rng(13)
+    heads = {k: Tensor(v, requires_grad=True) for k, v in triplet_data(rng, dtype).items()}
+    attrs = {k: Tensor(v, requires_grad=True) for k, v in attribute_logits(rng, dtype).items()}
+    loss = total_loss(recon_loss(attrs, recon_targets(rng), WEIGHTS), triplet_loss([(0, 3, 1)], *heads.values(), WEIGHTS), WEIGHTS)
+    loss.backward()
+    assert loss.dtype == dtype
+    assert {k: t.grad.dtype for k, t in {**heads, **attrs}.items()} == dict.fromkeys({**heads, **attrs}, np.dtype(dtype))
+
+
+def test_triplet_loss_gradcheck_away_from_assignment_ties(monkeypatch):
+    rng = np.random.default_rng(14)
+    heads = [Tensor(v, requires_grad=True) for v in triplet_data(rng, np.float64).values()]
+    gt = [(0, 3, 1), (2, 5, 0), (4, 1, 4)]
+    sigmas = []
+
+    def recording_hungarian(cost):
+        sigmas.append(tuple(hungarian(cost).tolist()))
+        return np.asarray(sigmas[-1])
+
+    monkeypatch.setattr(matching, "hungarian", recording_hungarian)
+    check_gradients(lambda: triplet_loss(gt, *heads, WEIGHTS), heads, max_probes_per_tensor=100)
+    assert len(sigmas) > 1 and len(set(sigmas)) == 1  # sigma is the same at every x +- h
+
+
+def test_recon_loss_gradcheck():
+    rng = np.random.default_rng(15)
+    logits = {k: Tensor(v, requires_grad=True) for k, v in attribute_logits(rng, np.float64, b=1, n=3).items()}
+    targets = recon_targets(rng, b=1, n=3)
+    assert all(((targets[:, :, lo:hi] >= 0) & (targets[:, :, lo:hi] < targets[0, 0, lo])).any() for lo, hi in ATTRIBUTE_COLUMNS.values())
+    check_gradients(lambda: recon_loss(logits, targets, WEIGHTS), list(logits.values()), max_probes_per_tensor=24)

@@ -176,6 +176,29 @@ def test_grad_accumulates_across_uses():
     np.testing.assert_allclose(x.grad, [2.0])
 
 
+def test_leaf_grads_of_add_are_distinct_writable_arrays():
+    x, b = Tensor(np.ones((2, 3)), requires_grad=True), Tensor(np.ones((2, 3)), requires_grad=True)
+    T.tensor_sum(T.add(x, b)).backward()
+    assert x.grad is not b.grad and not np.shares_memory(x.grad, b.grad)
+    assert x.grad.flags.writeable and b.grad.flags.writeable
+    x.grad += 1.0
+    np.testing.assert_array_equal(b.grad, np.ones((2, 3)))
+
+
+def test_leaf_reduced_by_sum_gets_writable_grad():
+    x = Tensor(np.zeros((3, 4)), requires_grad=True)
+    T.tensor_sum(x).backward()
+    assert x.grad.flags.writeable and x.grad.shape == (3, 4)
+
+
+def test_interior_node_used_twice_gets_twice_the_grad():
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    y = T.scale(x, 3.0)
+    T.tensor_sum(T.add(y, y)).backward()
+    np.testing.assert_array_equal(y.grad, [2.0, 2.0])
+    np.testing.assert_array_equal(x.grad, [6.0, 6.0])
+
+
 def test_no_grad_suppresses_graph():
     x = Tensor(np.ones(3), requires_grad=True)
     with T.no_grad():
