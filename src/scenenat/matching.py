@@ -8,9 +8,9 @@ head and uses it for both the assignment cost and the loss. matching_cost is
 the DETR-style negative-probability cost (Carion et al., arXiv 2005.12872),
 kept only as a diagnostic; nothing in the loss assigns with it.
 
-Each loss is recorded as one autodiff node whose inputs are the logits it
-reads, with the float arithmetic of the cross_entropy -> scale -> add chain
-it replaces, so values and grads equal that chain's bit for bit.
+Each loss is one weighted-NLL node of scenenat.tensor whose inputs are the
+logits it reads; this module builds the assignments, targets and weights,
+and tensor owns the float arithmetic.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ def truncated_triplet_count() -> int:
     return _truncated_triplets
 
 
-@dataclass
+@dataclass(frozen=True)
 class LossWeights:
     subject: float = 1.0
     predicate: float = 1.0
@@ -111,39 +111,6 @@ def encode_triplets(triplets: RelationTable | list[RelationTriplet], codec: Scen
     return sorted(encoded)
 
 
-def _summed_nll(terms: list[tuple]) -> Tensor:
-    """One graph node: the sum over terms of lam * (sum of w * NLL of targets) / denom.
-
-    Each term is (logits, rows, log_probs, targets, w, lam, denom). log_probs
-    [n, V] is the log-softmax of the [*, V] logits' flat rows `rows`, or of all
-    of them in order when rows is None; targets and w are [n]. The logits are
-    the node's inputs, in term order, and each gets (softmax - onehot) * w *
-    lam / denom in the rows it supplied, zero elsewhere. Value and grads repeat
-    the float arithmetic of cross_entropy -> scale -> add bit for bit.
-    """
-    value = None
-    for _, _, log_probs, t, w, lam, denom in terms:
-        nll = -(log_probs[np.arange(t.shape[0]), t]) * w
-        term = np.asarray(nll.sum() / denom, dtype=log_probs.dtype) * float(lam)
-        value = term if value is None else value + term
-
-    def backward(g):
-        grads = []
-        for logits, rows, log_probs, t, w, lam, denom in terms:
-            probs = np.exp(log_probs)
-            probs[np.arange(t.shape[0]), t] -= 1.0
-            probs *= (w * float(g * lam) / denom)[:, None]
-            if rows is None:
-                grads.append(probs.reshape(logits.data.shape))
-            else:
-                full = np.zeros(logits.data.shape, dtype=probs.dtype)
-                full.reshape(-1, probs.shape[-1])[rows] = probs
-                grads.append(full)
-        return grads
-
-    return tn._make(value, tuple(term[0] for term in terms), backward)
-
-
 def triplet_loss(
     gt: list[tuple[int, int, int]],
     subject_logits: Tensor,
@@ -175,8 +142,7 @@ def triplet_loss(
     log_probs = [tn.log_softmax_array(logits.data) for logits, _ in heads]
     cost = np.zeros((len(gt), n_q))
     for lp, (_, lam), c in zip(log_probs, heads, classes):
-        nll = -lp
-        cost += lam * (nll[:, c].T - weights.null_class * nll[:, -1])
+        cost += lam * (weights.null_class * lp[:, -1] - lp[:, c].T)  # CE(gt_j) - null_class * CE(null)
     sigma = hungarian(cost)
 
     terms = []
@@ -184,10 +150,9 @@ def triplet_loss(
         null_id = lp.shape[-1] - 1
         targets = np.full(n_q, null_id, dtype=np.int64)
         targets[sigma] = c
-        class_w = np.ones(null_id + 1, dtype=lp.dtype)
-        class_w[null_id] = weights.null_class
-        terms.append((logits, None, lp, targets, class_w[targets], lam, 1))
-    return _summed_nll(terms)
+        w = np.where(targets == null_id, weights.null_class, 1.0).astype(lp.dtype)
+        terms.append((logits, None, lp, targets, w, lam, 1))
+    return tn._summed_nll(terms)
 
 
 def recon_loss(logits: dict[str, Tensor], targets: np.ndarray, weights: LossWeights) -> Tensor:
@@ -217,7 +182,7 @@ def recon_loss(logits: dict[str, Tensor], targets: np.ndarray, weights: LossWeig
         terms.append((t, selected, log_probs, flat_targets[selected], w, getattr(weights, name), selected.size))
     if not terms:
         return Tensor(np.zeros((), dtype=next(iter(logits.values())).data.dtype))
-    return _summed_nll(terms)
+    return tn._summed_nll(terms)
 
 
 def total_loss(recon: Tensor, triplet: Tensor, weights: LossWeights) -> Tensor:

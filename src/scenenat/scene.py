@@ -46,13 +46,8 @@ _clamp_events = 0
 
 
 def clamp_event_count() -> int:
-    """Number of out-of-bounds continuous values clamped since last reset."""
+    """Number of out-of-bounds continuous values clamped since import; callers read deltas."""
     return _clamp_events
-
-
-def reset_clamp_events() -> None:
-    global _clamp_events
-    _clamp_events = 0
 
 
 class ConfigurationError(ValueError):

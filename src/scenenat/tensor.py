@@ -3,11 +3,12 @@
 numpy holds the values. Each op records a closure that maps its output's
 gradient to one gradient per input, in input order and of that input's
 shape. Tensor.backward walks the recorded graph in reverse topological order
-and alone accumulates those gradients into the inputs that require grad.
-A leaf's grad is its own writable array; an interior node's grad may alias
+and alone accumulates those gradients into the inputs that require grad:
+leaf grads add up across passes, interior grads restart at each pass. A
+leaf's grad is its own writable array; an interior node's grad may alias
 the array an op's backward returned (or another node's grad), so it is only
-read. _make records a node under this contract; scenenat.matching builds
-its fused loss nodes with it, and it is not public API.
+read. _make records a node under this contract and _summed_nll the
+weighted-NLL node; both are package-internal, not public API.
 Dense row-major arrays only; broadcasting is limited to missing leading
 (batch) dims plus size-1 axes, and the backward rules undo it by summation
 so every rule stays auditable. Two rules sum without a per-element loop:
@@ -15,10 +16,11 @@ embedding_lookup scatters its grad back into the table with one bincount,
 duplicate ids included, and matmul against a shared 2-D weight folds the
 input's batch dims into rows, so each grad is one 2-D GEMM.
 
-Ops: add, mul, scale, matmul, transpose, reshape, slice_rows,
-embedding_lookup, softmax, layer_norm, silu, tensor_sum,
-scaled_dot_product_attention and cross_entropy. log_softmax_array works on
-plain arrays, outside the graph.
+Ops: add, mul, scale, matmul (2+ dims per side), transpose, reshape,
+slice_rows, embedding_lookup, softmax, layer_norm, silu, tensor_sum,
+scaled_dot_product_attention and cross_entropy, a one-term weighted-NLL
+node, as are the losses of scenenat.matching with more terms.
+log_softmax_array works on plain arrays, outside the graph.
 
 Float32 is the training precision and every op keeps its inputs' dtype in
 forward and backward; gradient checks run the same code in float64.
@@ -90,8 +92,12 @@ class Tensor:
         """Populate grads of every requires_grad ancestor of this scalar."""
         if self.data.size != 1:
             raise ValueError(f"backward() needs a scalar loss, got shape {self.shape}")
+        tape = build_tape(self)
+        for node in tape:
+            if node._backward is not None:
+                node.grad = None  # a second pass must not add to the first pass's interior grads
         self.grad = np.ones_like(self.data)
-        for node in reversed(build_tape(self)):
+        for node in reversed(tape):
             if node._backward is not None and node.grad is not None:
                 for parent, grad in zip(node._parents, node._backward(node.grad)):
                     if parent.requires_grad:
@@ -127,6 +133,38 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
         out._parents = parents
         out._backward = backward_fn
     return out
+
+
+def _summed_nll(terms: list[tuple]) -> Tensor:
+    """One graph node: the sum over terms of lam * (sum of w * NLL of targets) / denom.
+
+    Each term is (logits, rows, log_probs, targets, w, lam, denom). log_probs
+    [n, V] is the log-softmax of the [*, V] logits' flat rows `rows`, or of all
+    of them in order when rows is None; targets and w are [n]. The logits are
+    the node's inputs, in term order, and each gets (softmax - onehot) * w *
+    lam / denom in the rows it supplied, zero elsewhere.
+    """
+    value = None
+    for _, _, log_probs, t, w, lam, denom in terms:
+        nll = -(log_probs[np.arange(t.shape[0]), t]) * w
+        term = np.asarray(nll.sum() / denom, dtype=log_probs.dtype) * float(lam)
+        value = term if value is None else value + term
+
+    def backward(g):
+        grads = []
+        for logits, rows, log_probs, t, w, lam, denom in terms:
+            probs = np.exp(log_probs)
+            probs[np.arange(t.shape[0]), t] -= 1.0
+            probs *= (w * float(g * lam) / denom)[:, None]
+            if rows is None:
+                grads.append(probs.reshape(logits.data.shape))
+            else:
+                full = np.zeros(logits.data.shape, dtype=probs.dtype)
+                full.reshape(-1, probs.shape[-1])[rows] = probs
+                grads.append(full)
+        return grads
+
+    return _make(value, tuple(term[0] for term in terms), backward)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -175,8 +213,8 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape[-1] != b.data.shape[-2 if b.data.ndim > 1 else 0]:
-        raise ShapeError(f"matmul: inner dims differ, {a.data.shape} @ {b.data.shape}")
+    if a.data.ndim < 2 or b.data.ndim < 2 or a.data.shape[-1] != b.data.shape[-2]:
+        raise ShapeError(f"matmul: needs 2+ dims and equal inner dims, {a.data.shape} @ {b.data.shape}")
     out_data = a.data @ b.data
     shared_weight = b.data.ndim == 2 and a.data.ndim > 2
 
@@ -344,18 +382,6 @@ def cross_entropy(
     t = targets.reshape(-1)
     if reduction == "mean" and t.shape[0] == 0:
         raise ValueError("cross_entropy over zero positions")
-    log_probs = log_softmax_array(flat)
-    w = np.ones(t.shape[0], dtype=flat.dtype)
-    if class_weights is not None:
-        w = np.asarray(class_weights, dtype=flat.dtype)[t]
-    nll = -(log_probs[np.arange(t.shape[0]), t]) * w
+    w = np.ones(t.shape[0], dtype=flat.dtype) if class_weights is None else np.asarray(class_weights, dtype=flat.dtype)[t]
     denom = t.shape[0] if reduction == "mean" else 1
-    value = np.asarray(nll.sum() / denom, dtype=flat.dtype)
-
-    def backward(g):
-        probs = np.exp(log_probs)
-        probs[np.arange(t.shape[0]), t] -= 1.0
-        probs *= (w * float(g) / denom)[:, None]
-        return (probs.reshape(logits.data.shape),)
-
-    return _make(value, (logits,), backward)
+    return _summed_nll([(logits, None, log_softmax_array(flat), t, w, 1.0, denom)])

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -354,6 +355,13 @@ def test_loss_weights_reject_negative_and_non_finite(value):
         LossWeights(subject=value)
     with pytest.raises(ValueError, match="loss weight null_class must be finite and non-negative"):
         LossWeights(null_class=value)
+
+
+def test_loss_weights_are_frozen_so_the_check_cannot_be_bypassed():
+    weights = LossWeights()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        weights.null_class = -1.0
+    assert weights.null_class == 0.1
 
 
 # -- fused loss nodes against the composed chains they replaced -----------------

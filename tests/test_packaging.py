@@ -1,4 +1,4 @@
-"""pyproject.toml declares exactly the third-party modules the package imports."""
+"""pyproject.toml declares exactly the third-party modules the package and its tests import."""
 
 import ast
 import re
@@ -15,20 +15,36 @@ def project() -> dict:
         return tomllib.load(fh)["project"]
 
 
-def imported_top_level_modules() -> set[str]:
+def imported_top_level_modules(*roots: Path) -> set[str]:
     names = set()
-    for path in PACKAGE.rglob("*.py"):
+    for path in (p for root in roots for p in root.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 names.update(alias.name.split(".")[0] for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 names.add(node.module.split(".")[0])
-    return names - set(sys.stdlib_module_names) - {"__future__", "scenenat"}
+    return names - set(sys.stdlib_module_names) - {"__future__", "scenenat", "bench"} - local_modules(*roots)
+
+
+def local_modules(*roots: Path) -> set[str]:
+    return {path.stem for root in roots for path in root.rglob("*.py")}
+
+
+def names(requirements: list[str]) -> set[str]:
+    return {re.match(r"[A-Za-z0-9_.-]+", req).group(0).lower() for req in requirements}
 
 
 def test_dependencies_are_exactly_the_imported_modules():
-    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower() for dep in project()["dependencies"]}
-    assert declared == imported_top_level_modules()
+    assert names(project()["dependencies"]) == imported_top_level_modules(PACKAGE)
+
+
+def test_test_extra_is_exactly_what_the_tests_import_beyond_the_dependencies():
+    imported = imported_top_level_modules(ROOT / "tests", ROOT / "bench" / "tests")
+    assert names(project()["optional-dependencies"]["test"]) == imported - names(project()["dependencies"])
+
+
+def test_requires_python_admits_only_interpreters_with_tomllib():
+    assert project()["requires-python"] == ">=3.11"
 
 
 def test_script_entry_points_resolve():

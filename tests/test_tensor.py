@@ -99,6 +99,15 @@ def test_cross_entropy_rejects_mismatched_shapes(n_targets, class_weights):
         T.cross_entropy(logits, np.zeros(n_targets, dtype=np.int64), class_weights=class_weights)
 
 
+@pytest.mark.parametrize(
+    "a_shape, b_shape", [((3, 4), (4,)), ((4,), (4, 5)), ((2, 3, 4), (4,))], ids=["2d@1d", "1d@2d", "3d@1d"]
+)
+def test_matmul_rejects_one_dimensional_operands(a_shape, b_shape):
+    a, b = Tensor(np.ones(a_shape), requires_grad=True), Tensor(np.ones(b_shape), requires_grad=True)
+    with pytest.raises(T.ShapeError, match="matmul"):
+        T.matmul(a, b)
+
+
 @pytest.mark.parametrize("reduction", ["none", "Mean"])
 def test_cross_entropy_rejects_unknown_reduction(reduction):
     logits = Tensor(np.zeros((3, 5)), requires_grad=True)
@@ -197,6 +206,22 @@ def test_interior_node_used_twice_gets_twice_the_grad():
     T.tensor_sum(T.add(y, y)).backward()
     np.testing.assert_array_equal(y.grad, [2.0, 2.0])
     np.testing.assert_array_equal(x.grad, [6.0, 6.0])
+
+
+def test_second_backward_adds_only_to_leaf_grads():
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    loss = T.tensor_sum(T.scale(x, 3.0))
+    loss.backward()
+    loss.backward()
+    np.testing.assert_array_equal(x.grad, [6.0, 6.0])
+
+
+def test_losses_sharing_an_interior_node_add_their_own_grads():
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    h = T.scale(x, 1.0)
+    T.tensor_sum(h).backward()
+    T.tensor_sum(T.scale(h, 2.0)).backward()
+    np.testing.assert_array_equal(x.grad, [3.0, 3.0])
 
 
 def test_no_grad_suppresses_graph():
