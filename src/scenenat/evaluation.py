@@ -4,17 +4,19 @@ recall, and exact-match attribute accuracies for infill tasks.
 The analytic intersection volume clips the two yaw-rotated footprints
 against each other (Sutherland-Hodgman) and multiplies the polygon area by
 the vertical overlap; a Monte-Carlo estimator serves as its independent
-cross-check. Footprints that only touch clip to a rounding-noise sliver
-whose size depends on the argument order, so an overlap area at or below
-``_TOUCH_AREA`` (1e-13) times (1 + the footprints' largest coordinate
-magnitude)^2 counts as 0.
+cross-check. ``_footprint`` builds a box's corners, clip edges, bounds and
+reach, and one clip, ``_clip_polygon``, reads those edges for both
+``obb_intersection_volume`` and ``collision_metrics``. Footprints that only
+touch clip to a rounding-noise sliver whose size depends on the argument
+order, so an overlap area at or below ``_TOUCH_AREA`` (1e-13) times (1 + the
+footprints' largest coordinate magnitude)^2 counts as 0.
 
 ``collision_metrics`` reads each object's ``relations.box_table`` row, builds
-its footprint, bounds, z range and volume once, and skips the clip for pairs
-whose z ranges or footprint bounds lie apart. The clip scores such
-footprints at most a rounding sliver, which the touch floor counts as 0:
-that floor is the one tolerance, and the reports equal those of clipping
-every pair.
+its footprint edges, z range and volume once per scene, not once per pair,
+and skips the clip for pairs whose footprint bounds or z ranges lie apart.
+The clip scores such footprints at most a rounding sliver, which the touch
+floor counts as 0: that floor is the one tolerance, and the reports equal
+those of clipping every pair.
 
 ``irecall`` counts instead of matching: an ordered object pair holds one
 relation, so the injective matching of an instruction's triplets to pairs
@@ -33,35 +35,41 @@ from .relations import GeometryFrame, box_corners, box_table, footprint_corners,
 from .scene import ATTRIBUTE_COLUMNS, GRID_COLUMNS, LAYOUT_ATTRIBUTES, SceneLayout, TokenizedScene
 
 
-def _clip_polygon(subject: list[tuple[float, float]], clip: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Sutherland-Hodgman: clip a convex polygon against a convex window.
+def _footprint(x: float, y: float, hx: float, hy: float, yaw: float) -> tuple:
+    """A box's footprint as the clip reads it: (corners, edges, x_lo, x_hi, y_lo, y_hi, reach).
+
+    ``edges`` holds each counter-clockwise edge as (x, y, dx, dy), from corner i - 1 to corner i;
+    reach is 1 plus the largest coordinate magnitude of the corners.
+    """
+    corners = box_corners(x, y, hx, hy, yaw)
+    edges = [(x0, y0, x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(corners[-1:] + corners[:-1], corners)]
+    xs, ys = zip(*corners)
+    x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
+    return corners, edges, x_lo, x_hi, y_lo, y_hi, 1.0 + max(-x_lo, x_hi, -y_lo, y_hi)
+
+
+def _clip_polygon(subject: list[tuple[float, float]], edges: list) -> list[tuple[float, float]]:
+    """Sutherland-Hodgman: clip a convex polygon against a convex window given by its ``_footprint`` edges.
 
     Both polygons counter-clockwise; returns the (possibly empty) result.
     """
     output = subject
-    n = len(clip)
-    for i in range(n):
+    for ex, ey, dx, dy in edges:
         if not output:
             return []
-        cp1 = clip[i - 1]
-        cp2 = clip[i]
-        edge_x, edge_y = cp2[0] - cp1[0], cp2[1] - cp1[1]
-
-        def signed_distance(p):  # >= 0 on the inner (left) side of the edge
-            return edge_x * (p[1] - cp1[1]) - edge_y * (p[0] - cp1[0])
-
         result = []
-        prev = output[-1]
-        d_prev = signed_distance(prev)
+        px, py = output[-1]
+        d_prev = dx * (py - ey) - dy * (px - ex)  # >= 0 on the inner (left) side of the edge
         for point in output:
-            d = signed_distance(point)
+            x, y = point
+            d = dx * (y - ey) - dy * (x - ex)
             if (d >= 0.0) != (d_prev >= 0.0):
                 # the distances straddle 0, so the denominator is never 0
                 t = d_prev / (d_prev - d)
-                result.append((prev[0] + t * (point[0] - prev[0]), prev[1] + t * (point[1] - prev[1])))
+                result.append((px + t * (x - px), py + t * (y - py)))
             if d >= 0.0:
                 result.append(point)
-            prev, d_prev = point, d
+            px, py, d_prev = x, y, d
         output = result
     return output
 
@@ -82,13 +90,14 @@ def _polygon_area(points: list[tuple[float, float]]) -> float:
 _TOUCH_AREA = 1e-13
 
 
-def _clipped_area(subject: list[tuple[float, float]], clip: list[tuple[float, float]], reach: float) -> float:
+def _clipped_area(subject: list[tuple[float, float]], edges: list, reach: float) -> float:
     """Area of the overlap of two footprints: the one narrow phase of the collision metrics.
 
-    reach is 1 plus the largest coordinate magnitude of the two footprints; an overlap at or
-    below the touch floor ``_TOUCH_AREA * reach**2`` counts as 0.
+    subject is one footprint's corners and edges the other's ``_footprint`` edges; reach is the
+    larger of their reaches. An overlap at or below the touch floor ``_TOUCH_AREA * reach**2``
+    counts as 0.
     """
-    area = _polygon_area(_clip_polygon(subject, clip))
+    area = _polygon_area(_clip_polygon(subject, edges))
     return 0.0 if area <= _TOUCH_AREA * reach * reach else area
 
 
@@ -98,9 +107,9 @@ def obb_intersection_volume(a: GeometryFrame, b: GeometryFrame) -> float:
     z_hi = min(a.center[2] + a.half_extents[2], b.center[2] + b.half_extents[2])
     if z_hi <= z_lo:
         return 0.0
-    corners_a, corners_b = footprint_corners(a), footprint_corners(b)
-    reach = 1.0 + max(abs(v) for point in corners_a + corners_b for v in point)
-    return _clipped_area(corners_a, corners_b, reach) * (z_hi - z_lo)
+    corners_a, *_, reach_a = _footprint(*a.center[:2], *a.half_extents[:2], a.yaw)
+    _, edges_b, *_, reach_b = _footprint(*b.center[:2], *b.half_extents[:2], b.yaw)
+    return _clipped_area(corners_a, edges_b, max(reach_a, reach_b)) * (z_hi - z_lo)
 
 
 def _points_inside(points: np.ndarray, f: GeometryFrame) -> np.ndarray:
@@ -165,27 +174,27 @@ def collision_metrics(scene: SceneLayout) -> CollisionReport:
     v_avg and io_min average over colliding pairs only; a collision-free
     scene reports zeros.
     """
-    boxes = []
-    for x, y, z, hx, hy, hz, yaw in box_table(scene.objects).tolist():
-        corners = box_corners(x, y, hx, hy, yaw)
-        xs, ys = zip(*corners)
-        x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
-        reach = 1.0 + max(-x_lo, x_hi, -y_lo, y_hi)  # 1 plus the largest coordinate magnitude
-        boxes.append((corners, reach, x_lo, x_hi, y_lo, y_hi, z - hz, z + hz, 8.0 * hx * hy * hz))
+    boxes = [
+        (*_footprint(x, y, hx, hy, yaw), z - hz, z + hz, 8.0 * hx * hy * hz)
+        for x, y, z, hx, hy, hz, yaw in box_table(scene.objects).tolist()
+    ]
     v_sum = 0.0
     volumes = []
     ratios = []
-    for i, (corners_a, reach_a, ax_lo, ax_hi, ay_lo, ay_hi, az_lo, az_hi, volume_a) in enumerate(boxes):
-        for corners_b, reach_b, bx_lo, bx_hi, by_lo, by_hi, bz_lo, bz_hi, volume_b in boxes[i + 1 :]:
-            z_lo = max(az_lo, bz_lo)
-            z_hi = min(az_hi, bz_hi)
-            if z_hi <= z_lo or bx_lo > ax_hi or ax_lo > bx_hi or by_lo > ay_hi or ay_lo > by_hi:
+    # Conditional expressions cost less than max/min calls in this loop and pick the same operand on ties.
+    for i, (corners_a, _, ax_lo, ax_hi, ay_lo, ay_hi, reach_a, az_lo, az_hi, volume_a) in enumerate(boxes):
+        for _, edges_b, bx_lo, bx_hi, by_lo, by_hi, reach_b, bz_lo, bz_hi, volume_b in boxes[i + 1 :]:
+            if bx_lo > ax_hi or ax_lo > bx_hi or by_lo > ay_hi or ay_lo > by_hi:
                 continue
-            v = _clipped_area(corners_a, corners_b, max(reach_a, reach_b)) * (z_hi - z_lo)
+            z_lo = bz_lo if bz_lo > az_lo else az_lo
+            z_hi = bz_hi if bz_hi < az_hi else az_hi
+            if z_hi <= z_lo:
+                continue
+            v = _clipped_area(corners_a, edges_b, reach_b if reach_b > reach_a else reach_a) * (z_hi - z_lo)
             if v > 0.0:
                 v_sum += v
                 volumes.append(v)
-                ratios.append(v / min(volume_a, volume_b))
+                ratios.append(v / (volume_b if volume_b < volume_a else volume_a))
     pairs = len(volumes)
     return CollisionReport(
         v_sum=v_sum,

@@ -107,7 +107,8 @@ def box_table(objects: Sequence[SceneObject]) -> np.ndarray:
 
 
 def box_corners(x: float, y: float, hx: float, hy: float, yaw: float) -> list[tuple[float, float]]:
-    """Ground-plane corners of a yaw-rotated box, counter-clockwise; footprint_corners and collision_metrics call it."""
+    """Ground-plane corners of a yaw-rotated box, counter-clockwise; footprint_corners and the collision clip's
+    ``evaluation._footprint`` call it."""
     c, s = math.cos(yaw), math.sin(yaw)
     return [(x + dx * c - dy * s, y + dx * s + dy * c) for dx, dy in ((-hx, -hy), (hx, -hy), (hx, hy), (-hx, hy))]
 

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
@@ -34,6 +34,11 @@ from scenenat.scene import DiscretizationSpec, SceneCodec, SceneLayout, SceneObj
 
 def frame(x=0.0, y=0.0, z=0.5, w=1.0, d=1.0, h=1.0, yaw=0.0):
     return GeometryFrame(center=(x, y, z), half_extents=(w / 2, d / 2, h / 2), yaw=yaw)
+
+
+def footprint_args(f: GeometryFrame):
+    """A frame's (x, y, hx, hy, yaw): the arguments of ``evaluation._footprint``."""
+    return f.center[0], f.center[1], f.half_extents[0], f.half_extents[1], f.yaw
 
 
 def box_volume(f: GeometryFrame) -> float:
@@ -167,15 +172,66 @@ def test_collision_sum_additivity():
     assert report.v_sum >= report.v_avg * report.colliding_pairs - 1e-9
 
 
+def clip_polygon_oracle(subject, clip):
+    """Sutherland-Hodgman as the closure-per-edge loop it was written as: clip a convex polygon
+    against a convex window given by its corners, both counter-clockwise."""
+    output = subject
+    n = len(clip)
+    for i in range(n):
+        if not output:
+            return []
+        cp1 = clip[i - 1]
+        cp2 = clip[i]
+        edge_x, edge_y = cp2[0] - cp1[0], cp2[1] - cp1[1]
+
+        def signed_distance(p):  # >= 0 on the inner (left) side of the edge
+            return edge_x * (p[1] - cp1[1]) - edge_y * (p[0] - cp1[0])
+
+        result = []
+        prev = output[-1]
+        d_prev = signed_distance(prev)
+        for point in output:
+            d = signed_distance(point)
+            if (d >= 0.0) != (d_prev >= 0.0):
+                t = d_prev / (d_prev - d)
+                result.append((prev[0] + t * (point[0] - prev[0]), prev[1] + t * (point[1] - prev[1])))
+            if d >= 0.0:
+                result.append(point)
+            prev, d_prev = point, d
+        output = result
+    return output
+
+
+def polygon_area_oracle(points):
+    if len(points) < 3:
+        return 0.0
+    area = 0.0
+    for (x0, y0), (x1, y1) in zip(points, points[1:] + points[:1]):
+        area += x0 * y1 - x1 * y0
+    return abs(area) / 2.0
+
+
+def volume_oracle(a, b):
+    """obb_intersection_volume through the oracle clip, with the touch floor of the narrow phase."""
+    z_lo = max(a.center[2] - a.half_extents[2], b.center[2] - b.half_extents[2])
+    z_hi = min(a.center[2] + a.half_extents[2], b.center[2] + b.half_extents[2])
+    if z_hi <= z_lo:
+        return 0.0
+    corners_a, corners_b = footprint_corners(a), footprint_corners(b)
+    reach = 1.0 + max(abs(v) for point in corners_a + corners_b for v in point)
+    area = polygon_area_oracle(clip_polygon_oracle(corners_a, corners_b))
+    return (0.0 if area <= evaluation._TOUCH_AREA * reach * reach else area) * (z_hi - z_lo)
+
+
 def collision_oracle(scene):
-    """collision_metrics without a broad phase: every pair goes through obb_intersection_volume."""
+    """collision_metrics without a broad phase: every pair goes through the oracle clip."""
     frames = [frame_of(o) for o in scene.objects]
     v_sum = 0.0
     volumes = []
     ratios = []
     for i in range(len(frames)):
         for j in range(i + 1, len(frames)):
-            v = obb_intersection_volume(frames[i], frames[j])
+            v = volume_oracle(frames[i], frames[j])
             if v > 0.0:
                 v_sum += v
                 volumes.append(v)
@@ -252,10 +308,77 @@ def test_rounding_sliver_between_footprints_with_apart_bounds_scores_zero():
     b = SceneObject("lamp", (0, 0, 0, 0), (1.2374368670764584, 0.612436867076458, 0.5), (0.75, 2.75, 0.5), 315.0)
     corners_a, corners_b = footprint_corners(frame_of(a)), footprint_corners(frame_of(b))
     assert max(x for x, _ in corners_a) < min(x for x, _ in corners_b)
-    assert 0.0 < evaluation._polygon_area(evaluation._clip_polygon(corners_a, corners_b)) < 1e-30
+    edges_b = evaluation._footprint(*footprint_args(frame_of(b)))[1]
+    assert 0.0 < evaluation._polygon_area(evaluation._clip_polygon(corners_a, edges_b)) < 1e-30
     for objects in ([a, b], [b, a]):
         scene = SceneLayout("bedroom", objects)
         assert collision_metrics(scene) == collision_oracle(scene) == CollisionReport(0.0, 0.0, 0.0, 0)
+
+
+def quad_edges(quad):
+    """Clip edges (x, y, dx, dy) of a counter-clockwise polygon, from corner i - 1 to corner i."""
+    return [(x0, y0, x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(quad[-1:] + quad[:-1], quad)]
+
+
+@st.composite
+def convex_quads(draw):
+    """Four points of the unit circle in angle order under an orientation-preserving affine map:
+    a convex, counter-clockwise quad."""
+    angles = sorted(draw(st.lists(st.floats(0.0, 2 * math.pi, exclude_max=True), min_size=4, max_size=4, unique=True)))
+    theta, shear = draw(st.floats(-math.pi, math.pi)), draw(st.floats(-1.0, 1.0))
+    sx, sy = draw(st.floats(0.05, 2.0)), draw(st.floats(0.05, 2.0))
+    tx, ty = draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))
+    c, s = math.cos(theta), math.sin(theta)
+    points = [(sx * math.cos(a) + shear * math.sin(a), sy * math.sin(a)) for a in angles]
+    return [(tx + c * u - s * v, ty + s * u + c * v) for u, v in points]
+
+
+@st.composite
+def box_pairs(draw):
+    """Two footprints (x, y, hx, hy, yaw) that overlap at random, touch or share an edge, coincide,
+    nest, or have edges on one line; neighbours are nudged a few ulps either way."""
+    coord, half = st.floats(-2.0, 2.0), st.floats(0.05, 1.0)
+    yaws = st.one_of(YAWS.map(math.radians), st.floats(-math.pi, math.pi))
+    a = (draw(coord), draw(coord), draw(half), draw(half), draw(yaws))
+    x, y, hx, hy, yaw = a
+    c, s = math.cos(yaw), math.sin(yaw)
+    ulps = draw(st.integers(-3, 3))
+    kind = draw(st.sampled_from(("random", "touch", "coincident", "contained", "collinear")))
+    if kind == "random":
+        b = (draw(coord), draw(coord), draw(half), draw(half), draw(yaws))
+    elif kind == "touch":  # same yaw, b's -x side on a's +x side; a shared edge when the depths match
+        b_hx, b_hy = draw(half), draw(st.one_of(st.just(hy), half))
+        b = (nudge(x + (hx + b_hx) * c, ulps), nudge(y + (hx + b_hx) * s, ulps), b_hx, b_hy, yaw)
+    elif kind == "coincident":
+        b = a
+    elif kind == "contained":  # radius k * min(hx, hy) * sqrt(2) < min(hx, hy), so b lies inside a at any yaw
+        k = draw(st.floats(0.05, 0.5))
+        b = (x, y, k * min(hx, hy), k * min(hx, hy) * draw(st.floats(0.2, 1.0)), draw(yaws))
+    else:  # same yaw, b slid along a's x axis with its -y side on the line of a's
+        along, b_hx, b_hy = draw(st.floats(-2.0, 2.0)), draw(half), draw(half)
+        across = b_hy - hy
+        b = (nudge(x + along * c - across * s, ulps), nudge(y + along * s + across * c, ulps), b_hx, b_hy, yaw)
+    return (b, a) if draw(st.booleans()) else (a, b)
+
+
+# the snapped bed and desk at yaw 225 degrees whose collinear edges once divided by zero
+COLLINEAR_PAIR = (
+    footprint_args(frame_of(SceneObject("bed", (0, 0, 0, 0), (-0.5625, 0.4375, 0.5), (1.6875, 1.5625, 1.0), 225.0))),
+    footprint_args(frame_of(SceneObject("desk", (0, 0, 0, 0), (-0.6875, 0.5625, 0.5), (1.6875, 0.9375, 1.0), 225.0))),
+)
+
+
+@given(box_pairs())
+@example(COLLINEAR_PAIR)
+@example(COLLINEAR_PAIR[::-1])
+def test_clip_of_footprints_equals_the_closure_oracle(pair):
+    (corners_a, *_), (corners_b, edges_b, *_) = (evaluation._footprint(*box) for box in pair)
+    assert evaluation._clip_polygon(corners_a, edges_b) == clip_polygon_oracle(corners_a, corners_b)
+
+
+@given(convex_quads(), convex_quads())
+def test_clip_of_convex_quads_equals_the_closure_oracle(subject, clip):
+    assert evaluation._clip_polygon(subject, quad_edges(clip)) == clip_polygon_oracle(subject, clip)
 
 
 @pytest.mark.parametrize("order", [1, -1])
@@ -273,24 +396,36 @@ def test_face_to_face_boxes_at_45_degrees_do_not_collide(order):
     assert report.colliding_pairs == 1 and report.v_sum == pytest.approx(0.001 * w, rel=1e-6)
 
 
-def count_clips(monkeypatch):
+def count_calls(monkeypatch, name):
+    """Patch evaluation.<name> to record each call in the returned list and still run."""
     calls = []
-    clipped_area = evaluation._clipped_area
+    wrapped = getattr(evaluation, name)
 
     def counting(*args):
         calls.append(1)
-        return clipped_area(*args)
+        return wrapped(*args)
 
-    monkeypatch.setattr(evaluation, "_clipped_area", counting)
+    monkeypatch.setattr(evaluation, name, counting)
     return calls
 
 
 def test_broad_phase_keeps_apart_pairs_from_the_clip(monkeypatch):
-    calls = count_clips(monkeypatch)
+    calls = count_calls(monkeypatch, "_clipped_area")
     assert collision_metrics(SceneLayout("r", [obj("a", 0.0, 0.0), obj("b", 10.0, 0.0)])).colliding_pairs == 0
     # stacked on one footprint with a 0.25 gap between the z ranges [0, 0.5] and [0.75, 1.25]
     assert collision_metrics(SceneLayout("r", [obj("a", 0.0, 0.0), obj("b", 0.0, 0.0, z=1.0)])).colliding_pairs == 0
     assert calls == []
+
+
+def broad_phase_candidates(scene):
+    """Unordered pairs whose xy footprint bounds and z ranges overlap."""
+    corners = np.array([footprint_corners(frame_of(o)) for o in scene.objects])
+    lo, hi = corners.min(axis=1), corners.max(axis=1)  # [n, 2] xy bounds
+    z = np.array([o.position[2] for o in scene.objects])
+    half_h = np.array([o.size[2] / 2 for o in scene.objects])
+    xy_overlap = ((lo[:, None] <= hi) & (lo <= hi[:, None])).all(axis=2)
+    z_overlap = np.minimum(z[:, None] + half_h[:, None], z + half_h) > np.maximum(z[:, None] - half_h[:, None], z - half_h)
+    return int(np.triu(xy_overlap & z_overlap, k=1).sum())
 
 
 def test_broad_phase_clips_exactly_the_pairs_whose_bounds_overlap(monkeypatch):
@@ -305,19 +440,49 @@ def test_broad_phase_clips_exactly_the_pairs_whose_bounds_overlap(monkeypatch):
         )
         for _ in range(32)
     ]
-    corners = np.array([footprint_corners(frame_of(o)) for o in objects])
-    lo, hi = corners.min(axis=1), corners.max(axis=1)  # [32, 2] xy bounds
-    z = np.array([o.position[2] for o in objects])
-    half_h = np.array([o.size[2] / 2 for o in objects])
-    xy_overlap = ((lo[:, None] <= hi) & (lo <= hi[:, None])).all(axis=2)
-    z_overlap = np.minimum(z[:, None] + half_h[:, None], z + half_h) > np.maximum(z[:, None] - half_h[:, None], z - half_h)
-    expected = int(np.triu(xy_overlap & z_overlap, k=1).sum())
-    calls = count_clips(monkeypatch)
     scene = SceneLayout("bedroom", objects)
+    expected = broad_phase_candidates(scene)
+    calls = count_calls(monkeypatch, "_clipped_area")
     report = collision_metrics(scene)
     assert len(calls) == expected
     assert 0 < report.colliding_pairs <= expected < 496 // 4
     assert report == collision_oracle(scene)
+
+
+def dense_scene(seed):
+    """32 snapped objects shaped like a tightly packed room: centres within 1.5 m of the middle,
+    furniture at half its usual size, half the yaws right angles."""
+    sizes = {"bed": (2.0, 1.6, 0.5), "desk": (1.2, 0.6, 0.75), "chair": (0.5, 0.5, 0.9), "lamp": (0.3, 0.3, 0.5)}
+    rng = np.random.default_rng(seed)
+    objects = []
+    for _ in range(32):
+        category = str(rng.choice(list(sizes)))
+        lx, ly, lz = (np.array(sizes[category]) * 0.5 * rng.uniform(0.85, 1.15, 3)).tolist()
+        yaw = 90.0 * int(rng.integers(4)) if rng.random() < 0.5 else float(rng.uniform(0.0, 360.0))
+        position = (float(rng.uniform(-1.5, 1.5)), float(rng.uniform(-1.5, 1.5)), lz / 2)
+        objects.append(SceneObject(category, (0, 0, 0, 0), position, (lx, ly, lz), yaw))
+    codec = SceneCodec(list(sizes), DiscretizationSpec(), max_objects=32)
+    return codec.snap(SceneLayout("bedroom", objects))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_dense_scene_clips_every_candidate_and_matches_the_oracle(monkeypatch, seed):
+    scene = dense_scene(seed)
+    expected = broad_phase_candidates(scene)
+    calls = count_calls(monkeypatch, "_clipped_area")
+    report = collision_metrics(scene)
+    assert len(calls) == expected >= 30
+    assert report.colliding_pairs > 0
+    assert report == collision_oracle(scene)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 32])
+def test_collision_metrics_builds_each_footprint_once(monkeypatch, n):
+    # a footprint's corners, edges and bounds are built once per object, not once per pair
+    calls = count_calls(monkeypatch, "_footprint")
+    scene = SceneLayout("bedroom", dense_scene(7).objects[:n])
+    collision_metrics(scene)
+    assert len(calls) == n
 
 
 @pytest.mark.parametrize("size", [(0.5, 0.0, 0.5), (0.5, 0.5, -0.25)], ids=["zero", "negative"])
