@@ -5,18 +5,18 @@ The analytic intersection volume clips the two yaw-rotated footprints
 against each other (Sutherland-Hodgman) and multiplies the polygon area by
 the vertical overlap; a Monte-Carlo estimator serves as its independent
 cross-check. ``_footprint`` builds a box's corners, clip edges, bounds and
-reach, and one clip, ``_clip_polygon``, reads those edges for both
-``obb_intersection_volume`` and ``collision_metrics``. Footprints that only
-touch clip to a rounding-noise sliver whose size depends on the argument
-order, so an overlap area at or below ``_TOUCH_AREA`` (1e-13) times (1 + the
+reach, and ``_box`` adds its z range and volume. Footprints that only touch
+clip to a rounding-noise sliver whose size depends on the argument order, so
+an overlap area at or below ``_TOUCH_AREA`` (1e-13) times (1 + the
 footprints' largest coordinate magnitude)^2 counts as 0.
 
-``collision_metrics`` reads each object's ``relations.box_table`` row, builds
-its footprint edges, z range and volume once per scene, not once per pair,
-and skips the clip for pairs whose footprint bounds or z ranges lie apart.
-The clip scores such footprints at most a rounding sliver, which the touch
-floor counts as 0: that floor is the one tolerance, and the reports equal
-those of clipping every pair.
+One pair loop, ``_overlaps``, serves ``collision_metrics`` and
+``obb_intersection_volume``. It builds each box's ``_box`` record once, not
+once per pair, and skips the clip for pairs whose footprint bounds or z
+ranges lie apart. The clip scores such footprints at most a rounding sliver,
+which the touch floor counts as 0: that floor is the one tolerance, and the
+volumes equal those of clipping every pair. ``monte_carlo_volume`` samples in
+the overlap of the same records' bounds.
 
 ``irecall`` counts instead of matching: an ordered object pair holds one
 relation, so the injective matching of an instruction's triplets to pairs
@@ -26,12 +26,13 @@ gives each distinct triplet min(times instructed, realizing pairs).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .instructions import Instruction
-from .relations import GeometryFrame, box_corners, box_table, footprint_corners, predicate_id, relation_matrix
+from .relations import GeometryFrame, box_corners, box_table, predicate_id, relation_matrix
 from .scene import ATTRIBUTE_COLUMNS, GRID_COLUMNS, LAYOUT_ATTRIBUTES, SceneLayout, TokenizedScene
 
 
@@ -101,15 +102,34 @@ def _clipped_area(subject: list[tuple[float, float]], edges: list, reach: float)
     return 0.0 if area <= _TOUCH_AREA * reach * reach else area
 
 
+def _box(x: float, y: float, z: float, hx: float, hy: float, hz: float, yaw: float) -> tuple:
+    """A box as the pair loop reads it: the ``_footprint`` fields, then z_lo, z_hi and the volume."""
+    return (*_footprint(x, y, hx, hy, yaw), z - hz, z + hz, 8.0 * hx * hy * hz)
+
+
+def _overlaps(rows: list) -> Iterator[tuple[float, float]]:
+    """(intersection volume, smaller box volume) of each colliding pair i < j of ``box_table`` rows.
+
+    Pairs whose footprint bounds or z ranges lie apart skip the clip (module docstring).
+    """
+    boxes = [_box(*row) for row in rows]
+    # Conditional expressions cost less than max/min calls in this loop and pick the same operand on ties.
+    for i, (corners_a, _, ax_lo, ax_hi, ay_lo, ay_hi, reach_a, az_lo, az_hi, volume_a) in enumerate(boxes):
+        for _, edges_b, bx_lo, bx_hi, by_lo, by_hi, reach_b, bz_lo, bz_hi, volume_b in boxes[i + 1 :]:
+            if bx_lo > ax_hi or ax_lo > bx_hi or by_lo > ay_hi or ay_lo > by_hi:
+                continue
+            z_lo = bz_lo if bz_lo > az_lo else az_lo
+            z_hi = bz_hi if bz_hi < az_hi else az_hi
+            if z_hi <= z_lo:
+                continue
+            v = _clipped_area(corners_a, edges_b, reach_b if reach_b > reach_a else reach_a) * (z_hi - z_lo)
+            if v > 0.0:
+                yield v, (volume_b if volume_b < volume_a else volume_a)
+
+
 def obb_intersection_volume(a: GeometryFrame, b: GeometryFrame) -> float:
     """Exact intersection volume of two yaw-only oriented boxes."""
-    z_lo = max(a.center[2] - a.half_extents[2], b.center[2] - b.half_extents[2])
-    z_hi = min(a.center[2] + a.half_extents[2], b.center[2] + b.half_extents[2])
-    if z_hi <= z_lo:
-        return 0.0
-    corners_a, *_, reach_a = _footprint(*a.center[:2], *a.half_extents[:2], a.yaw)
-    _, edges_b, *_, reach_b = _footprint(*b.center[:2], *b.half_extents[:2], b.yaw)
-    return _clipped_area(corners_a, edges_b, max(reach_a, reach_b)) * (z_hi - z_lo)
+    return next((v for v, _ in _overlaps([(*f.center, *f.half_extents, f.yaw) for f in (a, b)])), 0.0)
 
 
 def _points_inside(points: np.ndarray, f: GeometryFrame) -> np.ndarray:
@@ -131,17 +151,10 @@ def monte_carlo_volume(
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-
-    def aabb(f):
-        corners = np.asarray(footprint_corners(f))
-        lo = np.array([corners[:, 0].min(), corners[:, 1].min(), f.center[2] - f.half_extents[2]])
-        hi = np.array([corners[:, 0].max(), corners[:, 1].max(), f.center[2] + f.half_extents[2]])
-        return lo, hi
-
-    lo_a, hi_a = aabb(a)
-    lo_b, hi_b = aabb(b)
-    lo = np.maximum(lo_a, lo_b)
-    hi = np.minimum(hi_a, hi_b)
+    boxes = [_box(*f.center, *f.half_extents, f.yaw) for f in (a, b)]
+    bounds = np.array([box[2:6] + box[7:9] for box in boxes])  # per box: x_lo, x_hi, y_lo, y_hi, z_lo, z_hi
+    lo = np.maximum(*bounds[:, 0::2])
+    hi = np.minimum(*bounds[:, 1::2])
     if (hi <= lo).any():
         return 0.0, 0.0
     region = float(np.prod(hi - lo))
@@ -160,12 +173,7 @@ class CollisionReport:
     colliding_pairs: int
 
     def to_json(self) -> dict:
-        return {
-            "v_sum": self.v_sum,
-            "v_avg": self.v_avg,
-            "io_min": self.io_min,
-            "colliding_pairs": self.colliding_pairs,
-        }
+        return asdict(self)
 
 
 def collision_metrics(scene: SceneLayout) -> CollisionReport:
@@ -174,27 +182,13 @@ def collision_metrics(scene: SceneLayout) -> CollisionReport:
     v_avg and io_min average over colliding pairs only; a collision-free
     scene reports zeros.
     """
-    boxes = [
-        (*_footprint(x, y, hx, hy, yaw), z - hz, z + hz, 8.0 * hx * hy * hz)
-        for x, y, z, hx, hy, hz, yaw in box_table(scene.objects).tolist()
-    ]
     v_sum = 0.0
     volumes = []
     ratios = []
-    # Conditional expressions cost less than max/min calls in this loop and pick the same operand on ties.
-    for i, (corners_a, _, ax_lo, ax_hi, ay_lo, ay_hi, reach_a, az_lo, az_hi, volume_a) in enumerate(boxes):
-        for _, edges_b, bx_lo, bx_hi, by_lo, by_hi, reach_b, bz_lo, bz_hi, volume_b in boxes[i + 1 :]:
-            if bx_lo > ax_hi or ax_lo > bx_hi or by_lo > ay_hi or ay_lo > by_hi:
-                continue
-            z_lo = bz_lo if bz_lo > az_lo else az_lo
-            z_hi = bz_hi if bz_hi < az_hi else az_hi
-            if z_hi <= z_lo:
-                continue
-            v = _clipped_area(corners_a, edges_b, reach_b if reach_b > reach_a else reach_a) * (z_hi - z_lo)
-            if v > 0.0:
-                v_sum += v
-                volumes.append(v)
-                ratios.append(v / (volume_b if volume_b < volume_a else volume_a))
+    for v, smaller in _overlaps(box_table(scene.objects).tolist()):
+        v_sum += v
+        volumes.append(v)
+        ratios.append(v / smaller)
     pairs = len(volumes)
     return CollisionReport(
         v_sum=v_sum,

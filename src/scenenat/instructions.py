@@ -101,21 +101,15 @@ def _discourse_order(triplets: list[RelationTriplet]) -> list[RelationTriplet]:
 
 
 def _referring_expressions(ordered: list[RelationTriplet]) -> list[tuple[str, str]]:
-    """Choose "the"/"another" per mention, tracking introduced instances."""
-    introduced: dict[str, list[int]] = {}
+    """The article of each mention: "another" for an instance new to a category that already has one, else "the"."""
+    introduced: dict[str, set[int | None]] = {}
     arts = []
     for t in ordered:
         pair = []
         for cat, inst in ((t.subject, t.subject_instance), (t.object, t.object_instance)):
-            seen = introduced.setdefault(cat, [])
-            if inst in seen:
-                pair.append("the")
-            elif not seen:
-                pair.append("the")
-                seen.append(inst)
-            else:
-                pair.append("another")
-                seen.append(inst)
+            seen = introduced.setdefault(cat, set())
+            pair.append("another" if seen and inst not in seen else "the")
+            seen.add(inst)
         arts.append(tuple(pair))
     return arts
 

@@ -62,17 +62,14 @@ def sample_mask(grid: TokenizedScene, rng: np.random.Generator) -> MaskPlan:
     gamma = mask_ratio(tau)
     p_obj = float(rng.uniform())
     budget = _round_half_up(gamma * n * GRID_COLUMNS)
-    n_objects = min(_round_half_up(p_obj * gamma * n), n)
-    rows = rng.choice(n, size=n_objects, replace=False) if n_objects else np.empty(0, dtype=np.int64)
+    # no clamps: p_obj * gamma <= 1 keeps n_objects <= n, and gamma <= 1 keeps remaining <= the open cells
+    n_objects = _round_half_up(p_obj * gamma * n)
+    rows = rng.choice(n, size=n_objects, replace=False)
     positions = np.zeros((n, GRID_COLUMNS), dtype=bool)
     positions[rows] = True
     remaining = budget - n_objects * GRID_COLUMNS
     if remaining > 0:
-        open_rows = np.setdiff1d(np.arange(n), rows)
-        flat = (open_rows[:, None] * GRID_COLUMNS + np.arange(GRID_COLUMNS)[None, :]).reshape(-1)
-        take = min(remaining, flat.shape[0])
-        chosen = rng.choice(flat, size=take, replace=False)
-        positions.reshape(-1)[chosen] = True
+        positions.reshape(-1)[rng.choice(np.flatnonzero(~positions), size=remaining, replace=False)] = True
     return MaskPlan(gamma=gamma, object_rows=np.sort(rows), positions=positions)
 
 

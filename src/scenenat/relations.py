@@ -114,7 +114,7 @@ def box_corners(x: float, y: float, hx: float, hy: float, yaw: float) -> list[tu
 
 
 def footprint_corners(f: GeometryFrame) -> list[tuple[float, float]]:
-    """``box_corners`` of a frame; the Monte-Carlo bounds and the benchmark's collision gate read it."""
+    """``box_corners`` of a frame; the benchmark's collision gate and the tests read it."""
     return box_corners(f.center[0], f.center[1], f.half_extents[0], f.half_extents[1], f.yaw)
 
 

@@ -335,20 +335,22 @@ def convex_quads(draw):
 
 @st.composite
 def box_pairs(draw):
-    """Two footprints (x, y, hx, hy, yaw) that overlap at random, touch or share an edge, coincide,
-    nest, or have edges on one line; neighbours are nudged a few ulps either way."""
+    """Two footprints (x, y, hx, hy, yaw) that overlap at random, touch or share an edge, overlap by a
+    sliver, coincide, nest, or have edges on one line; neighbours are nudged a few ulps either way."""
     coord, half = st.floats(-2.0, 2.0), st.floats(0.05, 1.0)
     yaws = st.one_of(YAWS.map(math.radians), st.floats(-math.pi, math.pi))
     a = (draw(coord), draw(coord), draw(half), draw(half), draw(yaws))
     x, y, hx, hy, yaw = a
     c, s = math.cos(yaw), math.sin(yaw)
     ulps = draw(st.integers(-3, 3))
-    kind = draw(st.sampled_from(("random", "touch", "coincident", "contained", "collinear")))
+    kind = draw(st.sampled_from(("random", "touch", "poke", "coincident", "contained", "collinear")))
     if kind == "random":
         b = (draw(coord), draw(coord), draw(half), draw(half), draw(yaws))
-    elif kind == "touch":  # same yaw, b's -x side on a's +x side; a shared edge when the depths match
+    elif kind in ("touch", "poke"):
+        # same yaw, b's -x side on a's +x side (a shared edge when the depths match), or pushed 1e-6 to 1e-2 m into a
         b_hx, b_hy = draw(half), draw(st.one_of(st.just(hy), half))
-        b = (nudge(x + (hx + b_hx) * c, ulps), nudge(y + (hx + b_hx) * s, ulps), b_hx, b_hy, yaw)
+        reach = hx + b_hx - (10.0 ** -draw(st.integers(2, 6)) if kind == "poke" else 0.0)
+        b = (nudge(x + reach * c, ulps), nudge(y + reach * s, ulps), b_hx, b_hy, yaw)
     elif kind == "coincident":
         b = a
     elif kind == "contained":  # radius k * min(hx, hy) * sqrt(2) < min(hx, hy), so b lies inside a at any yaw
@@ -362,10 +364,11 @@ def box_pairs(draw):
 
 
 # the snapped bed and desk at yaw 225 degrees whose collinear edges once divided by zero
-COLLINEAR_PAIR = (
-    footprint_args(frame_of(SceneObject("bed", (0, 0, 0, 0), (-0.5625, 0.4375, 0.5), (1.6875, 1.5625, 1.0), 225.0))),
-    footprint_args(frame_of(SceneObject("desk", (0, 0, 0, 0), (-0.6875, 0.5625, 0.5), (1.6875, 0.9375, 1.0), 225.0))),
+COLLINEAR_FRAMES = (
+    frame_of(SceneObject("bed", (0, 0, 0, 0), (-0.5625, 0.4375, 0.5), (1.6875, 1.5625, 1.0), 225.0)),
+    frame_of(SceneObject("desk", (0, 0, 0, 0), (-0.6875, 0.5625, 0.5), (1.6875, 0.9375, 1.0), 225.0)),
 )
+COLLINEAR_PAIR = tuple(map(footprint_args, COLLINEAR_FRAMES))
 
 
 @given(box_pairs())
@@ -379,6 +382,31 @@ def test_clip_of_footprints_equals_the_closure_oracle(pair):
 @given(convex_quads(), convex_quads())
 def test_clip_of_convex_quads_equals_the_closure_oracle(subject, clip):
     assert evaluation._clip_polygon(subject, quad_edges(clip)) == clip_polygon_oracle(subject, clip)
+
+
+@st.composite
+def frame_pairs(draw):
+    """Frames over a pair of ``box_pairs()`` footprints whose z ranges overlap, touch, or sit one ulp apart
+    or into each other. Centres and half heights are whole multiples of 1/64, so touching ranges touch exactly."""
+    z_a, hz_a, hz_b = draw(st.integers(0, 128)), draw(st.integers(4, 64)), draw(st.integers(4, 64))
+    if draw(st.booleans()):  # overlapping, or touching at either end
+        z_b = (z_a + draw(st.integers(-(hz_a + hz_b), hz_a + hz_b))) / 64
+    else:  # b on top of a or below it, nudged one ulp apart or into a
+        z_b = nudge((z_a + draw(st.sampled_from((1, -1))) * (hz_a + hz_b)) / 64, draw(st.integers(-1, 1)))
+    (xa, ya, hxa, hya, yaw_a), (xb, yb, hxb, hyb, yaw_b) = draw(box_pairs())
+    return (
+        GeometryFrame((xa, ya, z_a / 64), (hxa, hya, hz_a / 64), yaw_a),
+        GeometryFrame((xb, yb, z_b), (hxb, hyb, hz_b / 64), yaw_b),
+    )
+
+
+@given(frame_pairs())
+@example(COLLINEAR_FRAMES)
+@example(COLLINEAR_FRAMES[::-1])
+@example((frame(), frame(x=1.0 - 1e-6)))  # footprint bounds that overlap by 1e-6 m
+def test_obb_volume_equals_the_every_pair_oracle(pair):
+    # the broad phase that obb_intersection_volume shares with collision_metrics changes no volume
+    assert obb_intersection_volume(*pair) == volume_oracle(*pair)
 
 
 @pytest.mark.parametrize("order", [1, -1])

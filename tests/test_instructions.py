@@ -117,6 +117,30 @@ def test_table_sampling_matches_dict_grouping_oracle(scene, k, seed):
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
+@pytest.mark.parametrize(
+    "ordered, articles",
+    [
+        ([("bed", 0, "chair", 1)], [("the", "the")]),
+        ([("bed", 0, "chair", 1), ("chair", 1, "bed", 0)], [("the", "the"), ("the", "the")]),
+        ([("bed", 0, "chair", 1), ("bed", 2, "chair", 1)], [("the", "the"), ("another", "the")]),
+        (
+            [("bed", 0, "chair", 1), ("bed", 2, "chair", 1), ("desk", 3, "bed", 2), ("bed", 0, "desk", 3)],
+            [("the", "the"), ("another", "the"), ("the", "the"), ("the", "the")],
+        ),
+        ([("bed", 0, "bed", 2), ("bed", 2, "chair", 1)], [("the", "another"), ("the", "the")]),
+        (
+            [("bed", None, "chair", None), ("chair", None, "bed", None), ("bed", None, "bed", None)],
+            [("the", "the"), ("the", "the"), ("the", "the")],
+        ),
+    ],
+    ids=["first-mention", "same-instance-again", "second-instance", "second-instance-again", "one-triplet", "no-instances"],
+)
+def test_article_rule(ordered, articles):
+    # "another" introduces an instance of a category that already has a different one; every other mention is "the"
+    triplets = [RelationTriplet(s, P.LEFT_OF, o, s_inst, o_inst) for s, s_inst, o, o_inst in ordered]
+    assert _referring_expressions(triplets) == articles
+
+
 def test_dense_scene_builds_triplets_only_for_the_instruction(monkeypatch):
     built = []
     post_init = RelationTriplet.__post_init__

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from scenenat.masking import MaskPlan, corrupt, mask_ratio, remask_count, sample_mask
-from scenenat.scene import DiscretizationSpec, SceneCodec, SceneLayout, SceneObject
+from scenenat.scene import GRID_COLUMNS, DiscretizationSpec, SceneCodec, SceneLayout, SceneObject
 
 
 def make_codec(n=8):
@@ -137,3 +137,38 @@ def test_empty_rows_are_maskable():
     grid = codec.tokenize(SceneLayout("bedroom", []))
     plan = sample_mask(grid, rng)
     assert isinstance(plan, MaskPlan)  # no crash; EMPTY rows join the pool
+
+
+def sample_mask_oracle(grid, rng):
+    """sample_mask as first written: clamped counts, and the open cells rebuilt from a set difference of rows."""
+    n = grid.tokens.shape[0]
+    gamma = mask_ratio(float(rng.uniform()))
+    p_obj = float(rng.uniform())
+    budget = math.floor(gamma * n * GRID_COLUMNS + 0.5)
+    n_objects = min(math.floor(p_obj * gamma * n + 0.5), n)
+    rows = rng.choice(n, size=n_objects, replace=False) if n_objects else np.empty(0, dtype=np.int64)
+    positions = np.zeros((n, GRID_COLUMNS), dtype=bool)
+    positions[rows] = True
+    remaining = budget - n_objects * GRID_COLUMNS
+    if remaining > 0:
+        open_rows = np.setdiff1d(np.arange(n), rows)
+        flat = (open_rows[:, None] * GRID_COLUMNS + np.arange(GRID_COLUMNS)[None, :]).reshape(-1)
+        chosen = rng.choice(flat, size=min(remaining, flat.shape[0]), replace=False)
+        positions.reshape(-1)[chosen] = True
+    return MaskPlan(gamma=gamma, object_rows=np.sort(rows), positions=positions)
+
+
+@pytest.mark.parametrize(
+    "n, empty", [(1, False), (2, False), (8, False), (32, False), (8, True)], ids=["1", "2", "8", "32", "all-empty"]
+)
+def test_sample_mask_matches_set_difference_oracle(n, empty):
+    codec = make_codec(n)
+    grid = codec.tokenize(SceneLayout("bedroom", [])) if empty else full_grid(codec, np.random.default_rng(n))
+    rng, oracle_rng = np.random.default_rng(100 + n), np.random.default_rng(100 + n)
+    for _ in range(300):
+        plan, expected = sample_mask(grid, rng), sample_mask_oracle(grid, oracle_rng)
+        assert plan.gamma == expected.gamma
+        assert plan.object_rows.dtype == expected.object_rows.dtype
+        np.testing.assert_array_equal(plan.object_rows, expected.object_rows)
+        np.testing.assert_array_equal(plan.positions, expected.positions)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
