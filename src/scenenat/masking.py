@@ -31,6 +31,8 @@ def remask_count(step: int, total_steps: int, total_masked: int) -> int:
     """Tokens still masked after a decoding step; 0 after the final step."""
     if total_steps < 1:
         raise ValueError(f"total_steps must be at least 1, got {total_steps}")
+    if total_masked < 0:
+        raise ValueError(f"total_masked must be non-negative, got {total_masked}")
     if not 0 <= step <= total_steps:
         raise ValueError(f"step {step} outside [0, {total_steps}]")
     return math.floor(total_masked * math.cos(math.pi / 2 * step / total_steps))

@@ -70,6 +70,15 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
     return linear_sum_assignment(cost)[1]
 
 
+def _classes(gt: list[tuple[int, int, int]], heads) -> np.ndarray:
+    """The [3, J] subject, predicate and object classes of gt; each must lie below its head's null class."""
+    classes = np.asarray(gt, dtype=np.int64).reshape(-1, 3).T
+    widths = [logits.shape[-1] for logits in heads]
+    if classes.size and (classes.min() < 0 or (classes.max(axis=1) >= np.array(widths) - 1).any()):
+        raise tn.ShapeError(f"triplet classes outside heads of {widths} classes, each ending in its null class")
+    return classes
+
+
 def matching_cost(
     gt: list[tuple[int, int, int]],
     subject_logits: np.ndarray,
@@ -78,15 +87,15 @@ def matching_cost(
 ) -> np.ndarray:
     """Cost[j, k] = -(P_s + P_p + P_o) of ground-truth triplet j under query k.
 
-    The DETR-style probability cost, kept as a diagnostic; triplet_loss does
-    not assign with it.
+    A DETR-style diagnostic; triplet_loss does not assign with it. The null
+    class is reserved: a negative or null ground-truth id raises ShapeError.
     """
+    heads = (subject_logits, predicate_logits, object_logits)
     n_q = subject_logits.shape[0]
     if len(gt) > n_q:
         raise ValueError(f"{len(gt)} ground-truth triplets exceed {n_q} queries")
-    classes = np.asarray(gt, dtype=np.int64).reshape(-1, 3).T
     cost = np.zeros((len(gt), n_q))
-    for logits, c in zip((subject_logits, predicate_logits, object_logits), classes):
+    for logits, c in zip(heads, _classes(gt, heads)):
         cost -= np.exp(tn.log_softmax_array(logits))[:, c].T
     return cost
 
@@ -95,20 +104,18 @@ def encode_triplets(triplets: RelationTable | list[RelationTriplet], codec: Scen
     """(subject id, predicate id, object id) class targets, canonically sorted.
 
     Sorting makes the eventual assignment independent of input list order,
-    so the loss is bitwise permutation-invariant. A table is encoded with one
-    category-id lookup per instance and one lexsort over its rows.
+    so the loss is bitwise permutation-invariant. Both inputs sort by one
+    lexsort; an unknown category raises ValueError.
     """
     if isinstance(triplets, RelationTable):
         cat = np.array([codec.category_id(c) for c in triplets.categories], dtype=np.int64)
         rows = triplets.rows
         s, p, o = cat[rows[:, 0]], rows[:, 1], cat[rows[:, 2]]
-        order = np.lexsort((o, p, s))
-        return list(zip(s[order].tolist(), p[order].tolist(), o[order].tolist()))
-    encoded = [
-        (codec.category_id(t.subject), predicate_id(t.predicate), codec.category_id(t.object))
-        for t in triplets
-    ]
-    return sorted(encoded)
+    else:
+        ids = [(codec.category_id(t.subject), predicate_id(t.predicate), codec.category_id(t.object)) for t in triplets]
+        s, p, o = np.array(ids, dtype=np.int64).reshape(-1, 3).T
+    order = np.lexsort((o, p, s))
+    return list(zip(s[order].tolist(), p[order].tolist(), o[order].tolist()))
 
 
 def triplet_loss(
@@ -124,8 +131,8 @@ def triplet_loss(
     class (last index of each head), down-weighted by weights.null_class.
     Query k takes triplet j at cost sum over heads of lambda * (CE(gt_j) -
     null_class * CE(null)), the loss's change from null to gt_j, so the
-    matched loss is the minimum over all assignments. Class ids outside a
-    head raise ShapeError.
+    matched loss is the minimum over all assignments. The null class is
+    reserved: a negative or null ground-truth id raises ShapeError.
     """
     global _truncated_triplets
     heads = ((subject_logits, weights.subject), (predicate_logits, weights.predicate), (object_logits, weights.object))
@@ -135,10 +142,7 @@ def triplet_loss(
     if len(gt) > n_q:
         _truncated_triplets += len(gt) - n_q
         gt = gt[:n_q]
-    classes = np.asarray(gt, dtype=np.int64).reshape(-1, 3).T
-    vocab = np.array([logits.data.shape[-1] for logits, _ in heads])
-    if classes.size and (classes.min() < 0 or (classes.max(axis=1) >= vocab).any()):
-        raise tn.ShapeError(f"triplet classes outside heads of {vocab.tolist()} classes")
+    classes = _classes(gt, [logits for logits, _ in heads])
     log_probs = [tn.log_softmax_array(logits.data) for logits, _ in heads]
     cost = np.zeros((len(gt), n_q))
     for lp, (_, lam), c in zip(log_probs, heads, classes):

@@ -55,19 +55,12 @@ def predicate_id(p: RelationPredicate) -> int:
     """Stable class index of a non-none predicate."""
     return _PREDICATE_IDS[p]
 
-_MIRROR = {
-    RelationPredicate.RIGHT_OF: RelationPredicate.LEFT_OF,
-    RelationPredicate.LEFT_OF: RelationPredicate.RIGHT_OF,
-    RelationPredicate.IN_FRONT_OF: RelationPredicate.BEHIND,
-    RelationPredicate.BEHIND: RelationPredicate.IN_FRONT_OF,
-    RelationPredicate.CLOSELY_RIGHT_OF: RelationPredicate.CLOSELY_LEFT_OF,
-    RelationPredicate.CLOSELY_LEFT_OF: RelationPredicate.CLOSELY_RIGHT_OF,
-    RelationPredicate.CLOSELY_IN_FRONT_OF: RelationPredicate.CLOSELY_BEHIND,
-    RelationPredicate.CLOSELY_BEHIND: RelationPredicate.CLOSELY_IN_FRONT_OF,
-    RelationPredicate.ABOVE: RelationPredicate.BELOW,
-    RelationPredicate.BELOW: RelationPredicate.ABOVE,
-    RelationPredicate.NONE: RelationPredicate.NONE,
-}
+# Each mirror pair is stated once and mapped both ways.
+_MIRROR_PAIRS = (
+    ("right_of", "left_of"), ("in_front_of", "behind"), ("closely_right_of", "closely_left_of"),
+    ("closely_in_front_of", "closely_behind"), ("above", "below"), ("none", "none"),
+)
+_MIRROR = {RelationPredicate(x): RelationPredicate(y) for a, b in _MIRROR_PAIRS for x, y in ((a, b), (b, a))}
 
 
 def mirror_predicate(p: RelationPredicate) -> RelationPredicate:

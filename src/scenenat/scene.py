@@ -108,17 +108,16 @@ class SceneObject:
     yaw_deg: float
 
     def __post_init__(self):
-        a, p, s, yaw = self.appearance, self.position, self.size, self.yaw_deg
-        if len(a) == APPEARANCE_CODES and len(p) == len(s) == 3 and _APPEARANCE_IDS.issuperset(a):
-            if all(map(math.isfinite, (*p, *s, yaw))):
-                return  # one pass over a valid object; the checks below name the bad field
+        a, p, s = self.appearance, self.position, self.size
         for name, values, length in (("appearance", a, APPEARANCE_CODES), ("position", p, 3), ("size", s, 3)):
             if len(values) != length:
                 raise ValueError(f"{name} needs {length} values, got {values}")
         if not _APPEARANCE_IDS.issuperset(a):
             raise ValueError(f"appearance codes must lie in [0, {APPEARANCE_VOCAB}), got {a}")
-        name = next(n for n, v in (("position", p), ("size", s), ("yaw_deg", (yaw,))) if not all(map(math.isfinite, v)))
-        raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name, values in (("position", p), ("size", s), ("yaw_deg", (self.yaw_deg,))):
+            for v in values:  # a plain loop runs faster than all(map(...)) over 3 values
+                if not math.isfinite(v):
+                    raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass
@@ -197,6 +196,9 @@ class SceneCodec:
         self._bin_width = self._span / self._bins
 
     def category_id(self, name: str) -> int:
+        """Class id of a category; an unknown one raises ValueError."""
+        if name not in self._cat_to_id:
+            raise ValueError(f"unknown category {name!r}")
         return self._cat_to_id[name]
 
     def tokenize(self, scene: SceneLayout) -> TokenizedScene:

@@ -8,7 +8,9 @@ leaf grads add up across passes, interior grads restart at each pass. A
 leaf's grad is its own writable array; an interior node's grad may alias
 the array an op's backward returned (or another node's grad), so it is only
 read. _make records a node under this contract and _summed_nll the
-weighted-NLL node; both are package-internal, not public API.
+weighted-NLL node; both are package-internal, not public API. _make alone
+decides whether an op records: outside no_grad, when an input requires grad.
+A leaf keeps its requires_grad under no_grad and gets grads after the block.
 Dense row-major arrays only; broadcasting is limited to missing leading
 (batch) dims plus size-1 axes, and the backward rules undo it by summation
 so every rule stays auditable. Two rules sum without a per-element loop:
@@ -42,7 +44,7 @@ _grad_enabled = True
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable graph recording (inference / evaluation)."""
+    """Disable graph recording (inference / evaluation); leaves keep their requires_grad."""
     global _grad_enabled
     prev = _grad_enabled
     _grad_enabled = False
@@ -56,15 +58,10 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        if isinstance(data, np.ndarray):
-            pass
-        elif isinstance(data, np.generic):
-            data = np.asarray(data)  # keep numpy scalar dtype
-        else:
-            data = np.asarray(data, dtype=np.float32)
-        self.data = data
+        # numpy arrays and scalars keep their dtype; any other input becomes float32
+        self.data = data if isinstance(data, np.ndarray) else np.asarray(data, None if isinstance(data, np.generic) else np.float32)
         self.grad = None
-        self.requires_grad = requires_grad and _grad_enabled
+        self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
 
@@ -77,7 +74,7 @@ class Tensor:
         return self.data.dtype
 
     def item(self) -> float:
-        return float(self.data)
+        return float(self.data.item())
 
     def accumulate_grad(self, g: np.ndarray) -> None:
         if self._backward is not None:
@@ -128,8 +125,9 @@ def build_tape(root: Tensor) -> list[Tensor]:
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
-    out = Tensor(data, requires_grad=any(p.requires_grad for p in parents))
-    if out.requires_grad:
+    out = Tensor(data)
+    if _grad_enabled and any(p.requires_grad for p in parents):
+        out.requires_grad = True
         out._parents = parents
         out._backward = backward_fn
     return out
@@ -177,12 +175,16 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
+def _check_broadcast(op: str, a: Tensor, b: Tensor) -> None:
     if a.data.shape != b.data.shape:
         try:
             np.broadcast_shapes(a.data.shape, b.data.shape)
         except ValueError:
-            raise ShapeError(f"add: incompatible shapes {a.data.shape} vs {b.data.shape}") from None
+            raise ShapeError(f"{op}: incompatible shapes {a.data.shape} vs {b.data.shape}") from None
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    _check_broadcast("add", a, b)
 
     def backward(g):
         return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
@@ -191,11 +193,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        try:
-            np.broadcast_shapes(a.data.shape, b.data.shape)
-        except ValueError:
-            raise ShapeError(f"mul: incompatible shapes {a.data.shape} vs {b.data.shape}") from None
+    _check_broadcast("mul", a, b)
 
     def backward(g):
         return _unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)

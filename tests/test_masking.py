@@ -39,6 +39,11 @@ def test_remask_count_endpoints_and_monotonicity():
             remask_count(step, steps, total)
 
 
+def test_remask_count_rejects_a_negative_total():
+    with pytest.raises(ValueError, match="total_masked"):
+        remask_count(0, 4, -3)
+
+
 def test_object_level_masks_cover_full_rows():
     codec = make_codec()
     rng = np.random.default_rng(0)

@@ -18,7 +18,7 @@ from scenenat.matching import (
     total_loss,
     triplet_loss,
 )
-from scenenat.relations import RelationPredicate, RelationTriplet, extract_triplets
+from scenenat.relations import RelationPredicate, RelationTable, RelationTriplet, extract_triplets, predicate_id
 from scenenat.scene import DiscretizationSpec, SceneCodec, SceneLayout, SceneObject
 from scenenat.tensor import ShapeError, Tensor
 
@@ -218,6 +218,26 @@ def test_encode_table_equals_encode_of_its_triplets():
         assert all(type(v) is int for row in encoded for v in row)
 
 
+@pytest.mark.parametrize(
+    "rows", [np.zeros((0, 3), dtype=np.int64), [[0, 2, 1], [1, 2, 2], [0, 2, 1], [2, 9, 0], [1, 1, 0], [1, 2, 2], [0, 2, 1]]],
+    ids=["empty", "repeated"],
+)
+def test_encode_list_equals_encode_of_its_table(rows):
+    codec = make_codec()
+    table = RelationTable(["lamp", "bed", "chair"], rows)
+    encoded = encode_triplets(list(table), codec)
+    assert encoded == encode_triplets(table, codec)
+    assert encoded == sorted((codec.category_id(t.subject), predicate_id(t.predicate), codec.category_id(t.object)) for t in table)
+    assert all(type(v) is int for row in encoded for v in row)
+
+
+@pytest.mark.parametrize("as_list", [False, True], ids=["table", "list"])
+def test_encode_triplets_names_an_unknown_category(as_list):
+    table = RelationTable(["bed", "sofa"], [[0, 3, 1]])
+    with pytest.raises(ValueError, match="unknown category 'sofa'"):
+        encode_triplets(list(table) if as_list else table, make_codec())
+
+
 def test_triplet_loss_truncates_excess_ground_truth():
     rng = np.random.default_rng(3)
     s, p, o = random_heads(rng, n_q=2)
@@ -226,11 +246,29 @@ def test_triplet_loss_truncates_excess_ground_truth():
     assert np.isfinite(loss.item())
 
 
-@pytest.mark.parametrize("gt", [[(-1, 0, 0)], [(0, 11, 0)], [(0, 0, 6)]], ids=["negative", "predicate-null+1", "object-null+1"])
+# Ground-truth triplets outside the default 6 / 11 / 6-class random_heads; the last class of each is null.
+OUTSIDE_HEADS = {
+    "negative": [(-1, 0, 0)],
+    "subject-null": [(5, 0, 0)],
+    "predicate-null": [(0, 10, 0)],
+    "object-null": [(0, 0, 5)],
+    "predicate-null+1": [(0, 11, 0)],
+    "object-null+1": [(0, 0, 6)],
+}
+
+
+@pytest.mark.parametrize("gt", OUTSIDE_HEADS.values(), ids=OUTSIDE_HEADS.keys())
 def test_triplet_loss_rejects_classes_outside_heads(gt):
     s, p, o = random_heads(np.random.default_rng(0))
     with pytest.raises(ShapeError, match="outside heads"):
         triplet_loss(gt, s, p, o, LossWeights())
+
+
+@pytest.mark.parametrize("gt", OUTSIDE_HEADS.values(), ids=OUTSIDE_HEADS.keys())
+def test_matching_cost_rejects_classes_outside_heads(gt):
+    s, p, o = random_heads(np.random.default_rng(0))
+    with pytest.raises(ShapeError, match="outside heads"):
+        matching_cost(gt, s.data, p.data, o.data)
 
 
 @pytest.mark.parametrize("p_shape", [(3, 11), (4, 2, 11)], ids=["fewer-queries", "3-d"])

@@ -302,6 +302,27 @@ def test_scene_object_rejects_bad_fields(name, value, problem):
         SceneObject(**{**GOOD_FIELDS, name: value})
 
 
+# One fault per field check, in the order SceneObject runs the checks.
+FAULTS_IN_CHECK_ORDER = [
+    ("appearance", (1, 2, 3), "appearance needs 4 values"),
+    ("position", (0.5, 0.5), "position needs 3 values"),
+    ("size", (0.4, 0.4, 0.6, 0.6), "size needs 3 values"),
+    ("appearance", (0, 64, 0, 0), "appearance codes must lie in [0, 64)"),
+    ("position", (0.5, math.nan, 0.5), "position must be finite"),
+    ("size", (1.0, math.inf, 1.0), "size must be finite"),
+    ("yaw_deg", math.nan, "yaw_deg must be finite"),
+]
+
+
+@pytest.mark.parametrize("first", range(len(FAULTS_IN_CHECK_ORDER)), ids=[m for _, _, m in FAULTS_IN_CHECK_ORDER])
+def test_scene_object_reports_its_first_fault_in_check_order(first):
+    fields = dict(GOOD_FIELDS)
+    for name, value, _ in reversed(FAULTS_IN_CHECK_ORDER[first:]):  # an earlier fault of a field replaces a later one
+        fields[name] = value
+    with pytest.raises(ValueError, match=re.escape(FAULTS_IN_CHECK_ORDER[first][2])):
+        SceneObject(**fields)
+
+
 def test_scene_object_is_frozen_and_accepts_the_code_range_ends():
     obj = SceneObject(**GOOD_FIELDS)
     with pytest.raises(dataclasses.FrozenInstanceError):

@@ -231,6 +231,25 @@ def test_no_grad_suppresses_graph():
     assert not y.requires_grad and y._parents == ()
 
 
+def test_leaf_made_under_no_grad_gets_a_grad_after_the_block():
+    with T.no_grad():
+        w = Tensor(np.ones(3), requires_grad=True)
+        y = T.mul(w, w)
+    assert w.requires_grad
+    assert not y.requires_grad and y._parents == ()
+    T.tensor_sum(T.mul(w, w)).backward()
+    np.testing.assert_array_equal(w.grad, [2.0, 2.0, 2.0])
+
+
+@pytest.mark.parametrize("shape", [(1,), (1, 1)], ids=["1", "1x1"])
+def test_item_of_a_one_element_loss_equals_its_value_after_backward(shape):
+    x = Tensor(np.full(shape, 3.0), requires_grad=True)
+    loss = T.mul(x, x)
+    loss.backward()
+    assert loss.item() == 9.0
+    np.testing.assert_array_equal(x.grad, np.full(shape, 6.0))
+
+
 class TestFiniteDifferences:
     """Every differentiable op against the central-difference oracle."""
 
