@@ -20,7 +20,8 @@ the overlap of the same records' bounds.
 
 ``irecall`` counts instead of matching: an ordered object pair holds one
 relation, so the injective matching of an instruction's triplets to pairs
-gives each distinct triplet min(times instructed, realizing pairs).
+gives each distinct triplet min(times instructed, realizing pairs). The
+instruction's ``RelationTable`` rows key it by (category, predicate id, category).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .instructions import Instruction
-from .relations import GeometryFrame, box_corners, box_table, predicate_id, relation_matrix
+from .relations import GeometryFrame, box_corners, box_table, relation_matrix
 from .scene import ATTRIBUTE_COLUMNS, GRID_COLUMNS, LAYOUT_ATTRIBUTES, SceneLayout, TokenizedScene
 
 
@@ -206,7 +207,8 @@ def _realized(instr: Instruction, scene: SceneLayout) -> int:
     none, and m equal triplets with c candidate pairs match min(m, c). The relation matrix holds
     only the objects of keys whose two categories both occur in the scene: rows of its box table.
     """
-    wanted = Counter((t.subject, predicate_id(t.predicate), t.object) for t in instr.triplets)
+    cats = instr.triplets.categories
+    wanted = Counter((cats[s], p, cats[o]) for s, p, o in instr.triplets.rows.tolist())
     present = {o.category for o in scene.objects}
     used = {c for s, _, o in wanted if s in present and o in present for c in (s, o)}
     if not used:

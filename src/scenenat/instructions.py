@@ -5,21 +5,21 @@ per predicate), so the whole corpus tokenizes against a fixed whitespace
 word vocabulary. Sampling is pair-first over the scene's ``RelationTable``:
 its rows are grouped by unordered instance pair with one stable argsort,
 up to k pairs are drawn uniformly without replacement, and only then is one
-member (one orientation) of each drawn pair picked uniformly. Only the
-picked rows become ``RelationTriplet``s. They are ordered so consecutive
-sentences reuse a mentioned category when possible, and "the" switches to
-"another" when a second distinct instance of an already-mentioned category
-is introduced.
+member (one orientation) of each drawn pair picked uniformly. The picked
+rows stay int rows: they are ordered so consecutive sentences reuse a
+mentioned category when possible, "the" switches to "another" when a second
+distinct instance of an already-mentioned category is introduced, and they
+become the instruction's own ``RelationTable`` over the scene's categories.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .relations import RelationPredicate, RelationTable, RelationTriplet, extract_triplets
+from .relations import RELATION_SET, RelationPredicate, RelationTable, extract_triplets
 from .scene import SceneLayout
 
 MAX_RELATIONS = 4
@@ -80,34 +80,32 @@ def tokenize_text(text: str, word_to_id: dict[str, int]) -> list[int]:
 
 @dataclass
 class Instruction:
-    """Rendered instruction text plus the triplet set it encodes."""
+    """Rendered instruction text plus the relation table it encodes, its rows in sentence order."""
 
     text: str
     tokens: list[int]
-    triplets: list[RelationTriplet]
+    triplets: RelationTable
 
 
-def _discourse_order(triplets: list[RelationTriplet]) -> list[RelationTriplet]:
-    """Greedy reorder so each sentence reuses a mentioned category if it can."""
-    remaining = list(triplets)
-    ordered = [remaining.pop(0)]
-    mentioned = {ordered[0].subject, ordered[0].object}
+def _discourse_order(categories: Sequence[str], rows: list[list[int]]) -> list[list[int]]:
+    """Greedy reorder of (subject, predicate, object) rows so each sentence reuses a mentioned category if it can."""
+    remaining, ordered, mentioned = list(rows), [], set()
     while remaining:
-        idx = next((i for i, t in enumerate(remaining) if t.subject in mentioned or t.object in mentioned), 0)
-        nxt = remaining.pop(idx)
-        ordered.append(nxt)
-        mentioned.update((nxt.subject, nxt.object))
+        idx = next((i for i, (s, _, o) in enumerate(remaining) if {categories[s], categories[o]} & mentioned), 0)
+        s, _, o = row = remaining.pop(idx)
+        ordered.append(row)
+        mentioned |= {categories[s], categories[o]}
     return ordered
 
 
-def _referring_expressions(ordered: list[RelationTriplet]) -> list[tuple[str, str]]:
+def _referring_expressions(categories: Sequence[str], rows: list[list[int]]) -> list[tuple[str, str]]:
     """The article of each mention: "another" for an instance new to a category that already has one, else "the"."""
-    introduced: dict[str, set[int | None]] = {}
+    introduced: dict[str, set[int]] = {}
     arts = []
-    for t in ordered:
+    for s, _, o in rows:
         pair = []
-        for cat, inst in ((t.subject, t.subject_instance), (t.object, t.object_instance)):
-            seen = introduced.setdefault(cat, set())
+        for inst in (s, o):
+            seen = introduced.setdefault(categories[inst], set())
             pair.append("another" if seen and inst not in seen else "the")
             seen.add(inst)
         arts.append(tuple(pair))
@@ -128,7 +126,7 @@ def synthesize_instruction(
     by unordered instance pair, in (min, max) index order: the order in which
     the pairs first occur in ``extract_triplets``' row-major rows. min(k, pairs)
     pairs are drawn uniformly without replacement and one member of each
-    uniformly, so the returned triplet list records the actual count. Words
+    uniformly, so the returned table's rows record the actual count. Words
     of the table's categories missing from ``word_to_id`` raise ValueError,
     and triplets that are not a ``RelationTable`` TypeError, before any draw.
     """
@@ -153,14 +151,14 @@ def synthesize_instruction(
     pairs = len(bounds) - 1
     picked = np.sort(rng.choice(pairs, size=min(k, pairs), replace=False))
     members = rng.integers(bounds[picked + 1] - bounds[picked])
-    chosen = _discourse_order([table[i] for i in order[bounds[picked] + members].tolist()])
-    articles = _referring_expressions(chosen)
+    cats = table.categories
+    chosen = _discourse_order(cats, table.rows[order[bounds[picked] + members]].tolist())
     sentences = []
-    for t, (art_s, art_o) in zip(chosen, articles):
-        frame = TEMPLATES[t.predicate][int(rng.integers(len(SENTENCE_FRAMES)))]
-        sentences.append(frame.replace("{s}", f"{art_s} {t.subject}").replace("{o}", f"{art_o} {t.object}"))
+    for (s, p, o), (art_s, art_o) in zip(chosen, _referring_expressions(cats, chosen)):
+        frame = TEMPLATES[RELATION_SET[p]][int(rng.integers(len(SENTENCE_FRAMES)))]
+        sentences.append(frame.replace("{s}", f"{art_s} {cats[s]}").replace("{o}", f"{art_o} {cats[o]}"))
     text = f" {CONNECTOR} ".join(sentences)
     tokens = tokenize_text(text, word_to_id)
     if len(tokens) > MAX_TOKENS:
         raise ValueError(f"instruction tokenizes to {len(tokens)} > {MAX_TOKENS} words")
-    return Instruction(text=text, tokens=tokens, triplets=chosen)
+    return Instruction(text=text, tokens=tokens, triplets=RelationTable(cats, chosen))

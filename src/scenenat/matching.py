@@ -8,9 +8,11 @@ head and uses it for both the assignment cost and the loss. matching_cost is
 the DETR-style negative-probability cost (Carion et al., arXiv 2005.12872),
 kept only as a diagnostic; nothing in the loss assigns with it.
 
-Each loss is one weighted-NLL node of scenenat.tensor whose inputs are the
-logits it reads; this module builds the assignments, targets and weights,
-and tensor owns the float arithmetic.
+Their ground truth gt is any int [J, 3] array of (subject, predicate, object)
+class ids, such as encode_triplets makes from a RelationTable. Each loss is
+one weighted-NLL node of scenenat.tensor whose inputs are the logits it reads;
+this module builds the assignments, targets and weights, and tensor owns the
+float arithmetic.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import tensor as tn
-from .relations import RelationTable, RelationTriplet, predicate_id
+from .relations import RelationTable
 from .scene import ATTRIBUTE_COLUMNS, SceneCodec
 from .tensor import Tensor
 
@@ -70,8 +72,8 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
     return linear_sum_assignment(cost)[1]
 
 
-def _classes(gt: list[tuple[int, int, int]], heads) -> np.ndarray:
-    """The [3, J] subject, predicate and object classes of gt; each must lie below its head's null class."""
+def _classes(gt: np.ndarray, heads) -> np.ndarray:
+    """The [3, J] classes of an int [J, 3] gt: subject, predicate, object; each below its head's null class."""
     classes = np.asarray(gt, dtype=np.int64).reshape(-1, 3).T
     widths = [logits.shape[-1] for logits in heads]
     if classes.size and (classes.min() < 0 or (classes.max(axis=1) >= np.array(widths) - 1).any()):
@@ -80,7 +82,7 @@ def _classes(gt: list[tuple[int, int, int]], heads) -> np.ndarray:
 
 
 def matching_cost(
-    gt: list[tuple[int, int, int]],
+    gt: np.ndarray,
     subject_logits: np.ndarray,
     predicate_logits: np.ndarray,
     object_logits: np.ndarray,
@@ -100,26 +102,22 @@ def matching_cost(
     return cost
 
 
-def encode_triplets(triplets: RelationTable | list[RelationTriplet], codec: SceneCodec) -> list[tuple[int, int, int]]:
-    """(subject id, predicate id, object id) class targets, canonically sorted.
+def encode_triplets(table: RelationTable, codec: SceneCodec) -> np.ndarray:
+    """The int64 [J, 3] (subject id, predicate id, object id) class targets of a table, canonically sorted.
 
-    Sorting makes the eventual assignment independent of input list order,
-    so the loss is bitwise permutation-invariant. Both inputs sort by one
-    lexsort; an unknown category raises ValueError.
+    Sorting makes the eventual assignment independent of row order, so the
+    loss is bitwise permutation-invariant. Only the categories that the rows
+    use are looked up; an unknown one raises ValueError.
     """
-    if isinstance(triplets, RelationTable):
-        cat = np.array([codec.category_id(c) for c in triplets.categories], dtype=np.int64)
-        rows = triplets.rows
-        s, p, o = cat[rows[:, 0]], rows[:, 1], cat[rows[:, 2]]
-    else:
-        ids = [(codec.category_id(t.subject), predicate_id(t.predicate), codec.category_id(t.object)) for t in triplets]
-        s, p, o = np.array(ids, dtype=np.int64).reshape(-1, 3).T
-    order = np.lexsort((o, p, s))
-    return list(zip(s[order].tolist(), p[order].tolist(), o[order].tolist()))
+    classes = table.rows.astype(np.int64)
+    used, inverse = np.unique(classes[:, 0::2], return_inverse=True)
+    ids = np.array([codec.category_id(table.categories[i]) for i in used.tolist()], dtype=np.int64)
+    classes[:, 0::2] = ids[inverse].reshape(-1, 2)
+    return classes[np.lexsort(classes.T[::-1])]
 
 
 def triplet_loss(
-    gt: list[tuple[int, int, int]],
+    gt: np.ndarray,
     subject_logits: Tensor,
     predicate_logits: Tensor,
     object_logits: Tensor,
@@ -132,19 +130,20 @@ def triplet_loss(
     Query k takes triplet j at cost sum over heads of lambda * (CE(gt_j) -
     null_class * CE(null)), the loss's change from null to gt_j, so the
     matched loss is the minimum over all assignments. The null class is
-    reserved: a negative or null ground-truth id raises ShapeError.
+    reserved: a negative or null ground-truth id raises ShapeError, checked
+    before the triplets past the Q queries are dropped and counted.
     """
     global _truncated_triplets
     heads = ((subject_logits, weights.subject), (predicate_logits, weights.predicate), (object_logits, weights.object))
     n_q = subject_logits.data.shape[0]
     if any(logits.data.ndim != 2 or logits.data.shape[0] != n_q for logits, _ in heads):
         raise tn.ShapeError(f"triplet heads must be [queries, classes], got {[logits.shape for logits, _ in heads]}")
-    if len(gt) > n_q:
-        _truncated_triplets += len(gt) - n_q
-        gt = gt[:n_q]
     classes = _classes(gt, [logits for logits, _ in heads])
+    if classes.shape[1] > n_q:
+        _truncated_triplets += classes.shape[1] - n_q
+        classes = classes[:, :n_q]
     log_probs = [tn.log_softmax_array(logits.data) for logits, _ in heads]
-    cost = np.zeros((len(gt), n_q))
+    cost = np.zeros((classes.shape[1], n_q))
     for lp, (_, lam), c in zip(log_probs, heads, classes):
         cost += lam * (weights.null_class * lp[:, -1] - lp[:, c].T)  # CE(gt_j) - null_class * CE(null)
     sigma = hungarian(cost)

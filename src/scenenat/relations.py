@@ -10,10 +10,10 @@ stays the scalar reference of the volume functions and the test oracles.
 
 ``extract_triplets`` returns a scene's relations as a ``RelationTable``: the
 per-instance categories plus one int row (subject index, predicate id,
-object index) per related ordered pair. The table reads as a sequence of
-``RelationTriplet``s but builds one only when a row is read, so a scene's
-~1000 relations cost one array and no objects until something asks for
-text.
+object index) per related ordered pair, a predicate id being its
+``RELATION_SET`` index. Instructions, the matched loss and iRecall read the
+same tables; a ``RelationTriplet`` is only the view of one row, built when
+the row is read, so a scene's ~1000 relations cost one array and no objects.
 """
 
 from __future__ import annotations
@@ -47,13 +47,6 @@ class RelationPredicate(str, Enum):
 
 #: The 10 predicates that may appear in stored triplets (everything but none).
 RELATION_SET = tuple(p for p in RelationPredicate if p is not RelationPredicate.NONE)
-
-_PREDICATE_IDS = {p: i for i, p in enumerate(RELATION_SET)}
-
-
-def predicate_id(p: RelationPredicate) -> int:
-    """Stable class index of a non-none predicate."""
-    return _PREDICATE_IDS[p]
 
 # Each mirror pair is stated once and mapped both ways.
 _MIRROR_PAIRS = (
@@ -116,9 +109,9 @@ def footprint_corners(f: GeometryFrame) -> list[tuple[float, float]]:
 _BEARING_EDGES = np.array([-3 * np.pi / 4, -np.pi / 4, np.pi / 4, 3 * np.pi / 4])
 # [closely][bearing bin] -> predicate id; the last bin wraps round to left_of.
 _BEARINGS = ("left_of", "behind", "right_of", "in_front_of", "left_of")
-_SECTOR_IDS = np.array([[_PREDICATE_IDS[RelationPredicate(pre + b)] for b in _BEARINGS] for pre in ("", "closely_")])
-_ABOVE_ID = _PREDICATE_IDS[RelationPredicate.ABOVE]
-_BELOW_ID = _PREDICATE_IDS[RelationPredicate.BELOW]
+_SECTOR_IDS = np.array([[RELATION_SET.index(pre + b) for b in _BEARINGS] for pre in ("", "closely_")])
+_ABOVE_ID = RELATION_SET.index(RelationPredicate.ABOVE)
+_BELOW_ID = RELATION_SET.index(RelationPredicate.BELOW)
 
 
 def relation_matrix(boxes: np.ndarray) -> np.ndarray:
@@ -153,13 +146,13 @@ def relation_matrix(boxes: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RelationTriplet:
-    """Symbolic (subject category, predicate, object category) constraint."""
+    """One ``RelationTable`` row read as (subject category, predicate, object category) plus its instances."""
 
     subject: str
     predicate: RelationPredicate
     object: str
-    subject_instance: int | None = None
-    object_instance: int | None = None
+    subject_instance: int
+    object_instance: int
 
     def __post_init__(self):
         if self.predicate is RelationPredicate.NONE:
@@ -170,10 +163,10 @@ class RelationTable(Sequence[RelationTriplet]):
     """A scene's relations as an int [T, 3] table of (subject index, predicate id, object index).
 
     ``categories`` holds each instance's category and ``rows`` the
-    ``RELATION_SET`` ids; both are read-only. Reading row i builds its
-    ``RelationTriplet``, with the instance ids filled in. A row that is not
-    an int triple, points outside ``categories`` or ``RELATION_SET``, or
-    relates an instance to itself raises ValueError.
+    ``RELATION_SET`` ids; both are read-only, and equal ones make equal tables.
+    Reading row i builds its ``RelationTriplet``, with the instance ids filled
+    in. A row that is not an int triple, points outside ``categories`` or
+    ``RELATION_SET``, or relates an instance to itself raises ValueError.
     """
 
     def __init__(self, categories: Sequence[str], rows: np.ndarray):
@@ -193,6 +186,10 @@ class RelationTable(Sequence[RelationTriplet]):
 
     def __len__(self) -> int:
         return len(self.rows)
+
+    def __eq__(self, other) -> bool:
+        same = isinstance(other, RelationTable) and self.categories == other.categories
+        return same and np.array_equal(self.rows, other.rows)
 
     def _triplet(self, s: int, p: int, o: int) -> RelationTriplet:
         return RelationTriplet(self.categories[s], RELATION_SET[p], self.categories[o], s, o)

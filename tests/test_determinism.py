@@ -41,7 +41,8 @@ def prep_and_losses(scene: SceneLayout, seed: int) -> list[bytes]:
     loss = tn.add(recon_loss(attrs, targets[None], weights), triplet_loss(gt, *heads, weights))
     loss.backward()
 
-    out = [grid.tokens.tobytes(), repr(list(table)).encode(), instr.text.encode(), repr(instr.triplets).encode()]
+    out = [grid.tokens.tobytes(), repr(list(table)).encode(), instr.text.encode()]
+    out += [instr.triplets.rows.tobytes(), repr(instr.triplets.categories).encode()]
     out += [plan.positions.tobytes(), corrupted.tokens.tobytes(), corrupted.mask_flags.tobytes(), targets.tobytes()]
     out.append(loss.data.tobytes())
     out += [b"" if t.grad is None else t.grad.tobytes() for t in (*attrs.values(), *heads)]

@@ -21,12 +21,11 @@ from scenenat.relations import (
     RELATION_SET,
     GeometryFrame,
     RelationPredicate,
-    RelationTriplet,
+    RelationTable,
     box_table,
     extract_triplets,
     footprint_corners,
     frame_of,
-    predicate_id,
     relation_matrix,
 )
 from scenenat.scene import DiscretizationSpec, SceneCodec, SceneLayout, SceneObject
@@ -520,7 +519,7 @@ def test_collision_metrics_builds_each_footprint_once(monkeypatch, n):
         extract_triplets,
         collision_metrics,
         # the instruction names only the lamp, so the scene index differs from its index among the lamps
-        lambda scene: irecall([make_instruction([RelationTriplet("lamp", RelationPredicate.RIGHT_OF, "lamp")])], [scene]),
+        lambda scene: irecall([make_instruction([("lamp", RelationPredicate.RIGHT_OF, "lamp")])], [scene]),
     ],
     ids=["extract_triplets", "collision_metrics", "irecall"],
 )
@@ -549,7 +548,10 @@ def test_volumes_reject_a_non_finite_frame(volume, bad):
 
 
 def make_instruction(triplets):
-    return Instruction(text="", tokens=[], triplets=triplets)
+    """An instruction over (subject, predicate, object) category triplets, each relating two instances of its own."""
+    categories = [c for s, _, o in triplets for c in (s, o)]
+    rows = np.array([(2 * i, RELATION_SET.index(p), 2 * i + 1) for i, (_, p, _) in enumerate(triplets)], dtype=np.int64)
+    return Instruction(text="", tokens=[], triplets=RelationTable(categories, rows.reshape(-1, 3)))
 
 
 def test_irecall_partial():
@@ -558,10 +560,10 @@ def test_irecall_partial():
         [obj("chair", 2, 0), obj("desk", 0, 0), obj("lamp", 0, 2)],
     )
     triplets = [
-        RelationTriplet("chair", RelationPredicate.RIGHT_OF, "desk"),
-        RelationTriplet("lamp", RelationPredicate.IN_FRONT_OF, "desk"),
-        RelationTriplet("chair", RelationPredicate.ABOVE, "desk"),
-        RelationTriplet("desk", RelationPredicate.BEHIND, "lamp"),
+        ("chair", RelationPredicate.RIGHT_OF, "desk"),
+        ("lamp", RelationPredicate.IN_FRONT_OF, "desk"),
+        ("chair", RelationPredicate.ABOVE, "desk"),
+        ("desk", RelationPredicate.BEHIND, "lamp"),
     ]
     overall, by_k = irecall([make_instruction(triplets)], [scene])
     assert overall == pytest.approx(75.0)
@@ -569,14 +571,14 @@ def test_irecall_partial():
 
 
 def test_irecall_empty_scene_scores_zero():
-    triplets = [RelationTriplet("chair", RelationPredicate.RIGHT_OF, "desk")]
+    triplets = [("chair", RelationPredicate.RIGHT_OF, "desk")]
     overall, _ = irecall([make_instruction(triplets)], [SceneLayout("bedroom", [])])
     assert overall == 0.0
 
 
 def test_irecall_rejects_instruction_without_triplets():
     scene = SceneLayout("bedroom", [obj("chair", 2, 0), obj("desk", 0, 0)])
-    t = RelationTriplet("chair", RelationPredicate.RIGHT_OF, "desk")
+    t = ("chair", RelationPredicate.RIGHT_OF, "desk")
     with pytest.raises(ValueError, match="instruction 1 has no triplets"):
         irecall([make_instruction([t]), make_instruction([])], [scene, scene])
 
@@ -584,7 +586,7 @@ def test_irecall_rejects_instruction_without_triplets():
 def test_irecall_injective_matching():
     # two identical instructed triplets but only one realizing pair
     scene = SceneLayout("bedroom", [obj("chair", 2, 0), obj("desk", 0, 0)])
-    t = RelationTriplet("chair", RelationPredicate.RIGHT_OF, "desk")
+    t = ("chair", RelationPredicate.RIGHT_OF, "desk")
     overall, _ = irecall([make_instruction([t, t])], [scene])
     assert overall == pytest.approx(50.0)
     # a second chair provides the second pair
@@ -598,8 +600,8 @@ def test_irecall_injective_matching():
 
 def test_irecall_monotone_under_added_objects():
     scene = SceneLayout("bedroom", [obj("chair", 2, 0), obj("desk", 0, 0)])
-    t1 = RelationTriplet("chair", RelationPredicate.RIGHT_OF, "desk")
-    t2 = RelationTriplet("lamp", RelationPredicate.BEHIND, "desk")
+    t1 = ("chair", RelationPredicate.RIGHT_OF, "desk")
+    t2 = ("lamp", RelationPredicate.BEHIND, "desk")
     base, _ = irecall([make_instruction([t1, t2])], [scene])
     richer = SceneLayout("bedroom", scene.objects + [obj("lamp", 0, -1.5)])
     more, _ = irecall([make_instruction([t1, t2])], [richer])
@@ -615,7 +617,7 @@ def realized_oracle(instruction, scene):
         [
             [
                 (objects[i].category, objects[j].category) == (t.subject, t.object)
-                and relation_matrix(box_table([objects[i], objects[j]]))[0, 1] == predicate_id(t.predicate)
+                and relation_matrix(box_table([objects[i], objects[j]]))[0, 1] == RELATION_SET.index(t.predicate)
                 for i, j in pairs
             ]
             for t in instruction.triplets
@@ -624,6 +626,18 @@ def realized_oracle(instruction, scene):
     )
     rows, cols = linear_sum_assignment(candidates, maximize=True)
     return int(candidates[rows, cols].sum())
+
+
+def own_or_random_triplet(own: RelationTable, categories, rng) -> tuple:
+    """Half the time (when it has rows) a row of the scene's own table, else a random (subject, predicate, object)."""
+    if own and rng.uniform() < 0.5:
+        t = own[int(rng.integers(len(own)))]
+        return t.subject, t.predicate, t.object
+    return (
+        categories[int(rng.integers(4))],
+        RELATION_SET[int(rng.integers(len(RELATION_SET)))],
+        categories[int(rng.integers(4))],
+    )
 
 
 def test_irecall_matches_pairwise_oracle():
@@ -644,14 +658,7 @@ def test_irecall_matches_pairwise_oracle():
         own = extract_triplets(scene)
         repeat = rng.uniform() < 0.5
         triplets = [
-            own[int(rng.integers(len(own)))]
-            if own and rng.uniform() < 0.5
-            else RelationTriplet(
-                codec.categories[int(rng.integers(4))],
-                RELATION_SET[int(rng.integers(len(RELATION_SET)))],
-                codec.categories[int(rng.integers(4))],
-            )
-            for _ in range(int(rng.integers(1, 4 if repeat else 5)))
+            own_or_random_triplet(own, codec.categories, rng) for _ in range(int(rng.integers(1, 4 if repeat else 5)))
         ]
         if repeat:  # half the instructions name one triplet twice, so min(m, c) meets a general matching
             triplets.append(triplets[int(rng.integers(len(triplets)))])

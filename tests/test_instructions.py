@@ -16,7 +16,6 @@ from scenenat.instructions import (
     SENTENCE_FRAMES,
     TEMPLATES,
     Instruction,
-    _discourse_order,
     _referring_expressions,
     build_word_vocab,
     synthesize_instruction,
@@ -38,22 +37,49 @@ def pair_of(t: RelationTriplet) -> frozenset[int]:
     return frozenset((t.subject_instance, t.object_instance))
 
 
-def synthesize_oracle(k: int, rng: np.random.Generator, triplets: list[RelationTriplet]) -> Instruction:
-    """Pair-first sampling over a triplet list, grouping by unordered pair in a dict."""
+def discourse_order_oracle(triplets: list[RelationTriplet]) -> list[RelationTriplet]:
+    """Greedy reorder so each sentence reuses a mentioned category if it can."""
+    remaining = list(triplets)
+    ordered = [remaining.pop(0)]
+    mentioned = {ordered[0].subject, ordered[0].object}
+    while remaining:
+        idx = next((i for i, t in enumerate(remaining) if t.subject in mentioned or t.object in mentioned), 0)
+        nxt = remaining.pop(idx)
+        ordered.append(nxt)
+        mentioned.update((nxt.subject, nxt.object))
+    return ordered
+
+
+def referring_expressions_oracle(ordered: list[RelationTriplet]) -> list[tuple[str, str]]:
+    """The article of each mention: "another" for an instance new to a category that already has one, else "the"."""
+    introduced: dict[str, set[int]] = {}
+    arts = []
+    for t in ordered:
+        pair = []
+        for cat, inst in ((t.subject, t.subject_instance), (t.object, t.object_instance)):
+            seen = introduced.setdefault(cat, set())
+            pair.append("another" if seen and inst not in seen else "the")
+            seen.add(inst)
+        arts.append(tuple(pair))
+    return arts
+
+
+def synthesize_oracle(k: int, rng: np.random.Generator, table: RelationTable) -> Instruction:
+    """Pair-first sampling over a table's triplets, grouping by unordered pair in a dict."""
     pairs: dict[tuple[int, int], list[RelationTriplet]] = {}
-    for t in triplets:
+    for t in table:
         a, b = t.subject_instance, t.object_instance
         pairs.setdefault((a, b) if a < b else (b, a), []).append(t)
     keys = list(pairs)
     picked = sorted(keys[i] for i in rng.choice(len(keys), size=min(k, len(keys)), replace=False).tolist())
     members = rng.integers([len(pairs[key]) for key in picked]).tolist()
-    chosen = _discourse_order([pairs[key][j] for key, j in zip(picked, members)])
+    chosen = discourse_order_oracle([pairs[key][j] for key, j in zip(picked, members)])
     sentences = []
-    for t, (art_s, art_o) in zip(chosen, _referring_expressions(chosen)):
+    for t, (art_s, art_o) in zip(chosen, referring_expressions_oracle(chosen)):
         frame = TEMPLATES[t.predicate][int(rng.integers(len(SENTENCE_FRAMES)))]
         sentences.append(frame.replace("{s}", f"{art_s} {t.subject}").replace("{o}", f"{art_o} {t.object}"))
     text = f" {CONNECTOR} ".join(sentences)
-    return Instruction(text=text, tokens=tokenize_text(text, VOCAB), triplets=chosen)
+    return Instruction(text=text, tokens=tokenize_text(text, VOCAB), triplets=table_of(table.categories, chosen))
 
 
 def table_of(categories: list[str], triplets: list[RelationTriplet]) -> RelationTable:
@@ -113,32 +139,31 @@ def test_table_sampling_matches_dict_grouping_oracle(scene, k, seed):
     table = extract_triplets(scene)
     assume(table)
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    assert synthesize_instruction(scene, k, rng, word_to_id=VOCAB) == synthesize_oracle(k, oracle_rng, list(table))
+    assert synthesize_instruction(scene, k, rng, word_to_id=VOCAB) == synthesize_oracle(k, oracle_rng, table)
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+# Instances 0 and 2 are beds, 1 a chair and 3 a desk.
+ARTICLE_CATEGORIES = ("bed", "chair", "bed", "desk")
 
 
 @pytest.mark.parametrize(
     "ordered, articles",
     [
-        ([("bed", 0, "chair", 1)], [("the", "the")]),
-        ([("bed", 0, "chair", 1), ("chair", 1, "bed", 0)], [("the", "the"), ("the", "the")]),
-        ([("bed", 0, "chair", 1), ("bed", 2, "chair", 1)], [("the", "the"), ("another", "the")]),
-        (
-            [("bed", 0, "chair", 1), ("bed", 2, "chair", 1), ("desk", 3, "bed", 2), ("bed", 0, "desk", 3)],
-            [("the", "the"), ("another", "the"), ("the", "the"), ("the", "the")],
-        ),
-        ([("bed", 0, "bed", 2), ("bed", 2, "chair", 1)], [("the", "another"), ("the", "the")]),
-        (
-            [("bed", None, "chair", None), ("chair", None, "bed", None), ("bed", None, "bed", None)],
-            [("the", "the"), ("the", "the"), ("the", "the")],
-        ),
+        ([(0, 1)], [("the", "the")]),
+        ([(0, 1), (1, 0)], [("the", "the"), ("the", "the")]),
+        ([(0, 1), (2, 1)], [("the", "the"), ("another", "the")]),
+        ([(0, 1), (2, 1), (3, 2), (0, 3)], [("the", "the"), ("another", "the"), ("the", "the"), ("the", "the")]),
+        ([(0, 2), (2, 1)], [("the", "another"), ("the", "the")]),
     ],
-    ids=["first-mention", "same-instance-again", "second-instance", "second-instance-again", "one-triplet", "no-instances"],
+    ids=["first-mention", "same-instance-again", "second-instance", "second-instance-again", "one-triplet"],
 )
 def test_article_rule(ordered, articles):
     # "another" introduces an instance of a category that already has a different one; every other mention is "the"
-    triplets = [RelationTriplet(s, P.LEFT_OF, o, s_inst, o_inst) for s, s_inst, o, o_inst in ordered]
-    assert _referring_expressions(triplets) == articles
+    rows = [[s, RELATION_SET.index(P.LEFT_OF), o] for s, o in ordered]
+    assert _referring_expressions(ARTICLE_CATEGORIES, rows) == articles
+    triplets = list(RelationTable(ARTICLE_CATEGORIES, rows))
+    assert referring_expressions_oracle(triplets) == articles
 
 
 def test_dense_scene_builds_triplets_only_for_the_instruction(monkeypatch):
@@ -160,8 +185,7 @@ def test_dense_scene_builds_triplets_only_for_the_instruction(monkeypatch):
     assert len(table) > 900 and built == []
     for k in range(1, 5):
         synthesize_instruction(scene, k, rng, word_to_id=VOCAB, triplets=table)
-        assert len(built) <= k
-        built.clear()
+        assert built == []
 
 
 def test_pair_and_member_frequencies_match_exact_probabilities():

@@ -18,7 +18,9 @@ from scenenat.matching import (
     total_loss,
     triplet_loss,
 )
-from scenenat.relations import RelationPredicate, RelationTable, RelationTriplet, extract_triplets, predicate_id
+from scenenat.evaluation import irecall
+from scenenat.instructions import build_word_vocab, synthesize_instruction
+from scenenat.relations import RELATION_SET, RelationPredicate, RelationTable, extract_triplets
 from scenenat.scene import DiscretizationSpec, SceneCodec, SceneLayout, SceneObject
 from scenenat.tensor import ShapeError, Tensor
 
@@ -185,22 +187,42 @@ def test_matched_loss_is_minimum_over_every_assignment():
 def test_triplet_loss_permutation_invariant_bitwise():
     rng = np.random.default_rng(2)
     codec = make_codec()
-    triplets = [
-        RelationTriplet("bed", RelationPredicate.LEFT_OF, "chair"),
-        RelationTriplet("desk", RelationPredicate.ABOVE, "lamp"),
-        RelationTriplet("chair", RelationPredicate.BEHIND, "desk"),
-    ]
+    # bed left of chair, desk above lamp, chair behind desk
+    left, above, behind = (RELATION_SET.index(RelationPredicate(p)) for p in ("left_of", "above", "behind"))
+    rows = [[0, left, 1], [2, above, 3], [1, behind, 2]]
     s, p, o = random_heads(rng, n_cat=codec.num_classes + 1)
     weights = LossWeights()
-    base = triplet_loss(encode_triplets(triplets, codec), s, p, o, weights).item()
-    for perm in itertools.permutations(triplets):
-        value = triplet_loss(encode_triplets(list(perm), codec), s, p, o, weights).item()
+    base = triplet_loss(encode_triplets(RelationTable(codec.categories, rows), codec), s, p, o, weights).item()
+    for perm in itertools.permutations(rows):
+        value = triplet_loss(encode_triplets(RelationTable(codec.categories, perm), codec), s, p, o, weights).item()
         assert value == base  # bitwise
 
 
-def test_encode_table_equals_encode_of_its_triplets():
+def encode_oracle(table: RelationTable, codec: SceneCodec) -> list[list[int]]:
+    """The sorted class ids of a table's triplets, read one row's triplet at a time."""
+    ids = sorted((codec.category_id(t.subject), RELATION_SET.index(t.predicate), codec.category_id(t.object)) for t in table)
+    return [list(row) for row in ids]
+
+
+def assert_encodes_as_oracle(encoded: np.ndarray, table: RelationTable, codec: SceneCodec):
+    assert encoded.dtype == np.int64 and encoded.shape == (len(table), 3)
+    assert encoded.tolist() == encode_oracle(table, codec)
+
+
+def test_encode_table_equals_encode_of_its_triplets(monkeypatch):
+    # Encoding, instruction synthesis and iRecall read the int rows; none of them builds a row's triplet.
+    reads = []
+    read_row = RelationTable._triplet
+
+    def counting(self, s, p, o):
+        reads.append((s, p, o))
+        return read_row(self, s, p, o)
+
+    monkeypatch.setattr(RelationTable, "_triplet", counting)
     rng = np.random.default_rng(8)
     codec = make_codec()
+    vocab = build_word_vocab(codec.categories)
+    instructed = 0
     for n in (0, 1, 2, 8, 8, 8):
         objects = [
             SceneObject(
@@ -212,10 +234,19 @@ def test_encode_table_equals_encode_of_its_triplets():
             )
             for _ in range(n)
         ]
-        table = extract_triplets(SceneLayout("bedroom", objects))
-        encoded = encode_triplets(table, codec)
-        assert encoded == encode_triplets(list(table), codec)
-        assert all(type(v) is int for row in encoded for v in row)
+        scene = SceneLayout("bedroom", objects)
+        table = extract_triplets(scene)
+        cases = [(table, encode_triplets(table, codec))]
+        if len(table):
+            instr = synthesize_instruction(scene, 4, rng, word_to_id=vocab, triplets=table)
+            cases.append((instr.triplets, encode_triplets(instr.triplets, codec)))
+            assert irecall([instr], [scene])[0] == 100.0
+            instructed += 1
+        assert reads == []
+        for source, encoded in cases:
+            assert_encodes_as_oracle(encoded, source, codec)
+        reads.clear()
+    assert instructed >= 3
 
 
 @pytest.mark.parametrize(
@@ -223,19 +254,23 @@ def test_encode_table_equals_encode_of_its_triplets():
     ids=["empty", "repeated"],
 )
 def test_encode_list_equals_encode_of_its_table(rows):
+    # the sorted list of the table's triplet ids
     codec = make_codec()
     table = RelationTable(["lamp", "bed", "chair"], rows)
-    encoded = encode_triplets(list(table), codec)
-    assert encoded == encode_triplets(table, codec)
-    assert encoded == sorted((codec.category_id(t.subject), predicate_id(t.predicate), codec.category_id(t.object)) for t in table)
-    assert all(type(v) is int for row in encoded for v in row)
+    assert_encodes_as_oracle(encode_triplets(table, codec), table, codec)
 
 
-@pytest.mark.parametrize("as_list", [False, True], ids=["table", "list"])
-def test_encode_triplets_names_an_unknown_category(as_list):
-    table = RelationTable(["bed", "sofa"], [[0, 3, 1]])
+@pytest.mark.parametrize("categories", [["bed", "sofa"], ["sofa", "bed"]], ids=["object", "subject"])
+def test_encode_triplets_names_an_unknown_category(categories):
+    table = RelationTable(categories, [[0, 3, 1]])
     with pytest.raises(ValueError, match="unknown category 'sofa'"):
-        encode_triplets(list(table) if as_list else table, make_codec())
+        encode_triplets(table, make_codec())
+
+
+def test_encode_triplets_looks_up_only_the_categories_its_rows_use():
+    # no row uses the sofa, so its absence from the codec does not matter
+    table = RelationTable(["bed", "chair", "sofa"], [[0, 3, 1]])
+    assert encode_triplets(table, make_codec()).tolist() == [[0, 3, 1]]
 
 
 def test_triplet_loss_truncates_excess_ground_truth():
@@ -244,6 +279,15 @@ def test_triplet_loss_truncates_excess_ground_truth():
     gt = [(0, 0, 0), (1, 1, 1), (2, 2, 2)]
     loss = triplet_loss(gt, s, p, o, LossWeights())
     assert np.isfinite(loss.item())
+
+
+def test_triplet_loss_checks_every_class_before_truncating():
+    # the bad third triplet lies past the two queries, so it would be dropped unchecked
+    s, p, o = random_heads(np.random.default_rng(3), n_q=2)
+    before = matching.truncated_triplet_count()
+    with pytest.raises(ShapeError, match="outside heads"):
+        triplet_loss([(0, 0, 0), (1, 1, 1), (99, -5, 0)], s, p, o, LossWeights())
+    assert matching.truncated_triplet_count() == before
 
 
 # Ground-truth triplets outside the default 6 / 11 / 6-class random_heads; the last class of each is null.

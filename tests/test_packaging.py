@@ -1,4 +1,5 @@
-"""pyproject.toml declares exactly the third-party modules the package and its tests import."""
+"""pyproject.toml declares exactly the third-party modules the package and its tests import, and every public
+function and class of the package has a caller outside the tests."""
 
 import ast
 import re
@@ -56,3 +57,40 @@ def test_script_entry_points_resolve():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         defined = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
         assert func in defined, f"script {name} names missing function {target}"
+
+
+# Public names with no caller in src or bench, each kept for a stated reason.
+NO_CALLER_YET = {
+    "mul": "tensor op; the gradchecks reduce through it",
+    "tensor_sum": "tensor op; the gradchecks reduce through it",
+    "total_loss": "the training loop of ROADMAP item 1 calls it",
+    "remask_count": "the MaskGIT decoder of ROADMAP item 1 calls it",
+}
+# Public names that were deleted once nothing called them.
+DELETED = {"predicate_id": "a predicate's id is its RELATION_SET index"}
+
+
+def referenced_names(tree: ast.AST) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    public, used = set(), set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = getattr(node, "name", None)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not own.startswith("_"):
+                public.add(own)
+            used |= referenced_names(node) - {own}
+    for path in (ROOT / "bench").glob("*.py"):
+        used |= referenced_names(ast.parse(path.read_text(encoding="utf-8")))
+    assert not public & DELETED.keys()
+    assert public - used == NO_CALLER_YET.keys()

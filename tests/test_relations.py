@@ -327,11 +327,20 @@ def test_table_reads_rows_as_triplets():
     second = RelationTriplet("desk", RelationPredicate.LEFT_OF, "chair", 1, 0)
     assert len(table) == 2 and table[0] == first and table[-1] == second
     assert list(table) == table[:] == [first, second]
-    assert second in table and RelationTriplet("chair", RelationPredicate.RIGHT_OF, "desk") not in table
+    assert second in table and RelationTriplet("chair", RelationPredicate.RIGHT_OF, "desk", 1, 0) not in table
     with pytest.raises(IndexError):
         table[2]
     with pytest.raises(ValueError):
         table.rows[0, 0] = 1
+
+
+def test_tables_are_equal_when_their_categories_and_rows_are():
+    table = RelationTable(["bed", "chair"], [[0, 1, 1]])
+    assert table == RelationTable(("bed", "chair"), np.array([[0, 1, 1]], dtype=np.int32))
+    assert table != RelationTable(["bed", "desk"], [[0, 1, 1]])
+    assert table != RelationTable(["bed", "chair"], [[0, 2, 1]])
+    assert table != RelationTable(["bed", "chair"], [[0, 1, 1], [1, 3, 0]])
+    assert table != list(table)
 
 
 def test_empty_table_has_an_int_rows_array():
