@@ -8,11 +8,11 @@ head and uses it for both the assignment cost and the loss. matching_cost is
 the DETR-style negative-probability cost (Carion et al., arXiv 2005.12872),
 kept only as a diagnostic; nothing in the loss assigns with it.
 
-Their ground truth gt is any int [J, 3] array of (subject, predicate, object)
-class ids, such as encode_triplets makes from a RelationTable. Each loss is
-one weighted-NLL node of scenenat.tensor whose inputs are the logits it reads;
-this module builds the assignments, targets and weights, and tensor owns the
-float arithmetic.
+Their ground truth gt is an int [J, 3] array of (subject, predicate, object)
+class ids, as encode_triplets makes from a RelationTable, or an empty
+sequence; any other gt raises ShapeError. Each loss is one weighted-NLL node
+of scenenat.tensor whose inputs are the logits it reads; this module builds
+the assignments, targets and weights, and tensor owns the float arithmetic.
 """
 
 from __future__ import annotations
@@ -72,12 +72,14 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
     return linear_sum_assignment(cost)[1]
 
 
-def _classes(gt: np.ndarray, heads) -> np.ndarray:
-    """The [3, J] classes of an int [J, 3] gt: subject, predicate, object; each below its head's null class."""
-    classes = np.asarray(gt, dtype=np.int64).reshape(-1, 3).T
+def _classes(gt, heads) -> np.ndarray:
+    """The [3, J] classes of an int [J, 3] gt or an empty sequence, each below its head's null class."""
+    gt = np.zeros((0, 3), dtype=np.int64) if np.shape(gt)[:1] == (0,) else np.asarray(gt)
     widths = [logits.shape[-1] for logits in heads]
-    if classes.size and (classes.min() < 0 or (classes.max(axis=1) >= np.array(widths) - 1).any()):
-        raise tn.ShapeError(f"triplet classes outside heads of {widths} classes, each ending in its null class")
+    well_formed = gt.ndim == 2 and gt.shape[1] == 3 and gt.dtype.kind in "iu"
+    classes = gt.T.astype(np.int64) if well_formed else gt
+    if not well_formed or (classes.size and (classes.min() < 0 or (classes.max(axis=1) >= np.array(widths) - 1).any())):
+        raise tn.ShapeError(f"triplet gt {gt.dtype} {gt.shape}: not int [J, 3], or classes outside heads of {widths}")
     return classes
 
 
@@ -93,11 +95,12 @@ def matching_cost(
     class is reserved: a negative or null ground-truth id raises ShapeError.
     """
     heads = (subject_logits, predicate_logits, object_logits)
+    classes = _classes(gt, heads)
     n_q = subject_logits.shape[0]
-    if len(gt) > n_q:
-        raise ValueError(f"{len(gt)} ground-truth triplets exceed {n_q} queries")
-    cost = np.zeros((len(gt), n_q))
-    for logits, c in zip(heads, _classes(gt, heads)):
+    if classes.shape[1] > n_q:
+        raise ValueError(f"{classes.shape[1]} ground-truth triplets exceed {n_q} queries")
+    cost = np.zeros((classes.shape[1], n_q))
+    for logits, c in zip(heads, classes):
         cost -= np.exp(tn.log_softmax_array(logits))[:, c].T
     return cost
 

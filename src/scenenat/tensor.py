@@ -3,13 +3,12 @@
 numpy holds the values. Each op records a closure that maps its output's
 gradient to one gradient per input, in input order and of that input's
 shape. Tensor.backward walks the recorded graph in reverse topological order
-and alone accumulates those gradients into the inputs that require grad:
-leaf grads add up across passes, interior grads restart at each pass. A
-leaf's grad is its own writable array; an interior node's grad may alias
-the array an op's backward returned (or another node's grad), so it is only
-read. _make records a node under this contract and _summed_nll the
-weighted-NLL node; both are package-internal, not public API. _make alone
-decides whether an op records: outside no_grad, when an input requires grad.
+and alone accumulates those gradients. Only a leaf that requires grad keeps
+a .grad: its own writable array, which adds up across passes. Interior grads
+exist only during backward, each dropped once its node's rule has used it.
+_make records a node under this contract and _summed_nll the weighted-NLL
+node; both are package-internal, not public API. _make alone decides
+whether an op records: outside no_grad, when an input requires grad.
 A leaf keeps its requires_grad under no_grad and gets grads after the block.
 Dense row-major arrays only; broadcasting is limited to missing leading
 (batch) dims plus size-1 axes, and the backward rules undo it by summation
@@ -76,29 +75,26 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.item())
 
-    def accumulate_grad(self, g: np.ndarray) -> None:
-        if self._backward is not None:
-            # Interior: adopt g as is, add out of place, so an aliased array is never written.
-            self.grad = np.asarray(g) if self.grad is None else np.asarray(self.grad + g)
-        elif self.grad is None:
-            self.grad = g.copy() if isinstance(g, np.ndarray) else np.asarray(g)
-        else:
-            self.grad += g
-
     def backward(self) -> None:
-        """Populate grads of every requires_grad ancestor of this scalar."""
+        """Add the gradient of this scalar into the .grad of every leaf ancestor that requires grad."""
         if self.data.size != 1:
             raise ValueError(f"backward() needs a scalar loss, got shape {self.shape}")
-        tape = build_tape(self)
-        for node in tape:
+        interior: dict[Tensor, np.ndarray] = {}
+
+        def receive(node: Tensor, g) -> None:
             if node._backward is not None:
-                node.grad = None  # a second pass must not add to the first pass's interior grads
-        self.grad = np.ones_like(self.data)
-        for node in reversed(tape):
-            if node._backward is not None and node.grad is not None:
-                for parent, grad in zip(node._parents, node._backward(node.grad)):
-                    if parent.requires_grad:
-                        parent.accumulate_grad(grad)
+                # Adopt g as is and add out of place: g may be read-only or another node's grad too.
+                interior[node] = np.asarray(g) if node not in interior else np.asarray(interior[node] + g)
+            elif node.requires_grad and node.grad is None:
+                node.grad = np.asarray(g).copy()
+            elif node.requires_grad:
+                node.grad += g
+
+        receive(self, np.ones_like(self.data))
+        for node in reversed(build_tape(self)):
+            if node in interior:
+                for parent, g in zip(node._parents, node._backward(interior.pop(node))):
+                    receive(parent, g)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype}, requires_grad={self.requires_grad})"

@@ -290,7 +290,8 @@ def test_triplet_loss_checks_every_class_before_truncating():
     assert matching.truncated_triplet_count() == before
 
 
-# Ground-truth triplets outside the default 6 / 11 / 6-class random_heads; the last class of each is null.
+# Ground truth that is not int [J, 3] classes inside the default 6 / 11 / 6-class random_heads; the last
+# class of each is null.
 OUTSIDE_HEADS = {
     "negative": [(-1, 0, 0)],
     "subject-null": [(5, 0, 0)],
@@ -298,6 +299,10 @@ OUTSIDE_HEADS = {
     "object-null": [(0, 0, 5)],
     "predicate-null+1": [(0, 11, 0)],
     "object-null+1": [(0, 0, 6)],
+    "two-rows-of-six": np.zeros((2, 6), dtype=int),
+    "flat-0-1-2": [0, 1, 2],
+    "flat-1-2-3": [1, 2, 3],
+    "float": np.full((1, 3), 0.7),
 }
 
 
@@ -561,6 +566,15 @@ def test_recon_loss_is_one_node_bitwise_equal_to_composed_chain(case, dtype):
     supervised = [leaves[name] for name in ATTRIBUTE_COLUMNS if name not in RECON_CASES[case]]
     assert loss._parents == tuple(supervised)
     assert len(tn.build_tape(loss)) == 1 + len(supervised)
+
+
+def test_recon_loss_with_nothing_supervised_backs_up_to_no_grads():
+    rng = np.random.default_rng(12)
+    leaves = {k: Tensor(v, requires_grad=True) for k, v in attribute_logits(rng, np.float32).items()}
+    loss = recon_loss(leaves, recon_targets(rng, unsupervised=tuple(ATTRIBUTE_COLUMNS)), WEIGHTS)
+    loss.backward()
+    assert loss.item() == 0.0
+    assert loss.grad is None and all(t.grad is None for t in leaves.values())
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -204,7 +204,7 @@ def test_interior_node_used_twice_gets_twice_the_grad():
     x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
     y = T.scale(x, 3.0)
     T.tensor_sum(T.add(y, y)).backward()
-    np.testing.assert_array_equal(y.grad, [2.0, 2.0])
+    assert y.grad is None
     np.testing.assert_array_equal(x.grad, [6.0, 6.0])
 
 
@@ -214,6 +214,19 @@ def test_second_backward_adds_only_to_leaf_grads():
     loss.backward()
     loss.backward()
     np.testing.assert_array_equal(x.grad, [6.0, 6.0])
+
+
+def test_one_element_leaf_root_adds_up_across_passes():
+    x = Tensor(np.array([3.0]), requires_grad=True)
+    x.backward()
+    x.backward()
+    np.testing.assert_array_equal(x.grad, [2.0])
+
+
+def test_root_that_requires_no_grad_gets_no_grad():
+    c = Tensor(np.array(3.0))
+    c.backward()
+    assert c.grad is None
 
 
 def test_losses_sharing_an_interior_node_add_their_own_grads():
@@ -441,3 +454,4 @@ def test_embedding_attention_cross_entropy_step_grads_stay_float32():
     assert loss.dtype == np.float32
     params = {"table": table, "wq": wq, "wk": wk, "wv": wv, "head": head, "gamma": gamma, "beta": beta}
     assert {name: p.grad.dtype for name, p in params.items()} == dict.fromkeys(params, np.dtype(np.float32))
+    assert [node for node in T.build_tape(loss) if node._parents and node.grad is not None] == []
