@@ -11,12 +11,15 @@ an overlap area at or below ``_TOUCH_AREA`` (1e-13) times (1 + the
 footprints' largest coordinate magnitude)^2 counts as 0.
 
 One pair loop, ``_overlaps``, serves ``collision_metrics`` and
-``obb_intersection_volume``. It builds each box's ``_box`` record once, not
-once per pair, and skips the clip for pairs whose footprint bounds or z
-ranges lie apart. The clip scores such footprints at most a rounding sliver,
-which the touch floor counts as 0: that floor is the one tolerance, and the
-volumes equal those of clipping every pair. ``monte_carlo_volume`` samples in
-the overlap of the same records' bounds.
+``obb_intersection_volume``. ``collision_metrics`` hands it a scene's
+``box_rows``, plain floats with no numpy round trip; ``irecall`` reads the
+``box_table`` array, which ``relation_matrix`` classifies in one pass. The
+loop builds each box's ``_box`` record once, not once per pair, and skips
+the clip for pairs whose footprint bounds or z ranges lie apart. The clip
+scores such footprints at most a rounding sliver, which the touch floor
+counts as 0: that floor is the one tolerance, and the volumes equal those of
+clipping every pair. ``monte_carlo_volume`` samples in the overlap of the
+same records' bounds.
 
 ``irecall`` counts instead of matching: an ordered object pair holds one
 relation, so the injective matching of an instruction's triplets to pairs
@@ -33,7 +36,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .instructions import Instruction
-from .relations import GeometryFrame, box_corners, box_table, relation_matrix
+from .relations import GeometryFrame, box_corners, box_rows, box_table, relation_matrix
 from .scene import ATTRIBUTE_COLUMNS, GRID_COLUMNS, LAYOUT_ATTRIBUTES, SceneLayout, TokenizedScene
 
 
@@ -41,13 +44,34 @@ def _footprint(x: float, y: float, hx: float, hy: float, yaw: float) -> tuple:
     """A box's footprint as the clip reads it: (corners, edges, x_lo, x_hi, y_lo, y_hi, reach).
 
     ``edges`` holds each counter-clockwise edge as (x, y, dx, dy), from corner i - 1 to corner i;
-    reach is 1 plus the largest coordinate magnitude of the corners.
+    reach is 1 plus the largest coordinate magnitude of the corners. Each bound is picked as
+    ``min``/``max`` would pick it, the first of equal values, so it is the same float.
     """
     corners = box_corners(x, y, hx, hy, yaw)
-    edges = [(x0, y0, x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(corners[-1:] + corners[:-1], corners)]
-    xs, ys = zip(*corners)
-    x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
-    return corners, edges, x_lo, x_hi, y_lo, y_hi, 1.0 + max(-x_lo, x_hi, -y_lo, y_hi)
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = corners
+    edges = [
+        (x3, y3, x0 - x3, y0 - y3),
+        (x0, y0, x1 - x0, y1 - y0),
+        (x1, y1, x2 - x1, y2 - y1),
+        (x2, y2, x3 - x2, y3 - y2),
+    ]
+    x_lo = x1 if x1 < x0 else x0
+    x_lo = x2 if x2 < x_lo else x_lo
+    x_lo = x3 if x3 < x_lo else x_lo
+    x_hi = x1 if x1 > x0 else x0
+    x_hi = x2 if x2 > x_hi else x_hi
+    x_hi = x3 if x3 > x_hi else x_hi
+    y_lo = y1 if y1 < y0 else y0
+    y_lo = y2 if y2 < y_lo else y_lo
+    y_lo = y3 if y3 < y_lo else y_lo
+    y_hi = y1 if y1 > y0 else y0
+    y_hi = y2 if y2 > y_hi else y_hi
+    y_hi = y3 if y3 > y_hi else y_hi
+    reach = -x_lo
+    reach = x_hi if x_hi > reach else reach
+    reach = -y_lo if -y_lo > reach else reach
+    reach = y_hi if y_hi > reach else reach
+    return corners, edges, x_lo, x_hi, y_lo, y_hi, 1.0 + reach
 
 
 def _clip_polygon(subject: list[tuple[float, float]], edges: list) -> list[tuple[float, float]]:
@@ -109,7 +133,7 @@ def _box(x: float, y: float, z: float, hx: float, hy: float, hz: float, yaw: flo
 
 
 def _overlaps(rows: list) -> Iterator[tuple[float, float]]:
-    """(intersection volume, smaller box volume) of each colliding pair i < j of ``box_table`` rows.
+    """(intersection volume, smaller box volume) of each colliding pair i < j of ``box_rows`` rows.
 
     Pairs whose footprint bounds or z ranges lie apart skip the clip (module docstring).
     """
@@ -186,7 +210,7 @@ def collision_metrics(scene: SceneLayout) -> CollisionReport:
     v_sum = 0.0
     volumes = []
     ratios = []
-    for v, smaller in _overlaps(box_table(scene.objects).tolist()):
+    for v, smaller in _overlaps(box_rows(scene.objects)):
         v_sum += v
         volumes.append(v)
         ratios.append(v / smaller)

@@ -74,8 +74,11 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
 
 def _classes(gt, heads) -> np.ndarray:
     """The [3, J] classes of an int [J, 3] gt or an empty sequence, each below its head's null class."""
-    gt = np.zeros((0, 3), dtype=np.int64) if np.shape(gt)[:1] == (0,) else np.asarray(gt)
     widths = [logits.shape[-1] for logits in heads]
+    try:
+        gt = np.zeros((0, 3), dtype=np.int64) if np.shape(gt)[:1] == (0,) else np.asarray(gt)
+    except ValueError:  # ragged rows
+        raise tn.ShapeError(f"triplet gt is ragged: not int [J, 3], or classes outside heads of {widths}") from None
     well_formed = gt.ndim == 2 and gt.shape[1] == 3 and gt.dtype.kind in "iu"
     classes = gt.T.astype(np.int64) if well_formed else gt
     if not well_formed or (classes.size and (classes.min() < 0 or (classes.max(axis=1) >= np.array(widths) - 1).any())):

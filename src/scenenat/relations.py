@@ -3,10 +3,12 @@
 Ten directional/vertical predicates plus ``none``. The XY plane is the
 ground, Z is up, yaw rotates about Z. All distances are in absolute scene
 units; the close and medium bands end at CLOSE_DISTANCE (1) and
-MEDIUM_DISTANCE (3). ``box_table`` packs a scene's objects into one float64
-[n, 7] array of ``GeometryFrame`` fields, which ``relation_matrix`` classifies
-in one array pass and the collision metric reads row by row. ``GeometryFrame``
-stays the scalar reference of the volume functions and the test oracles.
+MEDIUM_DISTANCE (3). ``box_rows`` reads each object's ``GeometryFrame``
+fields once, as a tuple of seven Python floats; the collision metric's pair
+loop reads these rows as they are. ``box_table`` is the same rows as one
+float64 [n, 7] array, which ``relation_matrix`` classifies in one array pass
+for extraction and iRecall. ``GeometryFrame`` stays the scalar reference of
+the volume functions and the test oracles.
 
 ``extract_triplets`` returns a scene's relations as a ``RelationTable``: the
 per-instance categories plus one int row (subject index, predicate id,
@@ -78,25 +80,40 @@ def frame_of(obj: SceneObject) -> GeometryFrame:
     return GeometryFrame(obj.position, tuple(s / 2.0 for s in obj.size), math.radians(obj.yaw_deg))
 
 
-def box_table(objects: Sequence[SceneObject]) -> np.ndarray:
-    """``frame_of``'s fields of each object as a float64 [n, 7] array: x y z, hx hy hz, yaw in radians.
+def box_rows(objects: Sequence[SceneObject]) -> list[tuple[float, ...]]:
+    """``frame_of``'s fields of each object as one tuple of Python floats: x y z, hx hy hz, yaw in radians.
 
+    Every field goes through ``float``, so a numpy float32 field cannot narrow the footprint arithmetic.
     An object whose half size is not positive raises ValueError naming its index.
     """
-    table = np.array([(*o.position, *o.size, o.yaw_deg) for o in objects], dtype=np.float64).reshape(-1, 7)
-    table[:, 3:6] /= 2.0
-    if (table[:, 3:6] <= 0).any():
-        i = int(np.argmax((table[:, 3:6] <= 0).any(axis=1)))
-        raise ValueError(f"object {i} has non-positive size {objects[i].size}")
-    table[:, 6] = np.radians(table[:, 6])
-    return table
+    rows = []
+    for i, o in enumerate(objects):
+        (x, y, z), (lx, ly, lz) = o.position, o.size
+        hx, hy, hz = float(lx) / 2.0, float(ly) / 2.0, float(lz) / 2.0
+        if hx <= 0.0 or hy <= 0.0 or hz <= 0.0:
+            raise ValueError(f"object {i} has non-positive size {o.size}")
+        rows.append((float(x), float(y), float(z), hx, hy, hz, math.radians(float(o.yaw_deg))))
+    return rows
+
+
+def box_table(objects: Sequence[SceneObject]) -> np.ndarray:
+    """The ``box_rows`` of the objects as a float64 [n, 7] array; a bad size raises as there."""
+    return np.array(box_rows(objects), dtype=np.float64).reshape(-1, 7)
 
 
 def box_corners(x: float, y: float, hx: float, hy: float, yaw: float) -> list[tuple[float, float]]:
-    """Ground-plane corners of a yaw-rotated box, counter-clockwise; footprint_corners and the collision clip's
-    ``evaluation._footprint`` call it."""
+    """Ground-plane corners of a yaw-rotated box, counter-clockwise from (-hx, -hy) in the box's frame.
+
+    Each corner is (x + dx * c - dy * s, y + dx * s + dy * c) for its half-extent signs (dx, dy), written out
+    straight-line; ``footprint_corners`` and the collision clip's ``evaluation._footprint`` call it.
+    """
     c, s = math.cos(yaw), math.sin(yaw)
-    return [(x + dx * c - dy * s, y + dx * s + dy * c) for dx, dy in ((-hx, -hy), (hx, -hy), (hx, hy), (-hx, hy))]
+    return [
+        (x + -hx * c - -hy * s, y + -hx * s + -hy * c),
+        (x + hx * c - -hy * s, y + hx * s + -hy * c),
+        (x + hx * c - hy * s, y + hx * s + hy * c),
+        (x + -hx * c - hy * s, y + -hx * s + hy * c),
+    ]
 
 
 def footprint_corners(f: GeometryFrame) -> list[tuple[float, float]]:

@@ -229,11 +229,13 @@ class SceneCodec:
     def detokenize(self, grid: TokenizedScene, room_type: str = "bedroom") -> SceneLayout:
         """Rebuild the continuous scene at bin centers; EMPTY rows are dropped.
 
-        A grid not of shape ``(max_objects, 12)``, or a live row holding a PAD,
+        A grid not of shape ``(max_objects, 12)`` or not of an integer dtype, or a live row holding a PAD,
         a negative id or an id past a column's head width, raises ValueError.
         """
         if grid.tokens.shape != (self.max_objects, GRID_COLUMNS):
             raise ValueError(f"grid has shape {grid.tokens.shape}, expected {(self.max_objects, GRID_COLUMNS)}")
+        if grid.tokens.dtype.kind not in "iu":
+            raise ValueError(f"grid tokens must be integers, got {grid.tokens.dtype}")
         mask_hits = grid.tokens == self.mask_ids[None, :]
         if mask_hits.any():
             n = int(mask_hits.sum())

@@ -7,7 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from scenenat import evaluation
+from scenenat import evaluation, relations
 from scenenat.evaluation import (
     CollisionReport,
     attribute_accuracy,
@@ -22,6 +22,7 @@ from scenenat.relations import (
     GeometryFrame,
     RelationPredicate,
     RelationTable,
+    box_corners,
     box_table,
     extract_triplets,
     footprint_corners,
@@ -38,6 +39,21 @@ def frame(x=0.0, y=0.0, z=0.5, w=1.0, d=1.0, h=1.0, yaw=0.0):
 def footprint_args(f: GeometryFrame):
     """A frame's (x, y, hx, hy, yaw): the arguments of ``evaluation._footprint``."""
     return f.center[0], f.center[1], f.half_extents[0], f.half_extents[1], f.yaw
+
+
+def box_corners_oracle(x, y, hx, hy, yaw):
+    """``box_corners`` as the comprehension it was written as: counter-clockwise from (-hx, -hy)."""
+    c, s = math.cos(yaw), math.sin(yaw)
+    return [(x + dx * c - dy * s, y + dx * s + dy * c) for dx, dy in ((-hx, -hy), (hx, -hy), (hx, hy), (-hx, hy))]
+
+
+def footprint_oracle(x, y, hx, hy, yaw):
+    """``evaluation._footprint`` as the zip/min/max record it was written as, over the corner oracle."""
+    corners = box_corners_oracle(x, y, hx, hy, yaw)
+    edges = [(x0, y0, x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(corners[-1:] + corners[:-1], corners)]
+    xs, ys = zip(*corners)
+    x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
+    return corners, edges, x_lo, x_hi, y_lo, y_hi, 1.0 + max(-x_lo, x_hi, -y_lo, y_hi)
 
 
 def box_volume(f: GeometryFrame) -> float:
@@ -216,7 +232,7 @@ def volume_oracle(a, b):
     z_hi = min(a.center[2] + a.half_extents[2], b.center[2] + b.half_extents[2])
     if z_hi <= z_lo:
         return 0.0
-    corners_a, corners_b = footprint_corners(a), footprint_corners(b)
+    corners_a, corners_b = box_corners_oracle(*footprint_args(a)), box_corners_oracle(*footprint_args(b))
     reach = 1.0 + max(abs(v) for point in corners_a + corners_b for v in point)
     area = polygon_area_oracle(clip_polygon_oracle(corners_a, corners_b))
     return (0.0 if area <= evaluation._TOUCH_AREA * reach * reach else area) * (z_hi - z_lo)
@@ -378,6 +394,22 @@ def test_clip_of_footprints_equals_the_closure_oracle(pair):
     assert evaluation._clip_polygon(corners_a, edges_b) == clip_polygon_oracle(corners_a, corners_b)
 
 
+# Yaws in degrees: anywhere on the circle, right angles (where sin or cos rounds to a tiny nonzero), or
+# magnitudes of at least 1e4 degrees, whose radians carry the rounding of math.radians.
+FOOTPRINT_YAWS = st.one_of(
+    st.floats(-360.0, 360.0),
+    st.integers(-8, 8).map(lambda k: 90.0 * k),
+    st.floats(1e4, 1e7).flatmap(lambda v: st.sampled_from((v, -v))),
+)
+
+
+@given(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0), st.floats(1e-3, 4.0), st.floats(1e-3, 4.0), FOOTPRINT_YAWS)
+def test_corners_and_footprint_equal_their_oracles(x, y, hx, hy, yaw_deg):
+    box = (x, y, hx, hy, math.radians(yaw_deg))
+    assert box_corners(*box) == box_corners_oracle(*box)
+    assert evaluation._footprint(*box) == footprint_oracle(*box)
+
+
 @given(convex_quads(), convex_quads())
 def test_clip_of_convex_quads_equals_the_closure_oracle(subject, clip):
     assert evaluation._clip_polygon(subject, quad_edges(clip)) == clip_polygon_oracle(subject, clip)
@@ -423,21 +455,21 @@ def test_face_to_face_boxes_at_45_degrees_do_not_collide(order):
     assert report.colliding_pairs == 1 and report.v_sum == pytest.approx(0.001 * w, rel=1e-6)
 
 
-def count_calls(monkeypatch, name):
-    """Patch evaluation.<name> to record each call in the returned list and still run."""
+def count_calls(monkeypatch, module, name):
+    """Patch module.<name> to record each call in the returned list and still run."""
     calls = []
-    wrapped = getattr(evaluation, name)
+    wrapped = getattr(module, name)
 
     def counting(*args):
         calls.append(1)
         return wrapped(*args)
 
-    monkeypatch.setattr(evaluation, name, counting)
+    monkeypatch.setattr(module, name, counting)
     return calls
 
 
 def test_broad_phase_keeps_apart_pairs_from_the_clip(monkeypatch):
-    calls = count_calls(monkeypatch, "_clipped_area")
+    calls = count_calls(monkeypatch, evaluation, "_clipped_area")
     assert collision_metrics(SceneLayout("r", [obj("a", 0.0, 0.0), obj("b", 10.0, 0.0)])).colliding_pairs == 0
     # stacked on one footprint with a 0.25 gap between the z ranges [0, 0.5] and [0.75, 1.25]
     assert collision_metrics(SceneLayout("r", [obj("a", 0.0, 0.0), obj("b", 0.0, 0.0, z=1.0)])).colliding_pairs == 0
@@ -446,7 +478,7 @@ def test_broad_phase_keeps_apart_pairs_from_the_clip(monkeypatch):
 
 def broad_phase_candidates(scene):
     """Unordered pairs whose xy footprint bounds and z ranges overlap."""
-    corners = np.array([footprint_corners(frame_of(o)) for o in scene.objects])
+    corners = np.array([box_corners_oracle(*footprint_args(frame_of(o))) for o in scene.objects])
     lo, hi = corners.min(axis=1), corners.max(axis=1)  # [n, 2] xy bounds
     z = np.array([o.position[2] for o in scene.objects])
     half_h = np.array([o.size[2] / 2 for o in scene.objects])
@@ -469,7 +501,7 @@ def test_broad_phase_clips_exactly_the_pairs_whose_bounds_overlap(monkeypatch):
     ]
     scene = SceneLayout("bedroom", objects)
     expected = broad_phase_candidates(scene)
-    calls = count_calls(monkeypatch, "_clipped_area")
+    calls = count_calls(monkeypatch, evaluation, "_clipped_area")
     report = collision_metrics(scene)
     assert len(calls) == expected
     assert 0 < report.colliding_pairs <= expected < 496 // 4
@@ -496,7 +528,7 @@ def dense_scene(seed):
 def test_dense_scene_clips_every_candidate_and_matches_the_oracle(monkeypatch, seed):
     scene = dense_scene(seed)
     expected = broad_phase_candidates(scene)
-    calls = count_calls(monkeypatch, "_clipped_area")
+    calls = count_calls(monkeypatch, evaluation, "_clipped_area")
     report = collision_metrics(scene)
     assert len(calls) == expected >= 30
     assert report.colliding_pairs > 0
@@ -506,13 +538,24 @@ def test_dense_scene_clips_every_candidate_and_matches_the_oracle(monkeypatch, s
 @pytest.mark.parametrize("n", [0, 1, 2, 32])
 def test_collision_metrics_builds_each_footprint_once(monkeypatch, n):
     # a footprint's corners, edges and bounds are built once per object, not once per pair
-    calls = count_calls(monkeypatch, "_footprint")
+    calls = count_calls(monkeypatch, evaluation, "_footprint")
     scene = SceneLayout("bedroom", dense_scene(7).objects[:n])
     collision_metrics(scene)
     assert len(calls) == n
 
 
-@pytest.mark.parametrize("size", [(0.5, 0.0, 0.5), (0.5, 0.5, -0.25)], ids=["zero", "negative"])
+@pytest.mark.parametrize("n", [0, 1, 32])
+def test_collision_metrics_reads_box_rows_once_and_builds_no_table(monkeypatch, n):
+    # the pair loop reads the Python rows straight; a numpy table and its .tolist() would be a wasted round trip
+    rows = count_calls(monkeypatch, evaluation, "box_rows")
+    tables = [count_calls(monkeypatch, module, "box_table") for module in (evaluation, relations)]
+    collision_metrics(SceneLayout("bedroom", dense_scene(7).objects[:n]))
+    assert (len(rows), *map(len, tables)) == (1, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "size", [(0.5, 0.0, 0.5), (0.5, 0.5, -0.25), (0.5, 5e-324, 0.5)], ids=["zero", "negative", "half-underflows"]
+)
 @pytest.mark.parametrize(
     "metric",
     [

@@ -303,6 +303,8 @@ OUTSIDE_HEADS = {
     "flat-0-1-2": [0, 1, 2],
     "flat-1-2-3": [1, 2, 3],
     "float": np.full((1, 3), 0.7),
+    "ragged-pairs": [(0, 1), (2,)],
+    "ragged-rows": [[0, 1, 2], [1, 2]],
 }
 
 

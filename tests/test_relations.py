@@ -11,6 +11,7 @@ from scenenat.relations import (
     RelationPredicate,
     RelationTable,
     RelationTriplet,
+    box_rows,
     box_table,
     extract_triplets,
     footprint_corners,
@@ -215,6 +216,14 @@ def test_extract_single_object_scene_is_empty():
     assert len(extract_triplets(scene_with([obj("bed", 0, 0)]))) == 0
 
 
+def float64_table(objects):
+    """The objects' fields read into one float64 array, sizes halved and yaws turned to radians there."""
+    table = np.array([(*o.position, *o.size, o.yaw_deg) for o in objects], dtype=np.float64).reshape(-1, 7)
+    table[:, 3:6] /= 2.0
+    table[:, 6] = np.radians(table[:, 6])
+    return table
+
+
 def test_box_table_holds_the_fields_of_frame_of_bitwise():
     rng = np.random.default_rng(31)
     objects = [
@@ -230,7 +239,17 @@ def test_box_table_holds_the_fields_of_frame_of_bitwise():
     table = box_table(objects)
     assert table.dtype == np.float64 and table.shape == (500, 7)
     assert table.tolist() == pack([frame_of(o) for o in objects]).tolist()
-    assert box_table([]).shape == (0, 7)
+    assert box_rows(objects) == list(map(tuple, table.tolist()))
+    assert box_table([]).shape == (0, 7) and box_rows([]) == []
+    # float32 and int fields are read as Python floats, so the footprint arithmetic stays float64
+    narrow = [
+        SceneObject("bed", (0, 0, 0, 0), tuple(np.float32(o.position)), tuple(np.float32(o.size)), np.float32(o.yaw_deg))
+        for o in objects[:100]
+    ]
+    narrow.append(SceneObject("bed", (0, 0, 0, 0), (1, -2, np.int64(0)), (np.int32(3), 1, 2), 270))
+    rows = box_rows(narrow)
+    assert all(type(v) is float for row in rows for v in row)
+    assert rows == list(map(tuple, float64_table(narrow).tolist()))
 
 
 def test_extract_mirrored_pair():

@@ -361,6 +361,16 @@ def test_detokenize_rejects_a_grid_of_the_wrong_shape(shape):
         codec.detokenize(grid)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, bool])
+def test_detokenize_rejects_a_grid_that_is_not_integer(dtype):
+    # unchecked, a float grid of valid ids fails deep in the object loop with a TypeError
+    codec = make_codec()
+    tokens = one_object_grid(codec).tokens
+    grid = sc.TokenizedScene(tokens.astype(dtype), np.zeros_like(tokens, dtype=bool))
+    with pytest.raises(ValueError, match=f"grid tokens must be integers, got {np.dtype(dtype)}"):
+        codec.detokenize(grid)
+
+
 def test_mask_ids_are_shared_and_read_only():
     codec = make_codec()
     assert codec.mask_ids is codec.mask_ids
