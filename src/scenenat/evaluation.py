@@ -11,15 +11,13 @@ an overlap area at or below ``_TOUCH_AREA`` (1e-13) times (1 + the
 footprints' largest coordinate magnitude)^2 counts as 0.
 
 One pair loop, ``_overlaps``, serves ``collision_metrics`` and
-``obb_intersection_volume``. ``collision_metrics`` hands it a scene's
-``box_rows``, plain floats with no numpy round trip; ``irecall`` reads the
-``box_table`` array, which ``relation_matrix`` classifies in one pass. The
-loop builds each box's ``_box`` record once, not once per pair, and skips
-the clip for pairs whose footprint bounds or z ranges lie apart. The clip
-scores such footprints at most a rounding sliver, which the touch floor
-counts as 0: that floor is the one tolerance, and the volumes equal those of
-clipping every pair. ``monte_carlo_volume`` samples in the overlap of the
-same records' bounds.
+``obb_intersection_volume``; ``collision_metrics`` hands it a layout's
+``box_table`` rows as Python floats. The loop builds each box's ``_box``
+record once, not once per pair, and skips the clip for pairs whose footprint
+bounds or z ranges lie apart. The clip scores such footprints at most a
+rounding sliver, which the touch floor counts as 0: that floor is the one
+tolerance, and the volumes equal those of clipping every pair.
+``monte_carlo_volume`` samples in the overlap of the same records' bounds.
 
 ``irecall`` counts instead of matching: an ordered object pair holds one
 relation, so the injective matching of an instruction's triplets to pairs
@@ -36,7 +34,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .instructions import Instruction
-from .relations import GeometryFrame, box_corners, box_rows, box_table, relation_matrix
+from .relations import GeometryFrame, box_corners, box_table, relation_matrix
 from .scene import ATTRIBUTE_COLUMNS, GRID_COLUMNS, LAYOUT_ATTRIBUTES, SceneLayout, TokenizedScene
 
 
@@ -133,7 +131,7 @@ def _box(x: float, y: float, z: float, hx: float, hy: float, hz: float, yaw: flo
 
 
 def _overlaps(rows: list) -> Iterator[tuple[float, float]]:
-    """(intersection volume, smaller box volume) of each colliding pair i < j of ``box_rows`` rows.
+    """(intersection volume, smaller box volume) of each colliding pair i < j of ``box_table`` rows.
 
     Pairs whose footprint bounds or z ranges lie apart skip the clip (module docstring).
     """
@@ -204,23 +202,15 @@ class CollisionReport:
 def collision_metrics(scene: SceneLayout) -> CollisionReport:
     """Intersection-volume metrics over unordered object pairs.
 
-    v_avg and io_min average over colliding pairs only; a collision-free
-    scene reports zeros.
+    v_avg and io_min average over colliding pairs only, each a running sum in
+    pair order divided by the pair count; a collision-free scene reports zeros.
     """
-    v_sum = 0.0
-    volumes = []
-    ratios = []
-    for v, smaller in _overlaps(box_rows(scene.objects)):
+    v_sum, ratio_sum, pairs = 0.0, 0.0, 0
+    for pairs, (v, smaller) in enumerate(_overlaps(box_table(scene).tolist()), 1):
         v_sum += v
-        volumes.append(v)
-        ratios.append(v / smaller)
-    pairs = len(volumes)
-    return CollisionReport(
-        v_sum=v_sum,
-        v_avg=float(np.mean(volumes)) if pairs else 0.0,
-        io_min=float(np.mean(ratios)) if pairs else 0.0,
-        colliding_pairs=pairs,
-    )
+        ratio_sum += v / smaller
+    v_avg, io_min = (v_sum / pairs, ratio_sum / pairs) if pairs else (0.0, 0.0)
+    return CollisionReport(v_sum=v_sum, v_avg=v_avg, io_min=io_min, colliding_pairs=pairs)
 
 
 def _realized(instr: Instruction, scene: SceneLayout) -> int:
@@ -233,15 +223,15 @@ def _realized(instr: Instruction, scene: SceneLayout) -> int:
     """
     cats = instr.triplets.categories
     wanted = Counter((cats[s], p, cats[o]) for s, p, o in instr.triplets.rows.tolist())
-    present = {o.category for o in scene.objects}
+    present = set(scene.categories)
     used = {c for s, _, o in wanted if s in present and o in present for c in (s, o)}
     if not used:
         return 0
-    keep = [i for i, o in enumerate(scene.objects) if o.category in used]
-    rel = relation_matrix(box_table(scene.objects)[keep])
+    keep = [i for i, c in enumerate(scene.categories) if c in used]
+    rel = relation_matrix(box_table(scene)[keep])
     rows_of: dict[str, list[int]] = {}
     for row, i in enumerate(keep):
-        rows_of.setdefault(scene.objects[i].category, []).append(row)
+        rows_of.setdefault(scene.categories[i], []).append(row)
     realized = 0
     for (subject, p, obj), m in wanted.items():
         rows, cols = rows_of.get(subject, []), rows_of.get(obj, [])

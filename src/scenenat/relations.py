@@ -3,15 +3,15 @@
 Ten directional/vertical predicates plus ``none``. The XY plane is the
 ground, Z is up, yaw rotates about Z. All distances are in absolute scene
 units; the close and medium bands end at CLOSE_DISTANCE (1) and
-MEDIUM_DISTANCE (3). ``box_rows`` reads each object's ``GeometryFrame``
-fields once, as a tuple of seven Python floats; the collision metric's pair
-loop reads these rows as they are. ``box_table`` is the same rows as one
-float64 [n, 7] array, which ``relation_matrix`` classifies in one array pass
-for extraction and iRecall. ``GeometryFrame`` stays the scalar reference of
-the volume functions and the test oracles.
+MEDIUM_DISTANCE (3). ``box_table`` states the box rule once: a layout's
+geometry column as a float64 [n, 7] table of ``GeometryFrame`` fields
+(centre, half sizes, yaw in radians) with positive half sizes. Extraction
+and iRecall classify it with ``relation_matrix`` in one pass; the collision
+pair loop reads its rows as Python floats. ``GeometryFrame`` stays the
+scalar reference of the volume functions and the test oracles.
 
 ``extract_triplets`` returns a scene's relations as a ``RelationTable``: the
-per-instance categories plus one int row (subject index, predicate id,
+layout's categories column plus one int row (subject index, predicate id,
 object index) per related ordered pair, a predicate id being its
 ``RELATION_SET`` index. Instructions, the matched loss and iRecall read the
 same tables; a ``RelationTriplet`` is only the view of one row, built when
@@ -80,25 +80,17 @@ def frame_of(obj: SceneObject) -> GeometryFrame:
     return GeometryFrame(obj.position, tuple(s / 2.0 for s in obj.size), math.radians(obj.yaw_deg))
 
 
-def box_rows(objects: Sequence[SceneObject]) -> list[tuple[float, ...]]:
-    """``frame_of``'s fields of each object as one tuple of Python floats: x y z, hx hy hz, yaw in radians.
+def box_table(scene: SceneLayout) -> np.ndarray:
+    """``frame_of``'s fields of each object as a float64 [n, 7] array: x y z, hx hy hz, yaw in radians.
 
-    Every field goes through ``float``, so a numpy float32 field cannot narrow the footprint arithmetic.
     An object whose half size is not positive raises ValueError naming its index.
     """
-    rows = []
-    for i, o in enumerate(objects):
-        (x, y, z), (lx, ly, lz) = o.position, o.size
-        hx, hy, hz = float(lx) / 2.0, float(ly) / 2.0, float(lz) / 2.0
-        if hx <= 0.0 or hy <= 0.0 or hz <= 0.0:
-            raise ValueError(f"object {i} has non-positive size {o.size}")
-        rows.append((float(x), float(y), float(z), hx, hy, hz, math.radians(float(o.yaw_deg))))
-    return rows
-
-
-def box_table(objects: Sequence[SceneObject]) -> np.ndarray:
-    """The ``box_rows`` of the objects as a float64 [n, 7] array; a bad size raises as there."""
-    return np.array(box_rows(objects), dtype=np.float64).reshape(-1, 7)
+    g = scene.geometry
+    table = np.concatenate([g[:, :3], g[:, 3:6] / 2.0, np.radians(g[:, 6:])], axis=1)
+    bad = np.flatnonzero((table[:, 3:6] <= 0.0).any(axis=1))
+    if bad.size:
+        raise ValueError(f"object {bad[0]} has non-positive size {tuple(g[bad[0], 3:6].tolist())}")
+    return table
 
 
 def box_corners(x: float, y: float, hx: float, hy: float, yaw: float) -> list[tuple[float, float]]:
@@ -226,7 +218,7 @@ def extract_triplets(scene: SceneLayout) -> RelationTable:
     Rows are in (subject index, object index) order, the row-major
     ``np.nonzero`` of ``relation_matrix``; deterministic.
     """
-    rel = relation_matrix(box_table(scene.objects))
+    rel = relation_matrix(box_table(scene))
     subjects, objects = np.nonzero(rel >= 0)
     rows = np.stack([subjects, rel[subjects, objects], objects], axis=1)
-    return RelationTable([obj.category for obj in scene.objects], rows)
+    return RelationTable(scene.categories, rows)

@@ -9,20 +9,23 @@ a 12-column token grid laid out as
 Unused rows carry the EMPTY category and PAD tokens in every other column.
 Every column vocabulary is extended by one reserved MASK id (the largest id).
 
-A ``SceneObject`` is checked once, when built: 4 appearance codes in [0, 64)
-and a finite 3-value position, 3-value size and yaw. No path checks them
-again; the codec checks only the object count and the category vocabulary.
+A ``SceneLayout`` holds its objects as read-only columns: ``categories``, int64
+[n, 4] ``appearance`` and float64 [n, 7] ``geometry`` (x y z lx ly lz yaw_deg,
+in the order of ``DiscretizationSpec.axes``). A ``SceneObject`` is the view of
+one row, built only when ``SceneLayout.objects`` is read, and the one check on
+hand-built objects; ``detokenize`` checks its rows against the head widths.
 
 ``ATTRIBUTE_COLUMNS`` says where each attribute sits in the grid. Each codec
 builds one geometry table from ``DiscretizationSpec.axes``: the bounds and bin
 count of the seven geometry columns (tx ty tz lx ly lz rot). ``tokenize``
-clamps and floors all of a scene's geometry against it at once, and
+clamps and floors a layout's geometry column against it at once, and
 ``detokenize`` maps the bins back to their centres in one expression."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,8 +72,10 @@ class DiscretizationSpec:
     rotation_bin_degrees: int = 10
 
     def __post_init__(self):
-        if len(self.position_bounds) != 3 or len(self.size_bounds) != 3:
-            raise ConfigurationError("bounds must cover exactly 3 axes")
+        for name in ("position_bounds", "size_bounds"):
+            b = np.asarray(getattr(self, name), dtype=object)  # object dtype takes ragged bounds without raising
+            if b.shape != (3, 2) or not all(isinstance(v, (int, float, np.integer, np.floating)) for v in b.flat):
+                raise ConfigurationError(f"{name} must be 3 (lo, hi) pairs of numbers, got {getattr(self, name)!r}")
         for name in ("position_bins", "size_bins", "rotation_bin_degrees"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
@@ -120,12 +125,32 @@ class SceneObject:
                     raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
-@dataclass
 class SceneLayout:
-    """An ordered list of objects in a room, at most ``max_objects`` long."""
+    """A room's objects as read-only columns (module docstring), set only by ``_hold`` and compared column by column."""
 
-    room_type: str
-    objects: list[SceneObject] = field(default_factory=list)
+    def __init__(self, room_type: str, objects: Sequence[SceneObject] = ()):
+        geometry = [(*o.position, *o.size, o.yaw_deg) for o in objects]
+        self._hold(room_type, [o.category for o in objects], [o.appearance for o in objects], geometry)
+
+    def _hold(self, room_type: str, categories, appearance, geometry) -> SceneLayout:
+        self.room_type, self.categories = room_type, tuple(categories)
+        self.appearance = np.array(appearance, dtype=np.int64).reshape(-1, APPEARANCE_CODES)
+        self.geometry = np.array(geometry, dtype=np.float64).reshape(-1, 7)
+        self.appearance.flags.writeable = self.geometry.flags.writeable = False
+        return self
+
+    @property
+    def objects(self) -> list[SceneObject]:
+        """The ``SceneObject`` view of each row, built on each read."""
+        rows = zip(self.categories, self.appearance.tolist(), self.geometry.tolist())
+        return [SceneObject(c, tuple(a), tuple(g[:3]), tuple(g[3:6]), g[6]) for c, a, g in rows]
+
+    def __eq__(self, other) -> bool:
+        same = isinstance(other, SceneLayout) and (self.room_type, self.categories) == (other.room_type, other.categories)
+        return same and np.array_equal(self.appearance, other.appearance) and np.array_equal(self.geometry, other.geometry)
+
+    def __repr__(self) -> str:
+        return f"SceneLayout({self.room_type!r}, {self.objects!r})"
 
 
 @dataclass(frozen=True)
@@ -207,22 +232,20 @@ class SceneCodec:
         More than ``max_objects`` objects or an unknown category raise ValueError.
         """
         global _clamp_events
-        objects = scene.objects
-        n = len(objects)
+        n = len(scene.categories)
         if n > self.max_objects:
             raise ValueError(f"scene has {n} objects, max is {self.max_objects}")
-        ids = [self._cat_to_id.get(o.category, -1) for o in objects]
+        ids = [self._cat_to_id.get(c, -1) for c in scene.categories]
         if -1 in ids:
             i = ids.index(-1)
-            raise ValueError(f"object {i} has unknown category {objects[i].category!r}")
-        geometry = np.array([(*o.position, *o.size, o.yaw_deg) for o in objects], dtype=np.float64).reshape(n, 7)
-        appearance = np.array([o.appearance for o in objects], dtype=np.int64).reshape(n, APPEARANCE_CODES)
+            raise ValueError(f"object {i} has unknown category {scene.categories[i]!r}")
+        geometry = scene.geometry.copy()
         geometry[:, -1] %= 360.0
         _clamp_events += int(np.count_nonzero((geometry < self._lo) | (geometry > self._hi)))
         clamped = np.clip(geometry, self._lo, self._hi)
         tokens = self._empty_tokens.copy()
         tokens[:n, 0] = ids
-        tokens[:n, self._appearance] = appearance
+        tokens[:n, self._appearance] = scene.appearance
         tokens[:n, self._geometry] = np.minimum(np.floor((clamped - self._lo) / self._span * self._bins), self._bins - 1)
         return TokenizedScene(tokens=tokens, mask_flags=np.zeros((self.max_objects, GRID_COLUMNS), dtype=bool))
 
@@ -246,12 +269,9 @@ class SceneCodec:
             col = self.columns[c]
             raise ValueError(f"row {r} column {col.name}: token {grid.tokens[r, c]} outside [0, {col.head_width})")
         live = grid.tokens[grid.tokens[:, 0] != self.empty_id]
-        centres = (self._lo + (live[:, self._geometry] + 0.5) * self._bin_width).tolist()
-        objects = [
-            SceneObject(self.categories[c], tuple(a), tuple(g[:3]), tuple(g[3:6]), g[6])
-            for c, a, g in zip(live[:, 0].tolist(), live[:, self._appearance].tolist(), centres)
-        ]
-        return SceneLayout(room_type=room_type, objects=objects)
+        categories = [self.categories[c] for c in live[:, 0].tolist()]
+        centres = self._lo + (live[:, self._geometry] + 0.5) * self._bin_width
+        return SceneLayout.__new__(SceneLayout)._hold(room_type, categories, live[:, self._appearance], centres)
 
     def snap(self, scene: SceneLayout) -> SceneLayout:
         """Round continuous attributes to their bin centers (idempotent)."""

@@ -241,21 +241,21 @@ def volume_oracle(a, b):
 def collision_oracle(scene):
     """collision_metrics without a broad phase: every pair goes through the oracle clip."""
     frames = [frame_of(o) for o in scene.objects]
-    v_sum = 0.0
-    volumes = []
-    ratios = []
+    # each average is a += sum in pair order over the pair count, as in collision_metrics; sum() compensates
+    # from Python 3.12, so it is not used here
+    v_sum = ratio_sum = 0.0
+    pairs = 0
     for i in range(len(frames)):
         for j in range(i + 1, len(frames)):
             v = volume_oracle(frames[i], frames[j])
             if v > 0.0:
                 v_sum += v
-                volumes.append(v)
-                ratios.append(v / min(box_volume(frames[i]), box_volume(frames[j])))
-    pairs = len(volumes)
+                ratio_sum += v / min(box_volume(frames[i]), box_volume(frames[j]))
+                pairs += 1
     return CollisionReport(
         v_sum=v_sum,
-        v_avg=float(np.mean(volumes)) if pairs else 0.0,
-        io_min=float(np.mean(ratios)) if pairs else 0.0,
+        v_avg=v_sum / pairs if pairs else 0.0,
+        io_min=ratio_sum / pairs if pairs else 0.0,
         colliding_pairs=pairs,
     )
 
@@ -545,12 +545,19 @@ def test_collision_metrics_builds_each_footprint_once(monkeypatch, n):
 
 
 @pytest.mark.parametrize("n", [0, 1, 32])
-def test_collision_metrics_reads_box_rows_once_and_builds_no_table(monkeypatch, n):
-    # the pair loop reads the Python rows straight; a numpy table and its .tolist() would be a wasted round trip
-    rows = count_calls(monkeypatch, evaluation, "box_rows")
+def test_decoded_scene_is_scored_from_its_columns(monkeypatch, n):
+    # detokenize and the three scoring paths read the layout's columns: a SceneObject per row, or a second box
+    # table per collision_metrics call, would be wasted work
+    codec = SceneCodec(["bed", "desk", "chair", "lamp"], DiscretizationSpec(), max_objects=32)
+    grid = codec.tokenize(SceneLayout("bedroom", dense_scene(7).objects[:n]))
+    built = count_calls(monkeypatch, SceneObject, "__post_init__")
     tables = [count_calls(monkeypatch, module, "box_table") for module in (evaluation, relations)]
-    collision_metrics(SceneLayout("bedroom", dense_scene(7).objects[:n]))
-    assert (len(rows), *map(len, tables)) == (1, 0, 0)
+    scene = codec.detokenize(grid)
+    collision_metrics(scene)
+    assert (len(built), *map(len, tables)) == (0, 1, 0)
+    extract_triplets(scene)
+    irecall([make_instruction([("chair", RelationPredicate.RIGHT_OF, "desk")])], [scene])
+    assert len(built) == 0 and len(scene.categories) == n
 
 
 @pytest.mark.parametrize(
@@ -660,7 +667,8 @@ def realized_oracle(instruction, scene):
         [
             [
                 (objects[i].category, objects[j].category) == (t.subject, t.object)
-                and relation_matrix(box_table([objects[i], objects[j]]))[0, 1] == RELATION_SET.index(t.predicate)
+                and relation_matrix(box_table(SceneLayout("r", [objects[i], objects[j]])))[0, 1]
+                == RELATION_SET.index(t.predicate)
                 for i, j in pairs
             ]
             for t in instruction.triplets

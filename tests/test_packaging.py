@@ -70,6 +70,7 @@ NO_CALLER_YET = {
 DELETED = {
     "predicate_id": "a predicate's id is its RELATION_SET index",
     "accumulate_grad": "Tensor.backward alone accumulates grads, and only leaves keep them",
+    "box_rows": "box_table(scene) states the box rule once; the pair loop reads its rows as Python floats",
 }
 
 

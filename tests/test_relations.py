@@ -11,7 +11,6 @@ from scenenat.relations import (
     RelationPredicate,
     RelationTable,
     RelationTriplet,
-    box_rows,
     box_table,
     extract_triplets,
     footprint_corners,
@@ -236,20 +235,19 @@ def test_box_table_holds_the_fields_of_frame_of_bitwise():
         )
         for _ in range(500)
     ]
-    table = box_table(objects)
+    table = box_table(scene_with(objects))
     assert table.dtype == np.float64 and table.shape == (500, 7)
     assert table.tolist() == pack([frame_of(o) for o in objects]).tolist()
-    assert box_rows(objects) == list(map(tuple, table.tolist()))
-    assert box_table([]).shape == (0, 7) and box_rows([]) == []
-    # float32 and int fields are read as Python floats, so the footprint arithmetic stays float64
+    assert box_table(scene_with([])).shape == (0, 7)
+    # float32 and int fields are read into the float64 geometry column, so the footprint arithmetic stays float64
     narrow = [
         SceneObject("bed", (0, 0, 0, 0), tuple(np.float32(o.position)), tuple(np.float32(o.size)), np.float32(o.yaw_deg))
         for o in objects[:100]
     ]
     narrow.append(SceneObject("bed", (0, 0, 0, 0), (1, -2, np.int64(0)), (np.int32(3), 1, 2), 270))
-    rows = box_rows(narrow)
-    assert all(type(v) is float for row in rows for v in row)
-    assert rows == list(map(tuple, float64_table(narrow).tolist()))
+    table = box_table(scene_with(narrow))
+    assert table.dtype == np.float64 and all(type(v) is float for row in table.tolist() for v in row)
+    assert table.tolist() == float64_table(narrow).tolist()
 
 
 def test_extract_mirrored_pair():

@@ -201,6 +201,15 @@ def test_invalid_axis_raises_configuration_error():
     for kwargs in bad_specs:
         with pytest.raises(ConfigurationError):
             DiscretizationSpec(**kwargs)
+    # a bound that is not a (lo, hi) pair of numbers names its field, not a bare unpacking or comparison error
+    for name, bounds in (
+        ("position_bounds", ((0, 1, 2),) * 3),
+        ("size_bounds", (("a", "b"),) * 3),
+        ("position_bounds", (1.0, 2.0, 3.0)),
+        ("size_bounds", (((0, 1), 2),) * 3),
+    ):
+        with pytest.raises(ConfigurationError, match=f"{name} must be 3 \\(lo, hi\\) pairs of numbers"):
+            DiscretizationSpec(**{name: bounds})
 
 
 def test_empty_scene_tokenizes_to_empty_rows():
@@ -462,3 +471,32 @@ def test_snap_is_idempotent(spec, scene):
     codec = SceneCodec(CATEGORIES, spec, max_objects=6)
     once = codec.snap(scene)
     assert codec.snap(once) == once
+
+
+@given(objs=st.lists(objects, max_size=6), room=st.sampled_from(["bedroom", "library"]))
+def test_layout_columns_hold_its_objects(objs, room):
+    layout = SceneLayout(room, objs)
+    assert layout.objects == objs
+    assert SceneLayout(room, layout.objects) == layout
+    assert layout.categories == tuple(o.category for o in objs) and len(layout.geometry) == len(objs)
+    assert layout != SceneLayout("dining", objs)
+    if objs:
+        o = objs[0]
+        for changed in (
+            [o, *objs],
+            [dataclasses.replace(o, yaw_deg=1.0 if o.yaw_deg == 0 else 0.0), *objs[1:]],
+            [dataclasses.replace(o, appearance=((o.appearance[0] + 1) % 64, *o.appearance[1:])), *objs[1:]],
+        ):
+            assert SceneLayout(room, changed) != layout
+
+
+def test_layout_columns_are_read_only():
+    codec = make_codec()
+    layout = random_scene(np.random.default_rng(3), codec, n_objects=3)
+    decoded = codec.detokenize(codec.tokenize(layout))
+    for scene in (layout, decoded):
+        assert scene.appearance.dtype == np.int64 and scene.appearance.shape == (3, 4)
+        assert scene.geometry.dtype == np.float64 and scene.geometry.shape == (3, 7)
+        for column in (scene.appearance, scene.geometry):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0, 0] = 1
