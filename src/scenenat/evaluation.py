@@ -23,18 +23,23 @@ tolerance, and the volumes equal those of clipping every pair.
 relation, so the injective matching of an instruction's triplets to pairs
 gives each distinct triplet min(times instructed, realizing pairs). The
 instruction's ``RelationTable`` rows key it by (category, predicate id, category).
+One pass scores a whole call: one ``box_table`` over every scene's objects,
+which checks every size; ``pair_relations`` on the candidate pairs only, the
+ordered pairs of one scene whose two categories some triplet of its
+instruction names; and a count per distinct (scene, category, predicate id,
+category) key.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
 from .instructions import Instruction
-from .relations import GeometryFrame, box_corners, box_table, relation_matrix
+from .relations import RELATION_SET, GeometryFrame, box_corners, box_table, pair_relations
 from .scene import ATTRIBUTE_COLUMNS, GRID_COLUMNS, LAYOUT_ATTRIBUTES, SceneLayout, TokenizedScene
 
 
@@ -213,32 +218,6 @@ def collision_metrics(scene: SceneLayout) -> CollisionReport:
     return CollisionReport(v_sum=v_sum, v_avg=v_avg, io_min=io_min, colliding_pairs=pairs)
 
 
-def _realized(instr: Instruction, scene: SceneLayout) -> int:
-    """The most triplets of one instruction that distinct ordered object pairs of the scene realize.
-
-    Pair (i, j) holds the one relation rel[i, j], so it is a candidate only for triplets keyed
-    (category i, rel[i, j], category j): equal keys share their candidates, different keys share
-    none, and m equal triplets with c candidate pairs match min(m, c). The relation matrix holds
-    only the objects of keys whose two categories both occur in the scene: rows of its box table.
-    """
-    cats = instr.triplets.categories
-    wanted = Counter((cats[s], p, cats[o]) for s, p, o in instr.triplets.rows.tolist())
-    present = set(scene.categories)
-    used = {c for s, _, o in wanted if s in present and o in present for c in (s, o)}
-    if not used:
-        return 0
-    keep = [i for i, c in enumerate(scene.categories) if c in used]
-    rel = relation_matrix(box_table(scene)[keep])
-    rows_of: dict[str, list[int]] = {}
-    for row, i in enumerate(keep):
-        rows_of.setdefault(scene.categories[i], []).append(row)
-    realized = 0
-    for (subject, p, obj), m in wanted.items():
-        rows, cols = rows_of.get(subject, []), rows_of.get(obj, [])
-        realized += min(m, int(np.count_nonzero(rel[np.array(rows, dtype=np.intp)[:, None], cols] == p)))
-    return realized
-
-
 def irecall(instructions: list[Instruction], scenes: list[SceneLayout]) -> tuple[float, dict[int, float]]:
     """Percentage of instructed triplets realized in the paired scenes.
 
@@ -246,20 +225,54 @@ def irecall(instructions: list[Instruction], scenes: list[SceneLayout]) -> tuple
     categories stand in the stated relation, each triplet with its own
     object pair: an injective matching, counted without a matcher (module
     docstring). Also returns the recall split by relation count k. An
-    instruction with no triplets raises ValueError.
+    instruction with no triplets, or an object of any scene whose size is not
+    positive, raises ValueError.
     """
     if len(instructions) != len(scenes):
         raise ValueError("instruction/scene lists differ in length")
-    for i, instr in enumerate(instructions):
-        if not instr.triplets:
-            raise ValueError(f"instruction {i} has no triplets")
-    by_k: dict[int, list[int]] = {}
-    for instr, scene in zip(instructions, scenes):
-        by_k.setdefault(len(instr.triplets), []).append(_realized(instr, scene))
-    per_k = {k: 100.0 * sum(counts) / (k * len(counts)) for k, counts in sorted(by_k.items())}
-    count_total = sum(k * len(counts) for k, counts in by_k.items())
-    overall = 100.0 * sum(map(sum, by_k.values())) / count_total if count_total else 0.0
-    return overall, per_k
+    ks = [len(instr.triplets) for instr in instructions]
+    if 0 in ks:
+        raise ValueError(f"instruction {ks.index(0)} has no triplets")
+    if not scenes:
+        return 0.0, {}
+    boxes = box_table(*scenes)
+    b_n, p_n = len(scenes), len(RELATION_SET)
+    # The categories a triplet names get ids 0..c_n - 2; every other category, and the padding of the
+    # [scene, slot] grid below, gets c_n - 1, which no triplet names.
+    rows = np.concatenate([instr.triplets.rows for instr in instructions])
+    owner = np.repeat(np.arange(b_n), ks)
+    named = list(chain.from_iterable(instr.triplets.categories for instr in instructions))
+    offset = np.cumsum([0] + [len(instr.triplets.categories) for instr in instructions])[owner, None]
+    ids: dict[str, int] = {}
+    ends = np.array([ids.setdefault(named[e], len(ids)) for e in (rows[:, 0::2] + offset).ravel().tolist()])
+    c_n = len(ids) + 1
+    # A pair code is (scene, subject category, object category) in base c_n; a key appends the predicate id.
+    codes = (owner * c_n + ends[0::2]) * c_n + ends[1::2]
+    keys, instructed = np.unique(codes * p_n + rows[:, 1], return_counts=True)
+    wanted = np.zeros(b_n * c_n * c_n, dtype=bool)
+    wanted[codes] = True
+    n = np.array([len(scene.categories) for scene in scenes])
+    slot = np.arange(n.max())
+    live = slot < n[:, None]
+    cats = np.full(live.shape, c_n - 1)
+    cats[live] = np.fromiter(map(ids.get, chain.from_iterable(s.categories for s in scenes), repeat(c_n - 1)), int)
+    grid = (np.arange(b_n)[:, None, None] * c_n + cats[:, :, None]) * c_n + cats[:, None, :]
+    # Only candidate pairs are classified: ordered pairs (i != j) of one scene's objects whose code a triplet
+    # of its instruction holds.
+    candidate = wanted[grid]
+    candidate[:, slot, slot] = False
+    b, i, j = np.nonzero(candidate)
+    start = np.cumsum(n) - n
+    rel = pair_relations(boxes[start[b] + i], boxes[start[b] + j])
+    pair_keys = (grid[b, i, j] * p_n + rel)[rel >= 0]
+    # Pair (i, j) holds one relation, so it realizes only the triplet of its key: m equal triplets with
+    # c realizing pairs match min(m, c).
+    at = np.minimum(np.searchsorted(keys, pair_keys), len(keys) - 1)
+    realized = np.minimum(instructed, np.bincount(at[keys[at] == pair_keys], minlength=len(keys)))
+    realized_k = np.bincount(np.array(ks)[keys // (c_n * c_n * p_n)], weights=realized)
+    count_k = np.bincount(ks)
+    per_k = {k: 100.0 * int(realized_k[k]) / (k * int(count_k[k])) for k in np.flatnonzero(count_k).tolist()}
+    return 100.0 * int(realized.sum()) / sum(ks), per_k
 
 
 def attribute_accuracy(

@@ -3,12 +3,17 @@
 Ten directional/vertical predicates plus ``none``. The XY plane is the
 ground, Z is up, yaw rotates about Z. All distances are in absolute scene
 units; the close and medium bands end at CLOSE_DISTANCE (1) and
-MEDIUM_DISTANCE (3). ``box_table`` states the box rule once: a layout's
-geometry column as a float64 [n, 7] table of ``GeometryFrame`` fields
-(centre, half sizes, yaw in radians) with positive half sizes. Extraction
-and iRecall classify it with ``relation_matrix`` in one pass; the collision
-pair loop reads its rows as Python floats. ``GeometryFrame`` stays the
-scalar reference of the volume functions and the test oracles.
+MEDIUM_DISTANCE (3). ``box_table`` states the box rule once: the geometry
+columns of one or more layouts as a float64 [n, 7] table of ``GeometryFrame``
+fields (centre, half sizes, yaw in radians) with positive half sizes.
+``pair_relations`` states the relation rule once, on subject and object rows
+of such tables that broadcast. ``relation_matrix`` builds every ordered pair
+of one table from the same two parts, the footprint test and the
+classification, and runs the footprint test once per pair; extraction reads
+it. iRecall classifies only a batch's candidate pairs with ``pair_relations``.
+The collision pair loop reads the table's rows as Python floats.
+``GeometryFrame`` stays the scalar reference of the volume functions and the
+test oracles.
 
 ``extract_triplets`` returns a scene's relations as a ``RelationTable``: the
 layout's categories column plus one int row (subject index, predicate id,
@@ -80,16 +85,22 @@ def frame_of(obj: SceneObject) -> GeometryFrame:
     return GeometryFrame(obj.position, tuple(s / 2.0 for s in obj.size), math.radians(obj.yaw_deg))
 
 
-def box_table(scene: SceneLayout) -> np.ndarray:
-    """``frame_of``'s fields of each object as a float64 [n, 7] array: x y z, hx hy hz, yaw in radians.
+def box_table(*scenes: SceneLayout) -> np.ndarray:
+    """``frame_of``'s fields of each object of one or more scenes, in order, as a float64 [n, 7] array: x y z,
+    hx hy hz, yaw in radians.
 
-    An object whose half size is not positive raises ValueError naming its index.
+    An object whose half size is not positive raises ValueError naming its index in its scene, and the scene's
+    index when there are several.
     """
-    g = scene.geometry
+    g = scenes[0].geometry if len(scenes) == 1 else np.concatenate([s.geometry for s in scenes])
     table = np.concatenate([g[:, :3], g[:, 3:6] / 2.0, np.radians(g[:, 6:])], axis=1)
     bad = np.flatnonzero((table[:, 3:6] <= 0.0).any(axis=1))
     if bad.size:
-        raise ValueError(f"object {bad[0]} has non-positive size {tuple(g[bad[0], 3:6].tolist())}")
+        row, k = int(bad[0]), 0
+        while row >= len(scenes[k].categories):
+            row, k = row - len(scenes[k].categories), k + 1
+        where = f"scene {k}: " if len(scenes) > 1 else ""
+        raise ValueError(f"{where}object {row} has non-positive size {tuple(g[bad[0], 3:6].tolist())}")
     return table
 
 
@@ -123,32 +134,57 @@ _ABOVE_ID = RELATION_SET.index(RelationPredicate.ABOVE)
 _BELOW_ID = RELATION_SET.index(RelationPredicate.BELOW)
 
 
-def relation_matrix(boxes: np.ndarray) -> np.ndarray:
-    """Relation of every ordered pair of boxes, as an int [N, N] matrix.
+def _inside(dx: np.ndarray, dy: np.ndarray, box) -> np.ndarray:
+    """Whether the ground offset (dx, dy) from each box's centre lies in its footprint; box[k] is field k."""
+    c, s = np.cos(box[6]), np.sin(box[6])
+    return (np.abs(dx * c + dy * s) <= box[3]) & (np.abs(dy * c - dx * s) <= box[4])
 
-    ``boxes`` is a float [N, 7] ``box_table``. Entry [i, j] is the
-    ``RELATION_SET`` index of box i (subject) relative to box j (object); -1
-    is none and fills the diagonal. In order: above or below when either
-    centre lies in the other's footprint and the z gap exceeds the mean
-    height; none beyond MEDIUM_DISTANCE on the ground; else the sector of the
-    bearing atan2(dy, dx), closely_* within CLOSE_DISTANCE.
-    Coincident ground centres with no vertical relation keep atan2(0, 0) = 0:
-    each box is closely_right_of the other, the one pair whose two orders
-    are not mirror predicates.
-    """
-    x, y, z, hx, hy, hz, yaw = boxes.T
-    # Offsets of subject i (rows) from object j (columns); per-object values broadcast along the columns.
-    dx, dy, dz = x[:, None] - x, y[:, None] - y, z[:, None] - z
-    c, s = np.cos(yaw), np.sin(yaw)
-    inside = (np.abs(dx * c + dy * s) <= hx) & (np.abs(dy * c - dx * s) <= hy)
-    overlap = inside | inside.T
-    gap = hz[:, None] + hz  # the mean of the two heights
+
+def _classify(dx: np.ndarray, dy: np.ndarray, dz: np.ndarray, gap: np.ndarray, overlap: np.ndarray) -> np.ndarray:
+    """The relation rule (``pair_relations``) on subject-minus-object offsets, the gap (the sum of the half
+    heights, so the mean height) and whether either centre lies in the other's footprint."""
     d = np.sqrt(dx * dx + dy * dy)
     bearing = np.searchsorted(_BEARING_EDGES, np.arctan2(dy, dx), side="right")
     rel = _SECTOR_IDS[(d <= CLOSE_DISTANCE).astype(np.intp), bearing]
     rel[d > MEDIUM_DISTANCE] = -1
     rel[overlap & (dz > gap)] = _ABOVE_ID
     rel[overlap & (-dz > gap)] = _BELOW_ID
+    return rel
+
+
+def pair_relations(subjects: np.ndarray, objects: np.ndarray) -> np.ndarray:
+    """Relation of each subject box to its object box: the one statement of the relation rule.
+
+    ``subjects`` and ``objects`` are ``box_table`` rows, float [..., 7], that
+    broadcast to a shape of at least one dimension; each result is a
+    ``RELATION_SET`` index, or -1 for none. In order: above or below when either
+    centre lies in the other's footprint and the z gap exceeds the mean
+    height; none beyond MEDIUM_DISTANCE on the ground; else the sector of the
+    bearing atan2(dy, dx) of the subject from the object, closely_* within
+    CLOSE_DISTANCE. Coincident ground centres with no vertical relation keep
+    atan2(0, 0) = 0: each box is closely_right_of the other, the one pair whose
+    two orders are not mirror predicates.
+    """
+    s, o = np.moveaxis(subjects, -1, 0), np.moveaxis(objects, -1, 0)
+    dx, dy, dz = s[0] - o[0], s[1] - o[1], s[2] - o[2]
+    overlap = _inside(dx, dy, o) | _inside(-dx, -dy, s)
+    return _classify(dx, dy, dz, s[5] + o[5], overlap)
+
+
+def relation_matrix(boxes: np.ndarray) -> np.ndarray:
+    """``pair_relations`` of every ordered pair of boxes, as an int [N, N] matrix.
+
+    ``boxes`` is a float [N, 7] ``box_table``. Entry [i, j] is the relation of
+    box i (subject) to box j (object); -1 is none and fills the diagonal. The
+    footprint test runs once per ordered pair: entry [j, i] of the subject-in-
+    object test is [i, j]'s object-in-subject test, as the offsets are exact
+    negatives.
+    """
+    o = boxes.T
+    s = o[:, :, None]  # subject fields along the rows, object fields along the columns
+    dx, dy, dz = s[0] - o[0], s[1] - o[1], s[2] - o[2]
+    inside = _inside(dx, dy, o)
+    rel = _classify(dx, dy, dz, s[5] + o[5], inside | inside.T)
     np.fill_diagonal(rel, -1)
     return rel
 

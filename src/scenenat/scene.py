@@ -76,6 +76,10 @@ class DiscretizationSpec:
             b = np.asarray(getattr(self, name), dtype=object)  # object dtype takes ragged bounds without raising
             if b.shape != (3, 2) or not all(isinstance(v, (int, float, np.integer, np.floating)) for v in b.flat):
                 raise ConfigurationError(f"{name} must be 3 (lo, hi) pairs of numbers, got {getattr(self, name)!r}")
+            try:  # the codec reads the bounds as float64, which an int past the float range does not fit
+                b.astype(np.float64)
+            except OverflowError:
+                raise ConfigurationError(f"{name} must be 3 (lo, hi) pairs of numbers within the float range") from None
         for name in ("position_bins", "size_bins", "rotation_bin_degrees"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
@@ -83,7 +87,7 @@ class DiscretizationSpec:
         if self.rotation_bin_degrees == 0 or 360 % self.rotation_bin_degrees != 0:
             raise ConfigurationError(f"360 must be a multiple of rotation_bin_degrees={self.rotation_bin_degrees}")
         for lo, hi, bins in self.axes:
-            if not (lo < hi and np.isfinite(hi - lo)):
+            if not (lo < hi and math.isfinite(float(hi) - float(lo))):
                 raise ConfigurationError(f"axis bounds [{lo}, {hi}] need a finite, positive width")
             if bins < 2:
                 raise ConfigurationError(f"axis needs at least 2 bins, got {bins}")

@@ -560,23 +560,40 @@ def test_decoded_scene_is_scored_from_its_columns(monkeypatch, n):
     assert len(built) == 0 and len(scene.categories) == n
 
 
+def test_irecall_builds_one_box_table_per_batch(monkeypatch):
+    # every scene's boxes come from one table over the stacked geometry, not one table per scene
+    tables = count_calls(monkeypatch, evaluation, "box_table")
+    scenes = [SceneLayout("bedroom", [obj("chair", 2, y), obj("desk", 0, 0), obj("lamp", 0, 2)]) for y in (0, 1, 5)]
+    instruction = make_instruction([("chair", RelationPredicate.RIGHT_OF, "desk")])
+    assert irecall([instruction] * 3, scenes) == (200.0 / 3, {1: 200.0 / 3})
+    assert len(tables) == 1
+
+
 @pytest.mark.parametrize(
     "size", [(0.5, 0.0, 0.5), (0.5, 0.5, -0.25), (0.5, 5e-324, 0.5)], ids=["zero", "negative", "half-underflows"]
 )
 @pytest.mark.parametrize(
-    "metric",
+    "metric, scene_prefix",
     [
-        extract_triplets,
-        collision_metrics,
+        (extract_triplets, ""),
+        (collision_metrics, ""),
         # the instruction names only the lamp, so the scene index differs from its index among the lamps
-        lambda scene: irecall([make_instruction([("lamp", RelationPredicate.RIGHT_OF, "lamp")])], [scene]),
+        (lambda scene: irecall([make_instruction([("lamp", RelationPredicate.RIGHT_OF, "lamp")])], [scene]), ""),
+        # every object of every scene is checked, though this instruction names no category of the second scene
+        (
+            lambda scene: irecall(
+                [make_instruction([("chair", RelationPredicate.RIGHT_OF, "desk")])] * 2,
+                [SceneLayout("bedroom", [obj("chair", 2, 0), obj("desk", 0, 0)]), scene],
+            ),
+            "scene 1: ",
+        ),
     ],
-    ids=["extract_triplets", "collision_metrics", "irecall"],
+    ids=["extract_triplets", "collision_metrics", "irecall", "irecall-second-scene"],
 )
-def test_non_positive_size_is_rejected_naming_the_object(metric, size):
+def test_non_positive_size_is_rejected_naming_the_object(metric, scene_prefix, size):
     lamp = SceneObject("lamp", (0, 0, 0, 0), (1.0, 0.0, 0.5), size, 0.0)
     scene = SceneLayout("bedroom", [obj("bed", 0.0, 0.0), lamp])
-    with pytest.raises(ValueError, match=re.escape(f"object 1 has non-positive size {size}")):
+    with pytest.raises(ValueError, match="^" + re.escape(f"{scene_prefix}object 1 has non-positive size {size}")):
         metric(scene)
 
 
@@ -648,6 +665,14 @@ def test_irecall_injective_matching():
     assert overall3 == pytest.approx(200.0 / 3) and by_k == {3: pytest.approx(200.0 / 3)}
 
 
+def test_irecall_counts_no_pair_that_holds_no_relation():
+    # the far chair-desk pair is a candidate for the first triplet but holds none; read as a key, "none" would
+    # borrow the last predicate id (below) from its neighbour key (chair, chair)
+    scene = SceneLayout("bedroom", [obj("chair", 0, 0), obj("desk", 10, 0)])
+    triplets = [("chair", RelationPredicate.RIGHT_OF, "desk"), ("chair", RELATION_SET[-1], "chair")]
+    assert irecall([make_instruction(triplets)], [scene]) == (0.0, {2: 0.0})
+
+
 def test_irecall_monotone_under_added_objects():
     scene = SceneLayout("bedroom", [obj("chair", 2, 0), obj("desk", 0, 0)])
     t1 = ("chair", RelationPredicate.RIGHT_OF, "desk")
@@ -694,6 +719,7 @@ def own_or_random_triplet(own: RelationTable, categories, rng) -> tuple:
 def test_irecall_matches_pairwise_oracle():
     codec = SceneCodec(["bed", "chair", "desk", "lamp"], DiscretizationSpec(), max_objects=8)
     rng = np.random.default_rng(17)
+    batch = []
     for _ in range(200):
         objects = [
             SceneObject(
@@ -714,8 +740,18 @@ def test_irecall_matches_pairwise_oracle():
         if repeat:  # half the instructions name one triplet twice, so min(m, c) meets a general matching
             triplets.append(triplets[int(rng.integers(len(triplets)))])
         instruction = make_instruction(triplets)
+        realized = realized_oracle(instruction, scene)
         overall, _ = irecall([instruction], [scene])
-        assert overall == 100.0 * realized_oracle(instruction, scene) / len(triplets)
+        assert overall == 100.0 * realized / len(triplets)
+        batch.append((instruction, scene, realized))
+    # one call over all 200 pairs mixes scene sizes, empty scenes included, and sums the same counts
+    instructions, scenes, counts = zip(*batch)
+    ks = [len(instruction.triplets) for instruction in instructions]
+    assert {len(scene.categories) for scene in scenes} == set(range(9))
+    per_k = {
+        k: 100.0 * sum(c for c, kc in zip(counts, ks) if kc == k) / (k * ks.count(k)) for k in sorted(set(ks))
+    }
+    assert irecall(list(instructions), list(scenes)) == (100.0 * sum(counts) / sum(ks), per_k)
 
 
 def test_attribute_accuracy_counts_only_scored_non_pad():

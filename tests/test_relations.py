@@ -16,6 +16,7 @@ from scenenat.relations import (
     footprint_corners,
     frame_of,
     mirror_predicate,
+    pair_relations,
     relation_matrix,
 )
 from scenenat.scene import DiscretizationSpec, SceneCodec, SceneLayout, SceneObject
@@ -309,7 +310,12 @@ def snapped_layouts(draw):
 @given(snapped_layouts())
 def test_relation_matrix_and_extract_triplets_match_oracle(scene):
     frames = [frame_of(o) for o in scene.objects]
-    rel = relation_matrix(pack(frames))
+    boxes = pack(frames)
+    rel = relation_matrix(boxes)
+    # the pairwise rule gives each ordered pair i != j the matrix entry, as gathered rows and as broadcast ones
+    i, j = np.nonzero(~np.eye(len(frames), dtype=bool))
+    assert np.array_equal(pair_relations(boxes[i], boxes[j]), rel[i, j])
+    assert np.array_equal(pair_relations(boxes[:, None], boxes[None])[i, j], rel[i, j])
     want = []
     for i, (s, a) in enumerate(zip(frames, scene.objects)):
         for j, (o, b) in enumerate(zip(frames, scene.objects)):

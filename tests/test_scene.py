@@ -207,9 +207,15 @@ def test_invalid_axis_raises_configuration_error():
         ("size_bounds", (("a", "b"),) * 3),
         ("position_bounds", (1.0, 2.0, 3.0)),
         ("size_bounds", (((0, 1), 2),) * 3),
+        ("position_bounds", ((0, 10**400),) * 3),
+        ("size_bounds", ((-(10**400), 1),) * 3),
     ):
         with pytest.raises(ConfigurationError, match=f"{name} must be 3 \\(lo, hi\\) pairs of numbers"):
             DiscretizationSpec(**{name: bounds})
+    # an int bound that a float holds behaves like that float
+    for name in ("position_bounds", "size_bounds"):
+        big, wide = DiscretizationSpec(**{name: ((0, 10**30),) * 3}), DiscretizationSpec(**{name: ((0, 1e30),) * 3})
+        assert np.array_equal(np.array(big.axes, dtype=np.float64), np.array(wide.axes, dtype=np.float64))
 
 
 def test_empty_scene_tokenizes_to_empty_rows():
