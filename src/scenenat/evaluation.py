@@ -39,7 +39,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from .instructions import Instruction
-from .relations import RELATION_SET, GeometryFrame, box_corners, box_table, pair_relations
+from .relations import RELATION_SET, GeometryFrame, _inside, box_corners, box_table, pair_relations
 from .scene import ATTRIBUTE_COLUMNS, GRID_COLUMNS, LAYOUT_ATTRIBUTES, SceneLayout, TokenizedScene
 
 
@@ -161,12 +161,9 @@ def obb_intersection_volume(a: GeometryFrame, b: GeometryFrame) -> float:
 
 
 def _points_inside(points: np.ndarray, f: GeometryFrame) -> np.ndarray:
+    """Whether each point lies in the box: the relation rule's footprint test, then the z test."""
     rel = points - np.asarray(f.center)
-    c, s = np.cos(f.yaw), np.sin(f.yaw)
-    local_x = rel[:, 0] * c + rel[:, 1] * s
-    local_y = -rel[:, 0] * s + rel[:, 1] * c
-    hx, hy, hz = f.half_extents
-    return (np.abs(local_x) <= hx) & (np.abs(local_y) <= hy) & (np.abs(rel[:, 2]) <= hz)
+    return _inside(rel[:, 0], rel[:, 1], (*f.center, *f.half_extents, f.yaw)) & (np.abs(rel[:, 2]) <= f.half_extents[2])
 
 
 def monte_carlo_volume(

@@ -6,10 +6,11 @@ word vocabulary. Sampling is pair-first over the scene's ``RelationTable``:
 its rows are grouped by unordered instance pair with one stable argsort,
 up to k pairs are drawn uniformly without replacement, and only then is one
 member (one orientation) of each drawn pair picked uniformly. The picked
-rows stay int rows: they are ordered so consecutive sentences reuse a
-mentioned category when possible, "the" switches to "another" when a second
-distinct instance of an already-mentioned category is introduced, and they
-become the instruction's own ``RelationTable`` over the scene's categories.
+rows stay int rows. One greedy pass orders them so consecutive sentences
+reuse a mentioned category when possible, and gives each mention its
+article: "another" for a second distinct instance of a mentioned category,
+else "the". The rows, in sentence order, become the instruction's own
+``RelationTable`` over the scene's categories.
 """
 
 from __future__ import annotations
@@ -87,29 +88,22 @@ class Instruction:
     triplets: RelationTable
 
 
-def _discourse_order(categories: Sequence[str], rows: list[list[int]]) -> list[list[int]]:
-    """Greedy reorder of (subject, predicate, object) rows so each sentence reuses a mentioned category if it can."""
-    remaining, ordered, mentioned = list(rows), [], set()
+def _sentence_plan(categories: Sequence[str], rows: list[list[int]]) -> list[tuple[list[int], tuple[str, str]]]:
+    """Each (subject, predicate, object) row in sentence order, with its two mentions' articles, in one greedy
+    pass: the next row is the first remaining one that names a mentioned category, else the first remaining; a
+    mention is "another" when it introduces a second distinct instance of a mentioned category, else "the"."""
+    remaining, plan = list(rows), []
+    introduced: dict[str, set[int]] = {}  # category -> its instances mentioned so far
     while remaining:
-        idx = next((i for i, (s, _, o) in enumerate(remaining) if {categories[s], categories[o]} & mentioned), 0)
-        s, _, o = row = remaining.pop(idx)
-        ordered.append(row)
-        mentioned |= {categories[s], categories[o]}
-    return ordered
-
-
-def _referring_expressions(categories: Sequence[str], rows: list[list[int]]) -> list[tuple[str, str]]:
-    """The article of each mention: "another" for an instance new to a category that already has one, else "the"."""
-    introduced: dict[str, set[int]] = {}
-    arts = []
-    for s, _, o in rows:
-        pair = []
-        for inst in (s, o):
+        shared = (i for i, (s, _, o) in enumerate(remaining) if {categories[s], categories[o]} & introduced.keys())
+        row = remaining.pop(next(shared, 0))
+        articles = []
+        for inst in row[0::2]:
             seen = introduced.setdefault(categories[inst], set())
-            pair.append("another" if seen and inst not in seen else "the")
+            articles.append("another" if seen and inst not in seen else "the")
             seen.add(inst)
-        arts.append(tuple(pair))
-    return arts
+        plan.append((row, tuple(articles)))
+    return plan
 
 
 def synthesize_instruction(
@@ -152,13 +146,13 @@ def synthesize_instruction(
     picked = np.sort(rng.choice(pairs, size=min(k, pairs), replace=False))
     members = rng.integers(bounds[picked + 1] - bounds[picked])
     cats = table.categories
-    chosen = _discourse_order(cats, table.rows[order[bounds[picked] + members]].tolist())
+    plan = _sentence_plan(cats, table.rows[order[bounds[picked] + members]].tolist())
     sentences = []
-    for (s, p, o), (art_s, art_o) in zip(chosen, _referring_expressions(cats, chosen)):
+    for (s, p, o), (art_s, art_o) in plan:
         frame = TEMPLATES[RELATION_SET[p]][int(rng.integers(len(SENTENCE_FRAMES)))]
         sentences.append(frame.replace("{s}", f"{art_s} {cats[s]}").replace("{o}", f"{art_o} {cats[o]}"))
     text = f" {CONNECTOR} ".join(sentences)
     tokens = tokenize_text(text, word_to_id)
     if len(tokens) > MAX_TOKENS:
         raise ValueError(f"instruction tokenizes to {len(tokens)} > {MAX_TOKENS} words")
-    return Instruction(text=text, tokens=tokens, triplets=RelationTable(cats, chosen))
+    return Instruction(text=text, tokens=tokens, triplets=RelationTable(cats, [row for row, _ in plan]))

@@ -8,11 +8,16 @@ head and uses it for both the assignment cost and the loss. matching_cost is
 the DETR-style negative-probability cost (Carion et al., arXiv 2005.12872),
 kept only as a diagnostic; nothing in the loss assigns with it.
 
-Their ground truth gt is an int [J, 3] array of (subject, predicate, object)
-class ids, as encode_triplets makes from a RelationTable, or an empty
-sequence; any other gt raises ShapeError. Each loss is one weighted-NLL node
-of scenenat.tensor whose inputs are the logits it reads; this module builds
-the assignments, targets and weights, and tensor owns the float arithmetic.
+Both take one ground-truth contract, checked in one place (_classes). The
+three heads are [Q, classes] with one Q. gt is an int [J, 3] ndarray of
+(subject, predicate, object) class ids, as encode_triplets makes from a
+RelationTable, and each id lies below its head's null class (the last). Any
+other input raises ShapeError. Only the first min(J, Q) triplets are matched;
+triplet_loss counts the ones it cuts in truncated_triplet_count(), and
+matching_cost returns the [min(J, Q), Q] cost of the kept ones. The loss is
+one weighted-NLL node of scenenat.tensor whose inputs are the logits it reads;
+this module builds the assignment, targets and weights, and tensor owns the
+float arithmetic.
 """
 
 from __future__ import annotations
@@ -72,18 +77,19 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
     return linear_sum_assignment(cost)[1]
 
 
-def _classes(gt, heads) -> np.ndarray:
-    """The [3, J] classes of an int [J, 3] gt or an empty sequence, each below its head's null class."""
-    widths = [logits.shape[-1] for logits in heads]
-    try:
-        gt = np.zeros((0, 3), dtype=np.int64) if np.shape(gt)[:1] == (0,) else np.asarray(gt)
-    except ValueError:  # ragged rows
-        raise tn.ShapeError(f"triplet gt is ragged: not int [J, 3], or classes outside heads of {widths}") from None
-    well_formed = gt.ndim == 2 and gt.shape[1] == 3 and gt.dtype.kind in "iu"
-    classes = gt.T.astype(np.int64) if well_formed else gt
-    if not well_formed or (classes.size and (classes.min() < 0 or (classes.max(axis=1) >= np.array(widths) - 1).any())):
-        raise tn.ShapeError(f"triplet gt {gt.dtype} {gt.shape}: not int [J, 3], or classes outside heads of {widths}")
-    return classes
+def _classes(gt, heads) -> tuple[np.ndarray, int]:
+    """The [3, min(J, Q)] classes of the triplets kept, and the number cut, after checking the contract."""
+    shapes = [logits.shape for logits in heads]
+    if any(len(shape) != 2 or shape[0] != shapes[0][0] for shape in shapes):
+        raise tn.ShapeError(f"triplet heads must be [queries, classes], got {shapes}")
+    if not (isinstance(gt, np.ndarray) and gt.ndim == 2 and gt.shape[1] == 3 and gt.dtype.kind in "iu"):
+        got = f"{gt.dtype} {gt.shape}" if isinstance(gt, np.ndarray) else type(gt).__name__
+        raise tn.ShapeError(f"triplet gt must be an int [J, 3] ndarray, got {got}")
+    classes = gt.T.astype(np.int64)
+    n_q, widths = shapes[0][0], [shape[1] for shape in shapes]
+    if classes.size and (classes.min() < 0 or (classes.max(axis=1) >= np.array(widths) - 1).any()):
+        raise tn.ShapeError(f"triplet gt has classes outside heads of {widths}")
+    return classes[:, :n_q], max(classes.shape[1] - n_q, 0)
 
 
 def matching_cost(
@@ -92,17 +98,15 @@ def matching_cost(
     predicate_logits: np.ndarray,
     object_logits: np.ndarray,
 ) -> np.ndarray:
-    """Cost[j, k] = -(P_s + P_p + P_o) of ground-truth triplet j under query k.
+    """Cost[j, k] = -(P_s + P_p + P_o) of ground-truth triplet j under query k, for the min(J, Q) kept.
 
-    A DETR-style diagnostic; triplet_loss does not assign with it. The null
-    class is reserved: a negative or null ground-truth id raises ShapeError.
+    A DETR-style diagnostic; triplet_loss does not assign with it. It takes
+    the module's ground-truth contract, so it keeps the same triplets as
+    triplet_loss but counts none.
     """
     heads = (subject_logits, predicate_logits, object_logits)
-    classes = _classes(gt, heads)
-    n_q = subject_logits.shape[0]
-    if classes.shape[1] > n_q:
-        raise ValueError(f"{classes.shape[1]} ground-truth triplets exceed {n_q} queries")
-    cost = np.zeros((classes.shape[1], n_q))
+    classes, _ = _classes(gt, heads)
+    cost = np.zeros((classes.shape[1], subject_logits.shape[0]))
     for logits, c in zip(heads, classes):
         cost -= np.exp(tn.log_softmax_array(logits))[:, c].T
     return cost
@@ -135,19 +139,14 @@ def triplet_loss(
     class (last index of each head), down-weighted by weights.null_class.
     Query k takes triplet j at cost sum over heads of lambda * (CE(gt_j) -
     null_class * CE(null)), the loss's change from null to gt_j, so the
-    matched loss is the minimum over all assignments. The null class is
-    reserved: a negative or null ground-truth id raises ShapeError, checked
-    before the triplets past the Q queries are dropped and counted.
+    matched loss is the minimum over all assignments. The triplets past the
+    Q queries are cut, after every id is checked, and counted.
     """
     global _truncated_triplets
     heads = ((subject_logits, weights.subject), (predicate_logits, weights.predicate), (object_logits, weights.object))
+    classes, cut = _classes(gt, [logits for logits, _ in heads])
+    _truncated_triplets += cut
     n_q = subject_logits.data.shape[0]
-    if any(logits.data.ndim != 2 or logits.data.shape[0] != n_q for logits, _ in heads):
-        raise tn.ShapeError(f"triplet heads must be [queries, classes], got {[logits.shape for logits, _ in heads]}")
-    classes = _classes(gt, [logits for logits, _ in heads])
-    if classes.shape[1] > n_q:
-        _truncated_triplets += classes.shape[1] - n_q
-        classes = classes[:, :n_q]
     log_probs = [tn.log_softmax_array(logits.data) for logits, _ in heads]
     cost = np.zeros((classes.shape[1], n_q))
     for lp, (_, lam), c in zip(log_probs, heads, classes):

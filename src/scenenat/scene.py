@@ -29,11 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-APPEARANCE_CODES = 4
-APPEARANCE_VOCAB = 64  # each appearance code lies in [0, APPEARANCE_VOCAB)
-_APPEARANCE_IDS = frozenset(range(APPEARANCE_VOCAB))
-GRID_COLUMNS = 12
-
 # Attribute -> half-open column range of the grid; the one column table.
 ATTRIBUTE_COLUMNS = {
     "category": (0, 1),
@@ -42,8 +37,12 @@ ATTRIBUTE_COLUMNS = {
     "size": (8, 11),
     "rotation": (11, 12),
 }
-# Ordinal layout attributes, scored within one bin as well as exactly.
-LAYOUT_ATTRIBUTES = frozenset({"position", "size", "rotation"})
+GRID_COLUMNS = max(hi for _, hi in ATTRIBUTE_COLUMNS.values())
+APPEARANCE_CODES = len(range(*ATTRIBUTE_COLUMNS["appearance"]))
+APPEARANCE_VOCAB = 64  # each appearance code lies in [0, APPEARANCE_VOCAB)
+_APPEARANCE_IDS = frozenset(range(APPEARANCE_VOCAB))
+# Ordinal layout attributes in grid order: the geometry columns, scored within one bin as well as exactly.
+LAYOUT_ATTRIBUTES = ("position", "size", "rotation")
 
 _clamp_events = 0
 
@@ -219,7 +218,7 @@ class SceneCodec:
         # Geometry table: the grid columns, bounds and bin widths of the seven
         # geometry axes, in the order of ``spec.axes``.
         self._appearance = slice(*ATTRIBUTE_COLUMNS["appearance"])
-        self._geometry = np.concatenate([np.arange(*ATTRIBUTE_COLUMNS[a]) for a in ("position", "size", "rotation")])
+        self._geometry = np.concatenate([np.arange(*ATTRIBUTE_COLUMNS[a]) for a in LAYOUT_ATTRIBUTES])
         self._lo, self._hi, self._bins = np.array(spec.axes, dtype=np.float64).T
         self._span = self._hi - self._lo
         self._bin_width = self._span / self._bins

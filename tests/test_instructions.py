@@ -16,7 +16,7 @@ from scenenat.instructions import (
     SENTENCE_FRAMES,
     TEMPLATES,
     Instruction,
-    _referring_expressions,
+    _sentence_plan,
     build_word_vocab,
     synthesize_instruction,
     tokenize_text,
@@ -161,7 +161,9 @@ ARTICLE_CATEGORIES = ("bed", "chair", "bed", "desk")
 def test_article_rule(ordered, articles):
     # "another" introduces an instance of a category that already has a different one; every other mention is "the"
     rows = [[s, RELATION_SET.index(P.LEFT_OF), o] for s, o in ordered]
-    assert _referring_expressions(ARTICLE_CATEGORIES, rows) == articles
+    plan = _sentence_plan(ARTICLE_CATEGORIES, rows)
+    assert [row for row, _ in plan] == rows  # each case is already in discourse order
+    assert [arts for _, arts in plan] == articles
     triplets = list(RelationTable(ARTICLE_CATEGORIES, rows))
     assert referring_expressions_oracle(triplets) == articles
 

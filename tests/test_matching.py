@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from scenenat import matching
 from scenenat import tensor as tn
@@ -31,6 +33,11 @@ from gradcheck import check_gradients
 def injections(rows: int, cols: int) -> np.ndarray:
     """Every injective map of rows into cols, one per row of the result."""
     return np.array(list(itertools.permutations(range(cols), rows)), dtype=np.intp).reshape(-1, rows)
+
+
+def int_gt(rows) -> np.ndarray:
+    """Ground truth as the matchers take it: an int64 [J, 3] array."""
+    return np.array(rows, dtype=np.int64).reshape(-1, 3)
 
 
 def brute_force_min(cost: np.ndarray) -> float:
@@ -78,7 +85,7 @@ def test_hungarian_rejects_bad_input():
 def test_matching_cost_uniform_logits():
     n_q, vocab = 4, 5
     zeros = np.zeros((n_q, vocab))
-    cost = matching_cost([(0, 1, 2)], zeros, zeros, zeros)
+    cost = matching_cost(int_gt([(0, 1, 2)]), zeros, zeros, zeros)
     np.testing.assert_allclose(cost, np.full((1, n_q), -3.0 / vocab))
 
 
@@ -87,7 +94,7 @@ def test_matching_cost_confident_query_attains_bound():
     logits = np.zeros((n_q, vocab))
     logits[1] = -1e9
     logits[1, 2] = 1e9
-    cost = matching_cost([(2, 2, 2)], logits, logits, logits)
+    cost = matching_cost(int_gt([(2, 2, 2)]), logits, logits, logits)
     assert cost[0, 1] == pytest.approx(-3.0)
     assert cost[0, 1] == cost.min()
     assert (cost >= -3.0 - 1e-12).all() and (cost <= 0.0 + 1e-12).all()
@@ -110,7 +117,7 @@ def test_triplet_loss_all_null_case():
     zero_s = Tensor(np.zeros((n_q, n_cat)))
     zero_p = Tensor(np.zeros((n_q, n_pred)))
     zero_o = Tensor(np.zeros((n_q, n_cat)))
-    loss = triplet_loss([], zero_s, zero_p, zero_o, LossWeights())
+    loss = triplet_loss(int_gt([]), zero_s, zero_p, zero_o, LossWeights())
     expected = 0.1 * (n_q * np.log(n_cat) * 2 + n_q * np.log(n_pred))
     assert loss.item() == pytest.approx(expected, rel=1e-9)
 
@@ -129,7 +136,7 @@ def test_triplet_loss_vanishes_for_perfect_prediction():
         s[k, n_cat - 1] = 100.0
         p[k, n_pred - 1] = 100.0
         o[k, n_cat - 1] = 100.0
-    loss = triplet_loss(gt, Tensor(s), Tensor(p), Tensor(o), LossWeights())
+    loss = triplet_loss(int_gt(gt), Tensor(s), Tensor(p), Tensor(o), LossWeights())
     assert loss.item() < 1e-12
 
 
@@ -164,7 +171,7 @@ def test_hungarian_loss_never_exceeds_identity_assignment():
             (int(rng.integers(5)), int(rng.integers(10)), int(rng.integers(5)))
             for _ in range(n_t)
         ]
-        gt = sorted(gt)
+        gt = int_gt(sorted(gt))
         s, p, o = random_heads(rng)
         matched = triplet_loss(gt, s, p, o, weights).item()
         identity = assignment_loss(gt, range(len(gt)), s, p, o, weights)
@@ -176,7 +183,7 @@ def test_matched_loss_is_minimum_over_every_assignment():
     for _ in range(200):
         n_q = int(rng.integers(1, 5))
         n_t = int(rng.integers(0, n_q + 1))
-        gt = sorted((int(rng.integers(5)), int(rng.integers(10)), int(rng.integers(5))) for _ in range(n_t))
+        gt = int_gt(sorted((int(rng.integers(5)), int(rng.integers(10)), int(rng.integers(5))) for _ in range(n_t)))
         weights = LossWeights(*rng.uniform(0.2, 2.0, size=3), null_class=float(rng.uniform(0.05, 1.0)))
         s, p, o = random_heads(rng, n_q=n_q)
         matched = triplet_loss(gt, s, p, o, weights).item()
@@ -276,7 +283,7 @@ def test_encode_triplets_looks_up_only_the_categories_its_rows_use():
 def test_triplet_loss_truncates_excess_ground_truth():
     rng = np.random.default_rng(3)
     s, p, o = random_heads(rng, n_q=2)
-    gt = [(0, 0, 0), (1, 1, 1), (2, 2, 2)]
+    gt = int_gt([(0, 0, 0), (1, 1, 1), (2, 2, 2)])
     loss = triplet_loss(gt, s, p, o, LossWeights())
     assert np.isfinite(loss.item())
 
@@ -286,47 +293,87 @@ def test_triplet_loss_checks_every_class_before_truncating():
     s, p, o = random_heads(np.random.default_rng(3), n_q=2)
     before = matching.truncated_triplet_count()
     with pytest.raises(ShapeError, match="outside heads"):
-        triplet_loss([(0, 0, 0), (1, 1, 1), (99, -5, 0)], s, p, o, LossWeights())
+        triplet_loss(int_gt([(0, 0, 0), (1, 1, 1), (99, -5, 0)]), s, p, o, LossWeights())
     assert matching.truncated_triplet_count() == before
 
 
-# Ground truth that is not int [J, 3] classes inside the default 6 / 11 / 6-class random_heads; the last
-# class of each is null.
+# Ground truth that breaks the matchers' contract, with the message each must raise: int [J, 3] arrays with a
+# class outside the default 6 / 11 / 6-class random_heads (the last class of each is null), and inputs that are
+# not an int [J, 3] ndarray at all.
+OUTSIDE = "classes outside heads"
+NOT_INT_J_3 = r"gt must be an int \[J, 3\] ndarray"
 OUTSIDE_HEADS = {
-    "negative": [(-1, 0, 0)],
-    "subject-null": [(5, 0, 0)],
-    "predicate-null": [(0, 10, 0)],
-    "object-null": [(0, 0, 5)],
-    "predicate-null+1": [(0, 11, 0)],
-    "object-null+1": [(0, 0, 6)],
-    "two-rows-of-six": np.zeros((2, 6), dtype=int),
-    "flat-0-1-2": [0, 1, 2],
-    "flat-1-2-3": [1, 2, 3],
-    "float": np.full((1, 3), 0.7),
-    "ragged-pairs": [(0, 1), (2,)],
-    "ragged-rows": [[0, 1, 2], [1, 2]],
+    "negative": (int_gt([(-1, 0, 0)]), OUTSIDE),
+    "subject-null": (int_gt([(5, 0, 0)]), OUTSIDE),
+    "predicate-null": (int_gt([(0, 10, 0)]), OUTSIDE),
+    "object-null": (int_gt([(0, 0, 5)]), OUTSIDE),
+    "predicate-null+1": (int_gt([(0, 11, 0)]), OUTSIDE),
+    "object-null+1": (int_gt([(0, 0, 6)]), OUTSIDE),
+    "two-rows-of-six": (np.zeros((2, 6), dtype=int), NOT_INT_J_3),
+    "flat-0-1-2": ([0, 1, 2], NOT_INT_J_3),
+    "flat-1-2-3": ([1, 2, 3], NOT_INT_J_3),
+    "float": (np.full((1, 3), 0.7), NOT_INT_J_3),
+    "ragged-pairs": ([(0, 1), (2,)], NOT_INT_J_3),
+    "ragged-rows": ([[0, 1, 2], [1, 2]], NOT_INT_J_3),
+    "list-of-triplets": ([(0, 1, 2)], NOT_INT_J_3),
+    "empty-list": ([], NOT_INT_J_3),
+    "flat-array": (np.array([0, 1, 2]), NOT_INT_J_3),
+    "bool": (np.zeros((1, 3), dtype=bool), NOT_INT_J_3),
 }
 
 
-@pytest.mark.parametrize("gt", OUTSIDE_HEADS.values(), ids=OUTSIDE_HEADS.keys())
-def test_triplet_loss_rejects_classes_outside_heads(gt):
+@pytest.mark.parametrize("gt, message", OUTSIDE_HEADS.values(), ids=OUTSIDE_HEADS.keys())
+def test_triplet_loss_rejects_classes_outside_heads(gt, message):
     s, p, o = random_heads(np.random.default_rng(0))
-    with pytest.raises(ShapeError, match="outside heads"):
+    with pytest.raises(ShapeError, match=message):
         triplet_loss(gt, s, p, o, LossWeights())
 
 
-@pytest.mark.parametrize("gt", OUTSIDE_HEADS.values(), ids=OUTSIDE_HEADS.keys())
-def test_matching_cost_rejects_classes_outside_heads(gt):
+@pytest.mark.parametrize("gt, message", OUTSIDE_HEADS.values(), ids=OUTSIDE_HEADS.keys())
+def test_matching_cost_rejects_classes_outside_heads(gt, message):
     s, p, o = random_heads(np.random.default_rng(0))
-    with pytest.raises(ShapeError, match="outside heads"):
+    with pytest.raises(ShapeError, match=message):
         matching_cost(gt, s.data, p.data, o.data)
 
 
-@pytest.mark.parametrize("p_shape", [(3, 11), (4, 2, 11)], ids=["fewer-queries", "3-d"])
+MISMATCHED_HEADS = pytest.mark.parametrize("p_shape", [(3, 11), (4, 2, 11)], ids=["fewer-queries", "3-d"])
+
+
+@MISMATCHED_HEADS
 def test_triplet_loss_rejects_mismatched_heads(p_shape):
     s, _, o = random_heads(np.random.default_rng(0))
     with pytest.raises(ShapeError, match="queries, classes"):
-        triplet_loss([(0, 0, 0)], s, Tensor(np.zeros(p_shape)), o, LossWeights())
+        triplet_loss(int_gt([(0, 0, 0)]), s, Tensor(np.zeros(p_shape)), o, LossWeights())
+
+
+@MISMATCHED_HEADS
+def test_matching_cost_rejects_mismatched_heads(p_shape):
+    s, _, o = random_heads(np.random.default_rng(0))
+    with pytest.raises(ShapeError, match="queries, classes"):
+        matching_cost(int_gt([(0, 0, 0)]), s.data, np.zeros(p_shape), o.data)
+
+
+@given(
+    n_q=st.integers(1, 6),
+    n_t=st.integers(0, 10),
+    widths=st.tuples(st.integers(2, 7), st.integers(2, 12), st.integers(2, 7)),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_both_matchers_keep_the_first_q_triplets_and_only_the_loss_counts_the_cut(n_q, n_t, widths, dtype, seed):
+    rng = np.random.default_rng(seed)
+    heads = [Tensor(rng.standard_normal((n_q, width)).astype(dtype)) for width in widths]
+    gt = rng.integers(0, np.array(widths) - 1, size=(n_t, 3))  # every class below its head's null class
+    kept, data = gt[:n_q], [t.data for t in heads]
+    before = matching.truncated_triplet_count()
+    cost = matching_cost(gt, *data)
+    assert cost.shape == (min(n_t, n_q), n_q)
+    assert cost.tobytes() == matching_cost(kept, *data).tobytes()
+    assert matching.truncated_triplet_count() == before
+    loss = triplet_loss(gt, *heads, WEIGHTS)
+    assert matching.truncated_triplet_count() == before + max(n_t - n_q, 0)
+    assert loss.data.tobytes() == triplet_loss(kept, *heads, WEIGHTS).data.tobytes()
+    assert matching.truncated_triplet_count() == before + max(n_t - n_q, 0)
 
 
 def test_recon_loss_rejects_logits_of_another_grid():
@@ -508,10 +555,10 @@ def loss_and_grads(loss_fn, data, *args):
 
 
 TRIPLET_CASES = {
-    "two-triplets": [(0, 3, 1), (2, 5, 0)],
-    "no-triplets": [],
-    "truncated": [(0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 3, 3), (4, 4, 4), (0, 9, 1)],
-    "duplicates": [(1, 2, 3), (1, 2, 3), (1, 2, 3)],
+    "two-triplets": int_gt([(0, 3, 1), (2, 5, 0)]),
+    "no-triplets": int_gt([]),
+    "truncated": int_gt([(0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 3, 3), (4, 4, 4), (0, 9, 1)]),
+    "duplicates": int_gt([(1, 2, 3), (1, 2, 3), (1, 2, 3)]),
 }
 
 
@@ -584,7 +631,7 @@ def test_fused_losses_keep_dtype_in_value_and_grads(dtype):
     rng = np.random.default_rng(13)
     heads = {k: Tensor(v, requires_grad=True) for k, v in triplet_data(rng, dtype).items()}
     attrs = {k: Tensor(v, requires_grad=True) for k, v in attribute_logits(rng, dtype).items()}
-    loss = total_loss(recon_loss(attrs, recon_targets(rng), WEIGHTS), triplet_loss([(0, 3, 1)], *heads.values(), WEIGHTS), WEIGHTS)
+    loss = total_loss(recon_loss(attrs, recon_targets(rng), WEIGHTS), triplet_loss(int_gt([(0, 3, 1)]), *heads.values(), WEIGHTS), WEIGHTS)
     loss.backward()
     assert loss.dtype == dtype
     assert {k: t.grad.dtype for k, t in {**heads, **attrs}.items()} == dict.fromkeys({**heads, **attrs}, np.dtype(dtype))
@@ -593,7 +640,7 @@ def test_fused_losses_keep_dtype_in_value_and_grads(dtype):
 def test_triplet_loss_gradcheck_away_from_assignment_ties(monkeypatch):
     rng = np.random.default_rng(14)
     heads = [Tensor(v, requires_grad=True) for v in triplet_data(rng, np.float64).values()]
-    gt = [(0, 3, 1), (2, 5, 0), (4, 1, 4)]
+    gt = int_gt([(0, 3, 1), (2, 5, 0), (4, 1, 4)])
     sigmas = []
 
     def recording_hungarian(cost):

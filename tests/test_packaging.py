@@ -1,5 +1,6 @@
-"""pyproject.toml declares exactly the third-party modules the package and its tests import, and every public
-function, class and method of a public class of the package has a caller outside the tests."""
+"""pyproject.toml declares exactly the third-party modules the package and its tests import, every public
+function, class and method of a public class of the package has a caller outside the tests, and every private
+module-level function of the package has a caller in the package, so none is kept only for a test."""
 
 import ast
 import re
@@ -102,13 +103,24 @@ def public_names(node: ast.AST) -> set[str]:
     return {node.name} | {m.name for m in methods if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")}
 
 
+def package_nodes() -> list[ast.stmt]:
+    """The top-level statements of every module of the package."""
+    return [node for path in PACKAGE.glob("*.py") for node in ast.parse(path.read_text(encoding="utf-8")).body]
+
+
 def test_every_public_name_has_a_caller_outside_the_tests():
     public, used = set(), set()
-    for path in PACKAGE.glob("*.py"):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            public |= public_names(node)
-            used |= references(node)
+    for node in package_nodes():
+        public |= public_names(node)
+        used |= references(node)
     for path in (ROOT / "bench").glob("*.py"):
         used |= referenced_names(ast.parse(path.read_text(encoding="utf-8")))
     assert not public & DELETED.keys()
     assert public - used == NO_CALLER_YET.keys()
+
+
+def test_every_private_function_has_a_caller_in_the_package():
+    nodes = package_nodes()
+    private = {n.name for n in nodes if isinstance(n, ast.FunctionDef) and n.name.startswith("_") and not n.name.endswith("__")}
+    assert private
+    assert private - set().union(*map(references, nodes)) == set()

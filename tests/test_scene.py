@@ -105,6 +105,15 @@ def one_object_grid(codec):
     return codec.tokenize(SceneLayout(room_type="bedroom", objects=[obj]))
 
 
+def test_grid_layout_is_read_off_the_one_column_table():
+    ranges = list(sc.ATTRIBUTE_COLUMNS.values())
+    assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]]  # contiguous, in grid order
+    assert (sc.GRID_COLUMNS, sc.APPEARANCE_CODES) == (12, 4)
+    assert sc.LAYOUT_ATTRIBUTES == tuple(sc.ATTRIBUTE_COLUMNS)[-3:] == ("position", "size", "rotation")
+    geometry = [c for name in sc.LAYOUT_ATTRIBUTES for c in range(*sc.ATTRIBUTE_COLUMNS[name])]
+    assert geometry == list(range(5, 12)) and len(geometry) == len(DiscretizationSpec().axes)
+
+
 def test_quantize_lower_bound_is_bin_zero():
     assert quantize(-4.0, AxisSpec(-4.0, 4.0, 64)) == 0
     codec = make_codec()
