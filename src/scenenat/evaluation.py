@@ -4,10 +4,10 @@ recall, and exact-match attribute accuracies for infill tasks.
 The analytic intersection volume clips the two yaw-rotated footprints
 against each other (Sutherland-Hodgman) and multiplies the polygon area by
 the vertical overlap; a Monte-Carlo estimator serves as its independent
-cross-check. ``_footprint`` builds a box's corners, clip edges, bounds and
-reach, and ``_box`` adds its z range and volume. Footprints that only touch
-clip to a rounding-noise sliver whose size depends on the argument order, so
-an overlap area at or below ``_TOUCH_AREA`` (1e-13) times (1 + the
+cross-check. ``_box`` is the one box builder: a box's footprint corners,
+clip edges, bounds and reach, then its z range and volume. Footprints that
+only touch clip to a rounding-noise sliver whose size depends on the argument
+order, so an overlap area at or below ``_TOUCH_AREA`` (1e-13) times (1 + the
 footprints' largest coordinate magnitude)^2 counts as 0.
 
 One pair loop, ``_overlaps``, serves ``collision_metrics`` and
@@ -43,12 +43,59 @@ from .relations import RELATION_SET, GeometryFrame, _inside, box_corners, box_ta
 from .scene import ATTRIBUTE_COLUMNS, GRID_COLUMNS, LAYOUT_ATTRIBUTES, SceneLayout, TokenizedScene
 
 
-def _footprint(x: float, y: float, hx: float, hy: float, yaw: float) -> tuple:
-    """A box's footprint as the clip reads it: (corners, edges, x_lo, x_hi, y_lo, y_hi, reach).
+def _clip_polygon(subject: list[tuple[float, float]], edges: list) -> list[tuple[float, float]]:
+    """Sutherland-Hodgman: clip a convex polygon against a convex window given by its ``_box`` edges.
 
-    ``edges`` holds each counter-clockwise edge as (x, y, dx, dy), from corner i - 1 to corner i;
-    reach is 1 plus the largest coordinate magnitude of the corners. Each bound is picked as
-    ``min``/``max`` would pick it, the first of equal values, so it is the same float.
+    Both polygons counter-clockwise; returns the (possibly empty) result.
+    """
+    output = subject
+    for ex, ey, dx, dy in edges:
+        if not output:
+            return []
+        result = []
+        px, py = output[-1]
+        d_prev = dx * (py - ey) - dy * (px - ex)  # >= 0 on the inner (left) side of the edge
+        for point in output:
+            x, y = point
+            d = dx * (y - ey) - dy * (x - ex)
+            if (d >= 0.0) != (d_prev >= 0.0):
+                # the distances straddle 0, so the denominator is never 0
+                t = d_prev / (d_prev - d)
+                result.append((px + t * (x - px), py + t * (y - py)))
+            if d >= 0.0:
+                result.append(point)
+            px, py, d_prev = x, y, d
+        output = result
+    return output
+
+
+# The shoelace sum over coordinates of magnitude M rounds by about 1e-16 * (1 + M)^2, so footprints
+# that only touch clip to a sliver of that area, whose size depends on which footprint clips which.
+# Overlaps at or below _TOUCH_AREA * (1 + M)^2 count as 0: over 100 times the largest sliver seen in
+# probes of touching and ulps-apart footprints, while a 1e-5 m corner poke (area 1e-10) still counts.
+_TOUCH_AREA = 1e-13
+
+
+def _clipped_area(subject: list[tuple[float, float]], edges: list, reach: float) -> float:
+    """Area of the overlap of two footprints: the one narrow phase of the collision metrics.
+
+    subject is one footprint's corners and edges the other's ``_box`` edges; reach is the
+    larger of their reaches. An overlap at or below the touch floor ``_TOUCH_AREA * reach**2``
+    counts as 0.
+    """
+    points = _clip_polygon(subject, edges)
+    area = 0.0
+    for (x0, y0), (x1, y1) in zip(points, points[1:] + points[:1]):  # shoelace; exactly 0.0 under 3 points
+        area += x0 * y1 - x1 * y0
+    area = abs(area) / 2.0
+    return 0.0 if area <= _TOUCH_AREA * reach * reach else area
+
+
+def _box(x: float, y: float, z: float, hx: float, hy: float, hz: float, yaw: float) -> tuple:
+    """A box as the pair loop reads it: (corners, edges, x_lo, x_hi, y_lo, y_hi, reach, z_lo, z_hi, volume).
+
+    Each counter-clockwise footprint edge is (x, y, dx, dy), from corner i - 1 to corner i; reach is 1 plus the
+    corners' largest coordinate magnitude. Each bound is the float ``min``/``max`` would pick, the first of equals.
     """
     corners = box_corners(x, y, hx, hy, yaw)
     (x0, y0), (x1, y1), (x2, y2), (x3, y3) = corners
@@ -74,65 +121,7 @@ def _footprint(x: float, y: float, hx: float, hy: float, yaw: float) -> tuple:
     reach = x_hi if x_hi > reach else reach
     reach = -y_lo if -y_lo > reach else reach
     reach = y_hi if y_hi > reach else reach
-    return corners, edges, x_lo, x_hi, y_lo, y_hi, 1.0 + reach
-
-
-def _clip_polygon(subject: list[tuple[float, float]], edges: list) -> list[tuple[float, float]]:
-    """Sutherland-Hodgman: clip a convex polygon against a convex window given by its ``_footprint`` edges.
-
-    Both polygons counter-clockwise; returns the (possibly empty) result.
-    """
-    output = subject
-    for ex, ey, dx, dy in edges:
-        if not output:
-            return []
-        result = []
-        px, py = output[-1]
-        d_prev = dx * (py - ey) - dy * (px - ex)  # >= 0 on the inner (left) side of the edge
-        for point in output:
-            x, y = point
-            d = dx * (y - ey) - dy * (x - ex)
-            if (d >= 0.0) != (d_prev >= 0.0):
-                # the distances straddle 0, so the denominator is never 0
-                t = d_prev / (d_prev - d)
-                result.append((px + t * (x - px), py + t * (y - py)))
-            if d >= 0.0:
-                result.append(point)
-            px, py, d_prev = x, y, d
-        output = result
-    return output
-
-
-def _polygon_area(points: list[tuple[float, float]]) -> float:
-    if len(points) < 3:
-        return 0.0
-    area = 0.0
-    for (x0, y0), (x1, y1) in zip(points, points[1:] + points[:1]):
-        area += x0 * y1 - x1 * y0
-    return abs(area) / 2.0
-
-
-# The shoelace sum over coordinates of magnitude M rounds by about 1e-16 * (1 + M)^2, so footprints
-# that only touch clip to a sliver of that area, whose size depends on which footprint clips which.
-# Overlaps at or below _TOUCH_AREA * (1 + M)^2 count as 0: over 100 times the largest sliver seen in
-# probes of touching and ulps-apart footprints, while a 1e-5 m corner poke (area 1e-10) still counts.
-_TOUCH_AREA = 1e-13
-
-
-def _clipped_area(subject: list[tuple[float, float]], edges: list, reach: float) -> float:
-    """Area of the overlap of two footprints: the one narrow phase of the collision metrics.
-
-    subject is one footprint's corners and edges the other's ``_footprint`` edges; reach is the
-    larger of their reaches. An overlap at or below the touch floor ``_TOUCH_AREA * reach**2``
-    counts as 0.
-    """
-    area = _polygon_area(_clip_polygon(subject, edges))
-    return 0.0 if area <= _TOUCH_AREA * reach * reach else area
-
-
-def _box(x: float, y: float, z: float, hx: float, hy: float, hz: float, yaw: float) -> tuple:
-    """A box as the pair loop reads it: the ``_footprint`` fields, then z_lo, z_hi and the volume."""
-    return (*_footprint(x, y, hx, hy, yaw), z - hz, z + hz, 8.0 * hx * hy * hz)
+    return corners, edges, x_lo, x_hi, y_lo, y_hi, 1.0 + reach, z - hz, z + hz, 8.0 * hx * hy * hz
 
 
 def _overlaps(rows: list) -> Iterator[tuple[float, float]]:

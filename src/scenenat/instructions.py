@@ -1,16 +1,16 @@
 """Templated instruction synthesis from relation triplets.
 
-Instructions are rendered from a closed template table (4 sentence frames
-per predicate), so the whole corpus tokenizes against a fixed whitespace
-word vocabulary. Sampling is pair-first over the scene's ``RelationTable``:
-its rows are grouped by unordered instance pair with one stable argsort,
-up to k pairs are drawn uniformly without replacement, and only then is one
-member (one orientation) of each drawn pair picked uniformly. The picked
-rows stay int rows. One greedy pass orders them so consecutive sentences
-reuse a mentioned category when possible, and gives each mention its
-article: "another" for a second distinct instance of a mentioned category,
-else "the". The rows, in sentence order, become the instruction's own
-``RelationTable`` over the scene's categories.
+Each sentence fills one of 4 sentence frames with its predicate's phrase
+(frames x phrases, no rendered table), so the whole corpus tokenizes against
+a fixed whitespace word vocabulary. Sampling is pair-first over the scene's
+``RelationTable``: its rows are grouped by unordered instance pair with one
+stable argsort, up to k pairs are drawn uniformly without replacement, and
+only then is one member (one orientation) of each drawn pair picked
+uniformly. The picked rows stay int rows. One greedy pass orders them so
+consecutive sentences reuse a mentioned category when possible, and gives
+each mention its article: "another" for a second distinct instance of a
+mentioned category, else "the". The rows, in sentence order, become the
+instruction's own ``RelationTable`` over the scene's categories.
 """
 
 from __future__ import annotations
@@ -52,17 +52,11 @@ CONNECTOR = "and"
 PAD_WORD = "<pad>"
 
 
-#: Four rendered sentence frames per predicate.
-TEMPLATES: dict[RelationPredicate, tuple[str, ...]] = {
-    pred: tuple(frame.replace("{p}", phrase) for frame in SENTENCE_FRAMES)
-    for pred, phrase in PREDICATE_PHRASES.items()
-}
-
 #: Every word an instruction can hold besides the category words.
 TEMPLATE_WORDS = frozenset(
     {*CONNECTOR.split(), "the", "another"}
-    | {w for frames in TEMPLATES.values() for frame in frames for w in frame.split() if w not in ("{s}", "{o}")}
-)
+    | {w for text in (*SENTENCE_FRAMES, *PREDICATE_PHRASES.values()) for w in text.split()}
+) - {"{s}", "{p}", "{o}"}
 
 
 def _words(categories: Iterable[str]) -> frozenset[str]:
@@ -73,10 +67,6 @@ def _words(categories: Iterable[str]) -> frozenset[str]:
 def build_word_vocab(categories: list[str]) -> dict[str, int]:
     """Closed word-to-id table: pad, then the template and category words in sorted order."""
     return {w: i for i, w in enumerate([PAD_WORD, *sorted(_words(categories) - {PAD_WORD})])}
-
-
-def tokenize_text(text: str, word_to_id: dict[str, int]) -> list[int]:
-    return [word_to_id[w] for w in text.split()]
 
 
 @dataclass
@@ -149,10 +139,11 @@ def synthesize_instruction(
     plan = _sentence_plan(cats, table.rows[order[bounds[picked] + members]].tolist())
     sentences = []
     for (s, p, o), (art_s, art_o) in plan:
-        frame = TEMPLATES[RELATION_SET[p]][int(rng.integers(len(SENTENCE_FRAMES)))]
+        frame = SENTENCE_FRAMES[int(rng.integers(len(SENTENCE_FRAMES)))]
+        frame = frame.replace("{p}", PREDICATE_PHRASES[RELATION_SET[p]])
         sentences.append(frame.replace("{s}", f"{art_s} {cats[s]}").replace("{o}", f"{art_o} {cats[o]}"))
     text = f" {CONNECTOR} ".join(sentences)
-    tokens = tokenize_text(text, word_to_id)
+    tokens = [word_to_id[w] for w in text.split()]
     if len(tokens) > MAX_TOKENS:
         raise ValueError(f"instruction tokenizes to {len(tokens)} > {MAX_TOKENS} words")
     return Instruction(text=text, tokens=tokens, triplets=RelationTable(cats, [row for row, _ in plan]))

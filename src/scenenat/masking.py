@@ -5,7 +5,8 @@ with tau drawn uniformly; a second uniform draw splits the budget between
 whole-object masking and individual-token masking. Selected positions then
 go through the replace-and-remask trichotomy: 10% random in-vocabulary
 token, 88% of the rest the MASK id, the remainder kept unchanged. All
-selected positions are supervised with their original tokens.
+selected positions are supervised with their original tokens. At inference
+``remask_count`` samples the same gamma at tau = step / total_steps.
 """
 
 from __future__ import annotations
@@ -28,14 +29,14 @@ def mask_ratio(tau: float) -> float:
 
 
 def remask_count(step: int, total_steps: int, total_masked: int) -> int:
-    """Tokens still masked after a decoding step; 0 after the final step."""
+    """Tokens still masked after a decoding step: floor(total_masked * gamma), 0 after the final step."""
     if total_steps < 1:
         raise ValueError(f"total_steps must be at least 1, got {total_steps}")
     if total_masked < 0:
         raise ValueError(f"total_masked must be non-negative, got {total_masked}")
     if not 0 <= step <= total_steps:
         raise ValueError(f"step {step} outside [0, {total_steps}]")
-    return math.floor(total_masked * math.cos(math.pi / 2 * step / total_steps))
+    return math.floor(total_masked * mask_ratio(step / total_steps))
 
 
 @dataclass

@@ -92,7 +92,7 @@ def box_table(*scenes: SceneLayout) -> np.ndarray:
     An object whose half size is not positive raises ValueError naming its index in its scene, and the scene's
     index when there are several.
     """
-    g = scenes[0].geometry if len(scenes) == 1 else np.concatenate([s.geometry for s in scenes])
+    g = np.concatenate([s.geometry for s in scenes])
     table = np.concatenate([g[:, :3], g[:, 3:6] / 2.0, np.radians(g[:, 6:])], axis=1)
     bad = np.flatnonzero((table[:, 3:6] <= 0.0).any(axis=1))
     if bad.size:
@@ -108,7 +108,7 @@ def box_corners(x: float, y: float, hx: float, hy: float, yaw: float) -> list[tu
     """Ground-plane corners of a yaw-rotated box, counter-clockwise from (-hx, -hy) in the box's frame.
 
     Each corner is (x + dx * c - dy * s, y + dx * s + dy * c) for its half-extent signs (dx, dy), written out
-    straight-line; ``footprint_corners`` and the collision clip's ``evaluation._footprint`` call it.
+    straight-line; ``footprint_corners`` and the collision clip's ``evaluation._box`` call it.
     """
     c, s = math.cos(yaw), math.sin(yaw)
     return [

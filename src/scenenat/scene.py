@@ -92,16 +92,12 @@ class DiscretizationSpec:
                 raise ConfigurationError(f"axis needs at least 2 bins, got {bins}")
 
     @property
-    def rotation_bins(self) -> int:
-        return 360 // self.rotation_bin_degrees
-
-    @property
     def axes(self) -> tuple[tuple[float, float, int], ...]:
         """``(lo, hi, bins)`` of the seven geometry axes, in grid order tx ty tz lx ly lz rot."""
         return (
             *((lo, hi, self.position_bins) for lo, hi in self.position_bounds),
             *((lo, hi, self.size_bins) for lo, hi in self.size_bounds),
-            (0.0, 360.0, self.rotation_bins),
+            (0.0, 360.0, 360 // self.rotation_bin_degrees),
         )
 
 
@@ -202,8 +198,7 @@ class SceneCodec:
         self.spec = spec
         self.max_objects = max_objects
         self.empty_id = len(categories)
-        self.num_classes = len(categories) + 1  # real categories + EMPTY
-        cols = [ColumnSpec("category", self.num_classes, None, self.num_classes)]
+        cols = [ColumnSpec("category", self.empty_id + 1, None, self.empty_id + 1)]  # real categories + EMPTY
         for i in range(APPEARANCE_CODES):
             cols.append(ColumnSpec(f"appearance{i}", APPEARANCE_VOCAB, APPEARANCE_VOCAB, APPEARANCE_VOCAB + 1))
         for name, (_, _, bins) in zip(("tx", "ty", "tz", "lx", "ly", "lz", "rotation"), spec.axes):

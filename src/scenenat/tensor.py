@@ -134,12 +134,14 @@ def _summed_nll(terms: list[tuple]) -> Tensor:
 
     Each term is (logits, rows, log_probs, targets, w, lam, denom). log_probs
     [n, V] is the log-softmax of the [*, V] logits' flat rows `rows`, or of all
-    of them in order when rows is None; targets and w are [n]. The logits are
-    the node's inputs, in term order, and each gets (softmax - onehot) * w *
-    lam / denom in the rows it supplied, zero elsewhere.
+    of them in order when rows is None; int targets (else ShapeError) and w are
+    [n]. The logits are the node's inputs, in term order, and each gets
+    (softmax - onehot) * w * lam / denom in the rows it supplied, 0 elsewhere.
     """
     value = None
     for _, _, log_probs, t, w, lam, denom in terms:
+        if t.dtype.kind not in "iu":
+            raise ShapeError(f"loss targets must be integers, got {t.dtype}")
         nll = -(log_probs[np.arange(t.shape[0]), t]) * w
         term = np.asarray(nll.sum() / denom, dtype=log_probs.dtype) * float(lam)
         value = term if value is None else value + term

@@ -37,8 +37,13 @@ def frame(x=0.0, y=0.0, z=0.5, w=1.0, d=1.0, h=1.0, yaw=0.0):
 
 
 def footprint_args(f: GeometryFrame):
-    """A frame's (x, y, hx, hy, yaw): the arguments of ``evaluation._footprint``."""
+    """A frame's (x, y, hx, hy, yaw): the footprint arguments of ``evaluation._box``."""
     return f.center[0], f.center[1], f.half_extents[0], f.half_extents[1], f.yaw
+
+
+def footprint(x, y, hx, hy, yaw):
+    """The footprint fields of ``evaluation._box``, its first seven, for a box of footprint (x, y, hx, hy, yaw)."""
+    return evaluation._box(x, y, 0.5, hx, hy, 0.5, yaw)[:7]
 
 
 def box_corners_oracle(x, y, hx, hy, yaw):
@@ -48,7 +53,8 @@ def box_corners_oracle(x, y, hx, hy, yaw):
 
 
 def footprint_oracle(x, y, hx, hy, yaw):
-    """``evaluation._footprint`` as the zip/min/max record it was written as, over the corner oracle."""
+    """The footprint fields of ``evaluation._box`` as the zip/min/max record they were written as, over the corner
+    oracle."""
     corners = box_corners_oracle(x, y, hx, hy, yaw)
     edges = [(x0, y0, x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(corners[-1:] + corners[:-1], corners)]
     xs, ys = zip(*corners)
@@ -323,8 +329,8 @@ def test_rounding_sliver_between_footprints_with_apart_bounds_scores_zero():
     b = SceneObject("lamp", (0, 0, 0, 0), (1.2374368670764584, 0.612436867076458, 0.5), (0.75, 2.75, 0.5), 315.0)
     corners_a, corners_b = footprint_corners(frame_of(a)), footprint_corners(frame_of(b))
     assert max(x for x, _ in corners_a) < min(x for x, _ in corners_b)
-    edges_b = evaluation._footprint(*footprint_args(frame_of(b)))[1]
-    assert 0.0 < evaluation._polygon_area(evaluation._clip_polygon(corners_a, edges_b)) < 1e-30
+    edges_b = footprint(*footprint_args(frame_of(b)))[1]
+    assert 0.0 < polygon_area_oracle(evaluation._clip_polygon(corners_a, edges_b)) < 1e-30
     for objects in ([a, b], [b, a]):
         scene = SceneLayout("bedroom", objects)
         assert collision_metrics(scene) == collision_oracle(scene) == CollisionReport(0.0, 0.0, 0.0, 0)
@@ -390,7 +396,7 @@ COLLINEAR_PAIR = tuple(map(footprint_args, COLLINEAR_FRAMES))
 @example(COLLINEAR_PAIR)
 @example(COLLINEAR_PAIR[::-1])
 def test_clip_of_footprints_equals_the_closure_oracle(pair):
-    (corners_a, *_), (corners_b, edges_b, *_) = (evaluation._footprint(*box) for box in pair)
+    (corners_a, *_), (corners_b, edges_b, *_) = (footprint(*box) for box in pair)
     assert evaluation._clip_polygon(corners_a, edges_b) == clip_polygon_oracle(corners_a, corners_b)
 
 
@@ -407,7 +413,21 @@ FOOTPRINT_YAWS = st.one_of(
 def test_corners_and_footprint_equal_their_oracles(x, y, hx, hy, yaw_deg):
     box = (x, y, hx, hy, math.radians(yaw_deg))
     assert box_corners(*box) == box_corners_oracle(*box)
-    assert evaluation._footprint(*box) == footprint_oracle(*box)
+    record = evaluation._box(x, y, 0.5, hx, hy, 0.25, box[-1])
+    assert record[:7] == footprint_oracle(*box)
+    assert record[7:] == (0.25, 0.75, 8.0 * hx * hy * 0.25)
+
+
+@given(st.lists(st.tuples(st.floats(-0.9, 0.9), st.floats(-0.9, 0.9)), max_size=2))
+@example([])
+@example([(-0.3, 0.1), (0.7, 0.2)])
+def test_clip_that_leaves_fewer_than_three_points_scores_exactly_zero(subject):
+    # an empty subject, one point or a two-point segment inside the window: the shoelace sum is exactly 0.0, even
+    # with the touch floor at 0 (reach 0)
+    edges = footprint(0.0, 0.0, 1.0, 1.0, 0.0)[1]
+    assert evaluation._clip_polygon(subject, edges) == subject
+    area = evaluation._clipped_area(subject, edges, 0.0)
+    assert area == 0.0 and math.copysign(1.0, area) == 1.0
 
 
 @given(convex_quads(), convex_quads())
@@ -538,7 +558,7 @@ def test_dense_scene_clips_every_candidate_and_matches_the_oracle(monkeypatch, s
 @pytest.mark.parametrize("n", [0, 1, 2, 32])
 def test_collision_metrics_builds_each_footprint_once(monkeypatch, n):
     # a footprint's corners, edges and bounds are built once per object, not once per pair
-    calls = count_calls(monkeypatch, evaluation, "_footprint")
+    calls = count_calls(monkeypatch, evaluation, "_box")
     scene = SceneLayout("bedroom", dense_scene(7).objects[:n])
     collision_metrics(scene)
     assert len(calls) == n

@@ -13,13 +13,12 @@ from scenenat.instructions import (
     CONNECTOR,
     MAX_TOKENS,
     PAD_WORD,
+    PREDICATE_PHRASES,
     SENTENCE_FRAMES,
-    TEMPLATES,
     Instruction,
     _sentence_plan,
     build_word_vocab,
     synthesize_instruction,
-    tokenize_text,
 )
 from scenenat.relations import RELATION_SET, RelationTable, RelationTriplet, extract_triplets
 from scenenat.relations import RelationPredicate as P
@@ -76,10 +75,10 @@ def synthesize_oracle(k: int, rng: np.random.Generator, table: RelationTable) ->
     chosen = discourse_order_oracle([pairs[key][j] for key, j in zip(picked, members)])
     sentences = []
     for t, (art_s, art_o) in zip(chosen, referring_expressions_oracle(chosen)):
-        frame = TEMPLATES[t.predicate][int(rng.integers(len(SENTENCE_FRAMES)))]
+        frame = SENTENCE_FRAMES[int(rng.integers(len(SENTENCE_FRAMES)))].replace("{p}", PREDICATE_PHRASES[t.predicate])
         sentences.append(frame.replace("{s}", f"{art_s} {t.subject}").replace("{o}", f"{art_o} {t.object}"))
     text = f" {CONNECTOR} ".join(sentences)
-    return Instruction(text=text, tokens=tokenize_text(text, VOCAB), triplets=table_of(table.categories, chosen))
+    return Instruction(text=text, tokens=[VOCAB[w] for w in text.split()], triplets=table_of(table.categories, chosen))
 
 
 def table_of(categories: list[str], triplets: list[RelationTriplet]) -> RelationTable:
@@ -247,11 +246,11 @@ def test_category_word_missing_from_vocabulary_fails_before_any_draw():
 def test_word_vocab_covers_every_template_word():
     assert VOCAB[PAD_WORD] == 0
     assert sorted(VOCAB.values()) == list(range(len(VOCAB)))
-    assert len(TEMPLATES) == len(P) - 1
-    for frames in TEMPLATES.values():
-        assert len(frames) == len(SENTENCE_FRAMES)
-        for frame in frames:
-            for article in ("the", "another"):
-                for cat in CATEGORIES:
-                    text = frame.replace("{s}", f"{article} {cat}").replace("{o}", f"{article} {cat}")
-                    assert all(w in VOCAB for w in f"{text} and {text}".split())
+    assert len(PREDICATE_PHRASES) == len(P) - 1
+    frames = {frame.replace("{p}", phrase) for phrase in PREDICATE_PHRASES.values() for frame in SENTENCE_FRAMES}
+    assert len(frames) == len(PREDICATE_PHRASES) * len(SENTENCE_FRAMES)
+    for frame in frames:
+        for article in ("the", "another"):
+            for cat in CATEGORIES:
+                text = frame.replace("{s}", f"{article} {cat}").replace("{o}", f"{article} {cat}")
+                assert all(w in VOCAB for w in f"{text} and {text}".split())

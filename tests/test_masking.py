@@ -39,6 +39,16 @@ def test_remask_count_endpoints_and_monotonicity():
             remask_count(step, steps, total)
 
 
+def test_remask_count_samples_the_training_schedule_and_ends_at_zero():
+    # the count goes through the float step / total_steps, so its last angle is the float pi / 2, whose cosine is
+    # positive; the angle pi / 2 * step / total_steps rounds past it at 13 / 13, where the count would be -1
+    for total_steps in range(1, 257):
+        for total in (0, 1, 2, 7, 64, 1000, 4096):
+            counts = [remask_count(step, total_steps, total) for step in range(total_steps + 1)]
+            assert counts == [math.floor(total * mask_ratio(step / total_steps)) for step in range(total_steps + 1)]
+            assert min(counts) >= 0 and counts[-1] == 0
+
+
 def test_remask_count_rejects_a_negative_total():
     with pytest.raises(ValueError, match="total_masked"):
         remask_count(0, 4, -3)

@@ -197,7 +197,7 @@ def test_triplet_loss_permutation_invariant_bitwise():
     # bed left of chair, desk above lamp, chair behind desk
     left, above, behind = (RELATION_SET.index(RelationPredicate(p)) for p in ("left_of", "above", "behind"))
     rows = [[0, left, 1], [2, above, 3], [1, behind, 2]]
-    s, p, o = random_heads(rng, n_cat=codec.num_classes + 1)
+    s, p, o = random_heads(rng, n_cat=codec.empty_id + 1 + 1)  # the category classes, EMPTY included, then null
     weights = LossWeights()
     base = triplet_loss(encode_triplets(RelationTable(codec.categories, rows), codec), s, p, o, weights).item()
     for perm in itertools.permutations(rows):
@@ -380,6 +380,13 @@ def test_recon_loss_rejects_logits_of_another_grid():
     logits = {k: Tensor(v) for k, v in attribute_logits(np.random.default_rng(0), np.float64, n=2).items()}
     with pytest.raises(ShapeError, match="category logits"):
         recon_loss(logits, np.zeros((2, 3, 12), dtype=np.int64), LossWeights())
+
+
+@pytest.mark.parametrize("dtype", [bool, np.float64])
+def test_recon_loss_rejects_non_integer_targets(dtype):
+    logits = {k: Tensor(v) for k, v in attribute_logits(np.random.default_rng(0), np.float64).items()}
+    with pytest.raises(ShapeError, match="integers"):
+        recon_loss(logits, np.ones((2, 3, 12), dtype=dtype), LossWeights())
 
 
 def test_recon_loss_uniform_single_token():

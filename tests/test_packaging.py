@@ -1,6 +1,7 @@
 """pyproject.toml declares exactly the third-party modules the package and its tests import, every public
-function, class and method of a public class of the package has a caller outside the tests, and every private
-module-level function of the package has a caller in the package, so none is kept only for a test."""
+function, class and method of a public class of the package has a caller outside the tests, every public
+upper-case module constant is read outside the tests, and every private module-level function of the package
+has a caller in the package, so none is kept only for a test."""
 
 import ast
 import re
@@ -72,6 +73,9 @@ DELETED = {
     "predicate_id": "a predicate's id is its RELATION_SET index",
     "accumulate_grad": "Tensor.backward alone accumulates grads, and only leaves keep them",
     "box_rows": "box_table(scene) states the box rule once; the pair loop reads its rows as Python floats",
+    "tokenize_text": "a one-line split-and-look-up with one caller; synthesize_instruction does it inline",
+    "rotation_bins": "360 // rotation_bin_degrees has one reader, DiscretizationSpec.axes, which computes it",
+    "TEMPLATES": "a table rendered from SENTENCE_FRAMES x PREDICATE_PHRASES; synthesize_instruction fills {p}",
 }
 
 
@@ -103,9 +107,31 @@ def public_names(node: ast.AST) -> set[str]:
     return {node.name} | {m.name for m in methods if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")}
 
 
+def public_constants(node: ast.AST) -> set[str]:
+    """The public upper-case names a top-level assignment binds."""
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target] if isinstance(node, ast.AnnAssign) else []
+    return {t.id for t in targets if isinstance(t, ast.Name) and t.id.isupper() and not t.id.startswith("_")}
+
+
+def loaded_names(tree: ast.AST) -> set[str]:
+    """The names a tree reads, bare or as an attribute; an assignment's target is not a read."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+    return names
+
+
 def package_nodes() -> list[ast.stmt]:
     """The top-level statements of every module of the package."""
     return [node for path in PACKAGE.glob("*.py") for node in ast.parse(path.read_text(encoding="utf-8")).body]
+
+
+def bench_trees() -> list[ast.Module]:
+    """The modules of the benchmark, its tests left out."""
+    return [ast.parse(path.read_text(encoding="utf-8")) for path in (ROOT / "bench").glob("*.py")]
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
@@ -113,10 +139,20 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     for node in package_nodes():
         public |= public_names(node)
         used |= references(node)
-    for path in (ROOT / "bench").glob("*.py"):
-        used |= referenced_names(ast.parse(path.read_text(encoding="utf-8")))
+    for tree in bench_trees():
+        used |= referenced_names(tree)
     assert not public & DELETED.keys()
     assert public - used == NO_CALLER_YET.keys()
+
+
+def test_every_public_constant_is_read_outside_the_tests():
+    # a derived table kept only for the tests fails here
+    nodes = package_nodes()
+    constants = set().union(*map(public_constants, nodes))
+    assert {"GRID_COLUMNS", "RELATION_SET", "SENTENCE_FRAMES"} <= constants
+    assert not constants & DELETED.keys()
+    read = set().union(*map(loaded_names, nodes), *map(loaded_names, bench_trees()))
+    assert constants - read == set()
 
 
 def test_every_private_function_has_a_caller_in_the_package():

@@ -53,7 +53,7 @@ def oracle_axes(spec: DiscretizationSpec) -> list[AxisSpec]:
     return (
         [AxisSpec(lo, hi, spec.position_bins) for lo, hi in spec.position_bounds]
         + [AxisSpec(lo, hi, spec.size_bins) for lo, hi in spec.size_bounds]
-        + [AxisSpec(0.0, 360.0, spec.rotation_bins)]
+        + [AxisSpec(0.0, 360.0, 360 // spec.rotation_bin_degrees)]
     )
 
 
@@ -62,7 +62,7 @@ def oracle_tokenize(codec: SceneCodec, scene: SceneLayout) -> tuple[np.ndarray, 
     offsets. Returns the tokens and the number of out-of-bounds values."""
     spec = codec.spec
     axes = oracle_axes(spec)
-    empty = [len(CATEGORIES)] + [64] * 4 + [spec.position_bins] * 3 + [spec.size_bins] * 3 + [spec.rotation_bins]
+    empty = [len(CATEGORIES)] + [64] * 4 + [spec.position_bins] * 3 + [spec.size_bins] * 3 + [axes[-1].bins]
     tokens = np.array([empty] * codec.max_objects, dtype=np.int64)
     clamps = 0
     for i, obj in enumerate(scene.objects):

@@ -126,6 +126,14 @@ def test_embedding_lookup_rejects_non_integer_ids(ids):
         T.embedding_lookup(table, ids)
 
 
+@pytest.mark.parametrize("targets", [np.array([False, True, False]), np.array([0.0, 1.0, 2.0])], ids=["bool", "float"])
+def test_cross_entropy_rejects_non_integer_targets(targets):
+    # numpy reads bool targets as a mask: [False, True, False] would score as the targets [1, 1, 1]
+    logits = Tensor(np.random.default_rng(0).standard_normal((3, 3)), requires_grad=True)
+    with pytest.raises(T.ShapeError, match="integers"):
+        T.cross_entropy(logits, targets)
+
+
 def scatter_add_oracle(rows: int, ids: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Table gradient of a gather: each id's output-gradient row added into that table row."""
     out = np.zeros((rows, g.shape[-1]), dtype=g.dtype)
