@@ -148,18 +148,21 @@ def triplet_loss(
     _truncated_triplets += cut
     n_q = subject_logits.data.shape[0]
     log_probs = [tn.log_softmax_array(logits.data) for logits, _ in heads]
-    cost = np.zeros((classes.shape[1], n_q))
+    cost = None
     for lp, (_, lam), c in zip(log_probs, heads, classes):
-        cost += lam * (weights.null_class * lp[:, -1] - lp[:, c].T)  # CE(gt_j) - null_class * CE(null)
+        term = lam * (weights.null_class * lp[:, -1] - lp.T[c])  # CE(gt_j) - null_class * CE(null)
+        cost = term.astype(np.float64, copy=False) if cost is None else np.add(cost, term, out=cost)
     sigma = hungarian(cost)
 
-    terms = []
-    for lp, (logits, lam), c in zip(log_probs, heads, classes):
-        null_id = lp.shape[-1] - 1
-        targets = np.full(n_q, null_id, dtype=np.int64)
-        targets[sigma] = c
-        w = np.where(targets == null_id, weights.null_class, 1.0).astype(lp.dtype)
-        terms.append((logits, None, lp, targets, w, lam, 1))
+    targets = np.empty((len(heads), n_q), dtype=np.int64)
+    targets.T[:] = [lp.shape[-1] - 1 for lp in log_probs]  # the null classes
+    targets[:, sigma] = classes
+    terms, w = [], None
+    for lp, (logits, lam), t in zip(log_probs, heads, targets):
+        if w is None or w.dtype != lp.dtype:  # w depends only on sigma and the dtype
+            w = np.full(n_q, weights.null_class, dtype=lp.dtype)
+            w[sigma] = 1.0
+        terms.append((logits, None, lp, t, w, lam, 1))
     return tn._summed_nll(terms)
 
 

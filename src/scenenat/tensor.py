@@ -1,11 +1,19 @@
 """Minimal dense-tensor library with reverse-mode automatic differentiation.
 
 numpy holds the values. Each op records a closure that maps its output's
-gradient to one gradient per input, in input order and of that input's
-shape. Tensor.backward walks the recorded graph in reverse topological order
-and alone accumulates those gradients. Only a leaf that requires grad keeps
-a .grad: its own writable array, which adds up across passes. Interior grads
-exist only during backward, each dropped once its node's rule has used it.
+gradient to one gradient per input, in input order. A gradient is an array
+of that input's shape, or, from slice_rows only, a row grad (start, stop,
+rows): the grad of input rows start:stop, zero elsewhere. A rule never
+writes the grad it is given and may hand it on as is, to several inputs.
+Tensor.backward walks the recorded graph in reverse topological order and
+alone accumulates those gradients. A node's first array grad is adopted as
+is and never written. A later grad is added in place into a buffer that
+backward allocated itself, with the dtype promotion of have + g. A row grad
+starts such a buffer from zeros and adds into its rows only, so B slices of
+one input cost B slices of work, not B full arrays. Only a leaf that
+requires grad keeps a .grad: its own writable array, which adds up across
+passes. Interior grads exist only during backward, each dropped once its
+node's rule has used it.
 _make records a node under this contract and _summed_nll the weighted-NLL
 node; both are package-internal, not public API. _make alone decides
 whether an op records: outside no_grad, when an input requires grad.
@@ -80,15 +88,37 @@ class Tensor:
         if self.data.size != 1:
             raise ValueError(f"backward() needs a scalar loss, got shape {self.shape}")
         interior: dict[Tensor, np.ndarray] = {}
+        owned: set[Tensor] = set()  # nodes whose grad is a buffer this pass allocated
 
         def receive(node: Tensor, g) -> None:
-            if node._backward is not None:
-                # Adopt g as is and add out of place: g may be read-only or another node's grad too.
-                interior[node] = np.asarray(g) if node not in interior else np.asarray(interior[node] + g)
-            elif node.requires_grad and node.grad is None:
-                node.grad = np.asarray(g).copy()
-            elif node.requires_grad:
-                node.grad += g
+            leaf = node._backward is None
+            if leaf and not node.requires_grad:
+                return
+            have = node.grad if leaf else interior.get(node)
+            if type(g) is tuple:  # slice_rows' row grad
+                start, stop, g = g
+                if have is None:
+                    have = np.zeros(node.data.shape, node.data.dtype)
+                    have[start:stop] = g
+                else:
+                    if not leaf and (node not in owned or have.dtype != g.dtype):
+                        have = have.astype(np.result_type(have, g))
+                    have[start:stop] += g
+                owned.add(node)
+            else:
+                g = np.asarray(g)
+                if have is None:
+                    # Adopted, never written: g may be read-only or another node's grad too.
+                    have = g.copy() if leaf else g
+                elif leaf or (node in owned and have.dtype == g.dtype and have.shape == g.shape):
+                    have += g
+                else:
+                    have = np.asarray(have + g)
+                    owned.add(node)
+            if leaf:
+                node.grad = have
+            else:
+                interior[node] = have
 
         receive(self, np.ones_like(self.data))
         for node in reversed(build_tape(self)):
@@ -103,29 +133,32 @@ class Tensor:
 def build_tape(root: Tensor) -> list[Tensor]:
     """Operations in topological order: every node's inputs precede it."""
     tape: list[Tensor] = []
-    visited: set[int] = set()
+    visited: set[Tensor] = set()  # a Tensor hashes by identity
     stack: list[tuple[Tensor, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             tape.append(node)
             continue
-        if id(node) in visited:
+        if node in visited:
             continue
-        visited.add(id(node))
+        visited.add(node)
         stack.append((node, True))
         for parent in node._parents:
-            if id(parent) not in visited:
+            if parent not in visited:
                 stack.append((parent, False))
     return tape
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._backward = backward_fn
+    if _grad_enabled:
+        for p in parents:
+            if p.requires_grad:
+                out.requires_grad = True
+                out._parents = parents
+                out._backward = backward_fn
+                break
     return out
 
 
@@ -135,22 +168,25 @@ def _summed_nll(terms: list[tuple]) -> Tensor:
     Each term is (logits, rows, log_probs, targets, w, lam, denom). log_probs
     [n, V] is the log-softmax of the [*, V] logits' flat rows `rows`, or of all
     of them in order when rows is None; int targets (else ShapeError) and w are
-    [n]. The logits are the node's inputs, in term order, and each gets
-    (softmax - onehot) * w * lam / denom in the rows it supplied, 0 elsewhere.
+    [n], each target below V (the callers check). The logits are the node's
+    inputs, in term order, and each gets (softmax - onehot) * w * lam / denom
+    in the rows it supplied, 0 elsewhere.
     """
+    picks = []  # per term, the flat position of each target's log-prob
     value = None
     for _, _, log_probs, t, w, lam, denom in terms:
-        if t.dtype.kind not in "iu":
-            raise ShapeError(f"loss targets must be integers, got {t.dtype}")
-        nll = -(log_probs[np.arange(t.shape[0]), t]) * w
-        term = np.asarray(nll.sum() / denom, dtype=log_probs.dtype) * float(lam)
+        _require_integers("loss targets", t)
+        n, vocab = log_probs.shape
+        picks.append(np.arange(0, n * vocab, vocab) + t.astype(np.intp, copy=False))
+        nll = -(log_probs.reshape(-1)[picks[-1]]) * w
+        term = np.asarray(np.add.reduce(nll) / denom, dtype=log_probs.dtype) * float(lam)
         value = term if value is None else value + term
 
     def backward(g):
         grads = []
-        for logits, rows, log_probs, t, w, lam, denom in terms:
+        for (logits, rows, log_probs, _, w, lam, denom), pick in zip(terms, picks):
             probs = np.exp(log_probs)
-            probs[np.arange(t.shape[0]), t] -= 1.0
+            probs.reshape(-1)[pick] -= 1.0
             probs *= (w * float(g * lam) / denom)[:, None]
             if rows is None:
                 grads.append(probs.reshape(logits.data.shape))
@@ -161,6 +197,11 @@ def _summed_nll(terms: list[tuple]) -> Tensor:
         return grads
 
     return _make(value, tuple(term[0] for term in terms), backward)
+
+
+def _require_integers(what: str, a: np.ndarray) -> None:
+    if a.dtype.kind not in "iu":
+        raise ShapeError(f"{what} must be integers, got {a.dtype}")
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -245,20 +286,20 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    """First-axis slice with gradient scattered back into place."""
+    """Rows start:stop of the first axis, 0 <= start < stop <= len(a) (else ShapeError); its grad is a row grad."""
+    if a.data.ndim == 0 or not 0 <= start < stop <= a.data.shape[0]:
+        raise ShapeError(f"slice_rows: rows {start}:{stop} of shape {a.data.shape}")
+    dtype = a.data.dtype
 
     def backward(g):
-        full = np.zeros_like(a.data)
-        full[start:stop] = g
-        return (full,)
+        return ((start, stop, np.asarray(g, dtype)),)
 
     return _make(a.data[start:stop].copy(), (a,), backward)
 
 
 def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
     """Gather rows of a [V, d] table by integer ids; grads scatter-add into the table."""
-    if ids.dtype.kind not in "iu":
-        raise ShapeError(f"embedding_lookup: ids must be integers, got {ids.dtype}")
+    _require_integers("embedding_lookup: ids", ids)
     rows, d = table.data.shape
     if ids.min(initial=0) < 0 or (ids.size and ids.max() >= rows):
         raise ShapeError(f"ids outside table of {rows} rows")
@@ -275,12 +316,11 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
 
 def softmax(a: Tensor) -> Tensor:
     """Softmax over the last axis."""
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=-1, keepdims=True)
+    s = np.exp(a.data - np.maximum.reduce(a.data, axis=-1, keepdims=True))
+    s /= np.add.reduce(s, axis=-1, keepdims=True)
 
     def backward(g):
-        dot = (g * s).sum(axis=-1, keepdims=True)
+        dot = np.add.reduce(g * s, axis=-1, keepdims=True)
         return ((g - dot) * s,)
 
     return _make(s, (a,), backward)
@@ -288,8 +328,8 @@ def softmax(a: Tensor) -> Tensor:
 
 def log_softmax_array(x: np.ndarray) -> np.ndarray:
     """Numerically stable log-softmax over the last axis of a plain numpy array (no graph)."""
-    shifted = x - x.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted = x - np.maximum.reduce(x, axis=-1, keepdims=True)
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
@@ -370,6 +410,7 @@ def cross_entropy(
     vocab = logits.data.shape[-1]
     if targets.shape != logits.data.shape[:-1]:
         raise ShapeError(f"cross_entropy: targets {targets.shape} for logits {logits.data.shape}")
+    _require_integers("cross_entropy: targets", targets)  # before the class-weight gather reads them as indices
     if class_weights is not None and np.shape(class_weights) != (vocab,):
         raise ShapeError(f"cross_entropy: class_weights {np.shape(class_weights)} for vocabulary of size {vocab}")
     if targets.size and (targets.min() < 0 or targets.max() >= vocab):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from scenenat import tensor as T
 from scenenat.tensor import Tensor
@@ -132,6 +134,24 @@ def test_cross_entropy_rejects_non_integer_targets(targets):
     logits = Tensor(np.random.default_rng(0).standard_normal((3, 3)), requires_grad=True)
     with pytest.raises(T.ShapeError, match="integers"):
         T.cross_entropy(logits, targets)
+
+
+@pytest.mark.parametrize(
+    "targets", [np.array([0.0, 1.0, 2.0]), np.array([False, True])], ids=["float", "bool-shorter-than-vocabulary"]
+)
+def test_cross_entropy_with_class_weights_rejects_non_integer_targets(targets):
+    # the class-weight gather must not read them as indices or as a mask first
+    logits = Tensor(np.zeros((targets.shape[0], 3)), requires_grad=True)
+    with pytest.raises(T.ShapeError, match="integers"):
+        T.cross_entropy(logits, targets, class_weights=np.ones(3))
+
+
+@pytest.mark.parametrize("start, stop", [(3, 9), (-1, 4), (-1, 0), (2, 2), (3, 1), (0, 5)])
+def test_slice_rows_rejects_rows_outside_the_input(start, stop):
+    # numpy would clip (3, 9) to one row, wrap (-1, 4) to the last row and give (-1, 0) no rows
+    x = Tensor(np.zeros((4, 2)), requires_grad=True)
+    with pytest.raises(T.ShapeError, match="rows"):
+        T.slice_rows(x, start, stop)
 
 
 def scatter_add_oracle(rows: int, ids: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -269,6 +289,137 @@ def test_item_of_a_one_element_loss_equals_its_value_after_backward(shape):
     loss.backward()
     assert loss.item() == 9.0
     np.testing.assert_array_equal(x.grad, np.full(shape, 6.0))
+
+
+def grads_by_full_arrays(loss: Tensor, leaves: list[Tensor]) -> list[np.ndarray]:
+    """Leaf grads by the plain rule: a slice's grad is a full zero array with its rows set.
+
+    Interior grads add out of place; a leaf copies its first grad and adds the others into it in place.
+    """
+    grads = {loss: np.ones_like(loss.data)}
+    for node in reversed(T.build_tape(loss)):
+        if node._backward is None or node not in grads:
+            continue
+        for parent, g in zip(node._parents, node._backward(grads.pop(node))):
+            if type(g) is tuple:
+                start, stop, rows = g
+                g = np.zeros_like(parent.data)
+                g[start:stop] = rows
+            if parent not in grads:
+                grads[parent] = np.array(g) if parent._backward is None else g
+            elif parent._backward is None:
+                grads[parent] += g
+            else:
+                grads[parent] = grads[parent] + g
+    return [grads[leaf] for leaf in leaves]
+
+
+@st.composite
+def sliced_parents(draw):
+    """A [B, Q, V] parent, overlapping and repeated row ranges of it, and where its one full-shape consumer goes."""
+    b = draw(st.integers(1, 8))
+    shape = (b, draw(st.integers(1, 4)), draw(st.integers(1, 5)))
+    row_range = st.integers(0, b - 1).flatmap(lambda start: st.tuples(st.just(start), st.integers(start + 1, b)))
+    ranges = draw(st.lists(row_range, min_size=1, max_size=12))
+    full_at = draw(st.integers(0, len(ranges)))
+    return shape, ranges, full_at
+
+
+@given(
+    case=sliced_parents(),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    full_dtype=st.sampled_from([np.float32, np.float64]),
+    interior=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_row_grads_add_up_like_full_arrays(case, dtype, full_dtype, interior, seed):
+    """A float64 full-shape consumer of a float32 parent hands it float64 grads, which promote the sum."""
+    shape, ranges, full_at = case
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
+    parent = T.scale(x, 1.5) if interior else x
+    weights = [rng.standard_normal((stop - start,) + shape[1:]).astype(dtype) for start, stop in ranges]
+    full_weight = rng.standard_normal(shape).astype(full_dtype)
+    terms = [T.tensor_sum(T.mul(T.slice_rows(parent, start, stop), Tensor(w))) for (start, stop), w in zip(ranges, weights)]
+    terms.insert(full_at, T.tensor_sum(T.mul(parent, Tensor(full_weight))))
+    loss = terms[0]
+    for term in terms[1:]:
+        loss = T.add(loss, term)
+
+    value = None  # the loss in numpy, op for op
+    parts = [(parent.data[start:stop] * w).sum() for (start, stop), w in zip(ranges, weights)]
+    parts.insert(full_at, (parent.data * full_weight).sum())
+    for part in parts:
+        value = part if value is None else value + part
+    (want,) = grads_by_full_arrays(loss, [x])
+    loss.backward()
+    assert loss.dtype == np.result_type(dtype, full_dtype) and np.array_equal(loss.data, value)
+    assert x.grad.dtype == want.dtype and np.array_equal(x.grad, want)
+
+
+@pytest.mark.parametrize("heads", [1, 3])
+def test_head_split_backward_makes_one_zero_array_per_sliced_parent(heads, monkeypatch):
+    b, q, v = 8, 4, 5
+    rng = np.random.default_rng(0)
+    c = Tensor(rng.standard_normal((b, q, 6)), requires_grad=True)
+    outs = [T.matmul(c, Tensor(rng.standard_normal((6, v)), requires_grad=True)) for _ in range(heads)]
+    loss = None
+    for j in range(b):
+        for out in outs:
+            s = T.reshape(T.slice_rows(out, j, j + 1), (q, v))
+            term = T.tensor_sum(T.mul(s, Tensor(rng.standard_normal((q, v)))))
+            loss = term if loss is None else T.add(loss, term)
+    made = []
+    for name in ("zeros", "zeros_like"):
+        real = getattr(np, name)
+
+        def counted(*args, real=real, **kwargs):
+            out = real(*args, **kwargs)
+            made.append(out.shape)
+            return out
+
+        monkeypatch.setattr(np, name, counted)
+    loss.backward()
+    monkeypatch.undo()
+    assert made.count((b, q, v)) <= heads
+    assert c.grad.shape == (b, q, 6)
+
+
+@pytest.mark.parametrize("later", ["full", "rows"])
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("adopted", ["read-only", "shared"])
+def test_an_adopted_grad_is_never_written(adopted, side, later):
+    """Which grad reaches a first follows the tape, so the handed one goes on either side of the last add."""
+    rng = np.random.default_rng(4)
+    x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    a = T.scale(x, 2.0)
+    u = Tensor(rng.standard_normal((3, 4)))
+    if adopted == "read-only":
+        first = T.tensor_sum(a)  # hands a a read-only broadcast view
+        handing = first
+    else:
+        handing = T.add(a, T.scale(x, 3.0))  # hands a and its sibling the same array
+        first = T.tensor_sum(T.mul(handing, u))
+    if later == "full":  # two more grads for a
+        more = T.add(T.tensor_sum(T.mul(a, u)), T.tensor_sum(T.scale(a, -1.0)))
+    else:
+        more = T.add(T.tensor_sum(T.slice_rows(a, 1, 3)), T.tensor_sum(T.mul(T.slice_rows(a, 0, 2), Tensor(u.data[:2]))))
+    loss = T.add(first, more) if side == "left" else T.add(more, first)
+    (want,) = grads_by_full_arrays(loss, [x])
+
+    handed = []
+    rule = handing._backward
+
+    def recording(g):
+        grads = rule(g)
+        handed.extend((grad, np.array(grad)) for grad in grads)
+        return grads
+
+    handing._backward = recording
+    loss.backward()
+    assert handed and all(np.array_equal(grad, copy) for grad, copy in handed)
+    assert adopted == "shared" or not handed[0][0].flags.writeable
+    assert np.array_equal(x.grad, want)
 
 
 class TestFiniteDifferences:
