@@ -151,17 +151,19 @@ def triplet_loss(
     cost = None
     for lp, (_, lam), c in zip(log_probs, heads, classes):
         term = lam * (weights.null_class * lp[:, -1] - lp.T[c])  # CE(gt_j) - null_class * CE(null)
-        cost = term.astype(np.float64, copy=False) if cost is None else np.add(cost, term, out=cost)
+        if cost is None:
+            cost = term.astype(np.float64, copy=False)
+        else:
+            cost += term
     sigma = hungarian(cost)
 
     targets = np.empty((len(heads), n_q), dtype=np.int64)
     targets.T[:] = [lp.shape[-1] - 1 for lp in log_probs]  # the null classes
     targets[:, sigma] = classes
-    terms, w = [], None
+    terms = []
     for lp, (logits, lam), t in zip(log_probs, heads, targets):
-        if w is None or w.dtype != lp.dtype:  # w depends only on sigma and the dtype
-            w = np.full(n_q, weights.null_class, dtype=lp.dtype)
-            w[sigma] = 1.0
+        w = np.full(n_q, weights.null_class, dtype=lp.dtype)
+        w[sigma] = 1.0
         terms.append((logits, None, lp, t, w, lam, 1))
     return tn._summed_nll(terms)
 

@@ -10,7 +10,8 @@ alone accumulates those gradients. A node's first array grad is adopted as
 is and never written. A later grad is added in place into a buffer that
 backward allocated itself, with the dtype promotion of have + g. A row grad
 starts such a buffer from zeros and adds into its rows only, so B slices of
-one input cost B slices of work, not B full arrays. Only a leaf that
+one input cost B slices of work, not B full arrays; a zero outside those
+rows keeps its sign. Only a leaf that
 requires grad keeps a .grad: its own writable array, which adds up across
 passes. Interior grads exist only during backward, each dropped once its
 node's rule has used it.
@@ -101,7 +102,7 @@ class Tensor:
                     have = np.zeros(node.data.shape, node.data.dtype)
                     have[start:stop] = g
                 else:
-                    if not leaf and (node not in owned or have.dtype != g.dtype):
+                    if not leaf and (node not in owned or np.result_type(have, g) != have.dtype):
                         have = have.astype(np.result_type(have, g))
                     have[start:stop] += g
                 owned.add(node)
@@ -110,7 +111,7 @@ class Tensor:
                 if have is None:
                     # Adopted, never written: g may be read-only or another node's grad too.
                     have = g.copy() if leaf else g
-                elif leaf or (node in owned and have.dtype == g.dtype and have.shape == g.shape):
+                elif leaf or (node in owned and np.result_type(have, g) == have.dtype and have.shape == g.shape):
                     have += g
                 else:
                     have = np.asarray(have + g)
@@ -185,7 +186,7 @@ def _summed_nll(terms: list[tuple]) -> Tensor:
     def backward(g):
         grads = []
         for (logits, rows, log_probs, _, w, lam, denom), pick in zip(terms, picks):
-            probs = np.exp(log_probs)
+            probs = np.exp(log_probs, order="C")  # C order: reshape(-1) must be a view, not a copy
             probs.reshape(-1)[pick] -= 1.0
             probs *= (w * float(g * lam) / denom)[:, None]
             if rows is None:

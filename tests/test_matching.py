@@ -659,6 +659,14 @@ def test_triplet_loss_gradcheck_away_from_assignment_ties(monkeypatch):
     assert len(sigmas) > 1 and len(set(sigmas)) == 1  # sigma is the same at every x +- h
 
 
+def test_triplet_loss_gradcheck_on_column_major_heads():
+    """Heads transposed from [classes, Q] leaves have column-major strides."""
+    rng = np.random.default_rng(14)
+    leaves = [Tensor(np.ascontiguousarray(v.T), requires_grad=True) for v in triplet_data(rng, np.float64).values()]
+    gt = int_gt([(0, 3, 1), (2, 5, 0), (4, 1, 4)])
+    check_gradients(lambda: triplet_loss(gt, *(tn.transpose(x, (1, 0)) for x in leaves), WEIGHTS), leaves, max_probes_per_tensor=100)
+
+
 def test_recon_loss_gradcheck():
     rng = np.random.default_rng(15)
     logits = {k: Tensor(v, requires_grad=True) for k, v in attribute_logits(rng, np.float64, b=1, n=3).items()}

@@ -333,7 +333,10 @@ def sliced_parents(draw):
     seed=st.integers(0, 2**16),
 )
 def test_row_grads_add_up_like_full_arrays(case, dtype, full_dtype, interior, seed):
-    """A float64 full-shape consumer of a float32 parent hands it float64 grads, which promote the sum."""
+    """A float64 full-shape consumer of a float32 parent hands it float64 grads, which promote the sum.
+
+    np.array_equal, not bytes: outside a later slice's rows, the oracle's + 0.0 turns a -0.0 into +0.0.
+    """
     shape, ranges, full_at = case
     rng = np.random.default_rng(seed)
     x = Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
@@ -520,6 +523,13 @@ class TestFiniteDifferences:
         weights[5] = 0.1
         check_gradients(lambda: T.cross_entropy(logits, targets, class_weights=weights), [logits])
         check_gradients(lambda: T.cross_entropy(logits, targets, reduction="sum"), [logits])
+
+    def test_cross_entropy_gradient_of_column_major_logits(self):
+        """Logits transposed from a [V, n] leaf have column-major strides; the one-hot must still reach the grad."""
+        x = randt(self.rng, 6, 4)
+        targets = np.array([1, 0, 5, 2])
+        check_gradients(lambda: T.cross_entropy(T.transpose(x, (1, 0)), targets), [x])
+        check_gradients(lambda: T.cross_entropy(T.transpose(x, (1, 0)), targets, class_weights=np.linspace(0.5, 1.5, 6)), [x])
 
 
 def _op_cases(rng, dtype):
