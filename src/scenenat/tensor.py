@@ -6,12 +6,12 @@ of that input's shape, or, from slice_rows only, a row grad (start, stop,
 rows): the grad of input rows start:stop, zero elsewhere. A rule never
 writes the grad it is given and may hand it on as is, to several inputs.
 Tensor.backward walks the recorded graph in reverse topological order and
-alone accumulates those gradients. A node's first array grad is adopted as
-is and never written. A later grad is added in place into a buffer that
-backward allocated itself, with the dtype promotion of have + g. A row grad
-starts such a buffer from zeros and adds into its rows only, so B slices of
-one input cost B slices of work, not B full arrays; a zero outside those
-rows keeps its sign. Only a leaf that
+alone accumulates those gradients, by one rule. Every grad is cast to its
+node's dtype. A node's first full grad is adopted as is and never written.
+Every other grad, full or row, is added in place into the rows it covers of
+one buffer that backward owns: a copy of the adopted grad, or zeros when a
+row grad comes first. So B slices of one input cost B slices of work, not B
+full arrays, and a zero outside those rows keeps its sign. Only a leaf that
 requires grad keeps a .grad: its own writable array, which adds up across
 passes. Interior grads exist only during backward, each dropped once its
 node's rule has used it.
@@ -32,8 +32,10 @@ scaled_dot_product_attention and cross_entropy, a one-term weighted-NLL
 node, as are the losses of scenenat.matching with more terms.
 log_softmax_array works on plain arrays, outside the graph.
 
-Float32 is the training precision and every op keeps its inputs' dtype in
-forward and backward; gradient checks run the same code in float64.
+Float32 is the training precision; gradient checks run the same code in
+float64. Only a floating tensor may require grad. A forward that mixes
+dtypes promotes as numpy does, and a grad takes its node's dtype, so a
+float32 leaf gets a float32 .grad whatever constants the graph meets.
 """
 
 from __future__ import annotations
@@ -68,6 +70,8 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False):
         # numpy arrays and scalars keep their dtype; any other input becomes float32
         self.data = data if isinstance(data, np.ndarray) else np.asarray(data, None if isinstance(data, np.generic) else np.float32)
+        if requires_grad and self.data.dtype.kind != "f":
+            raise ShapeError(f"only a floating tensor may require grad, got {self.data.dtype}")
         self.grad = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
@@ -95,27 +99,19 @@ class Tensor:
             leaf = node._backward is None
             if leaf and not node.requires_grad:
                 return
+            rows, g = (slice(*g[:2]), g[2]) if type(g) is tuple else (..., g)  # slice_rows' row grad, or every row
+            g = np.asarray(g, node.data.dtype)
             have = node.grad if leaf else interior.get(node)
-            if type(g) is tuple:  # slice_rows' row grad
-                start, stop, g = g
+            if have is None and rows is ...:
+                # Adopted, never written: g may be read-only or another node's grad too.
+                have = g.copy() if leaf else g
+            else:
                 if have is None:
                     have = np.zeros(node.data.shape, node.data.dtype)
-                    have[start:stop] = g
-                else:
-                    if not leaf and (node not in owned or np.result_type(have, g) != have.dtype):
-                        have = have.astype(np.result_type(have, g))
-                    have[start:stop] += g
+                elif not (leaf or node in owned):
+                    have = have.copy()
                 owned.add(node)
-            else:
-                g = np.asarray(g)
-                if have is None:
-                    # Adopted, never written: g may be read-only or another node's grad too.
-                    have = g.copy() if leaf else g
-                elif leaf or (node in owned and np.result_type(have, g) == have.dtype and have.shape == g.shape):
-                    have += g
-                else:
-                    have = np.asarray(have + g)
-                    owned.add(node)
+                have[rows] += g
             if leaf:
                 node.grad = have
             else:
@@ -290,10 +286,9 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     """Rows start:stop of the first axis, 0 <= start < stop <= len(a) (else ShapeError); its grad is a row grad."""
     if a.data.ndim == 0 or not 0 <= start < stop <= a.data.shape[0]:
         raise ShapeError(f"slice_rows: rows {start}:{stop} of shape {a.data.shape}")
-    dtype = a.data.dtype
 
     def backward(g):
-        return ((start, stop, np.asarray(g, dtype)),)
+        return ((start, stop, g),)
 
     return _make(a.data[start:stop].copy(), (a,), backward)
 
@@ -310,7 +305,7 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
         # built here, not in forward, so the graph holds only the ids until backward.
         cells = (ids.reshape(-1, 1).astype(np.intp, copy=False) * d + np.arange(d)).reshape(-1)
         gt = np.bincount(cells, weights=g.reshape(-1), minlength=rows * d)
-        return (gt.reshape(rows, d).astype(table.data.dtype, copy=False),)
+        return (gt.reshape(rows, d),)
 
     return _make(table.data[ids], (table,), backward)
 
@@ -379,16 +374,21 @@ def scaled_dot_product_attention(
 
     key_padding_mask is boolean [..., M] with True marking padded keys;
     padded scores get a large negative additive bias before the softmax.
+    A query whose keys are all padded outputs zeros, with zero grads, in float32
+    and float64 (else float32 gives it uniform weights, float64 its unmasked softmax).
     """
     dk = q.data.shape[-1]
     scores = scale(matmul(q, transpose(k, tuple(range(k.data.ndim - 2)) + (k.data.ndim - 1, k.data.ndim - 2))), 1.0 / np.sqrt(dk))
-    if key_padding_mask is not None:
-        bias = np.where(key_padding_mask, np.asarray(-1e9, dtype=q.data.dtype), np.asarray(0.0, dtype=q.data.dtype))
-        # pad mask [..., M] broadcasts across heads and query positions
-        while bias.ndim < scores.data.ndim:
-            bias = np.expand_dims(bias, -2)
-        scores = add(scores, Tensor(bias))
-    return matmul(softmax(scores), v)
+    if key_padding_mask is None:
+        return matmul(softmax(scores), v)
+    pad = np.asarray(key_padding_mask)
+    while pad.ndim < scores.data.ndim:  # pad mask [..., M] broadcasts across heads and query positions
+        pad = np.expand_dims(pad, -2)
+    bias = np.where(pad, np.asarray(-1e9, dtype=q.data.dtype), np.asarray(0.0, dtype=q.data.dtype))
+    out = matmul(softmax(add(scores, Tensor(bias))), v)
+    dead = pad.all(axis=-1, keepdims=True)
+    # Only a batch with a dead query records the mul, so the tape of any other is unchanged.
+    return mul(out, Tensor((~dead).astype(out.data.dtype))) if dead.any() else out
 
 
 def cross_entropy(

@@ -63,7 +63,6 @@ def test_script_entry_points_resolve():
 
 # Public names with no caller in src or bench, each kept for a stated reason.
 NO_CALLER_YET = {
-    "mul": "tensor op; the gradchecks reduce through it",
     "tensor_sum": "tensor op; the gradchecks reduce through it",
     "total_loss": "the training loop of ROADMAP item 1 calls it",
     "remask_count": "the MaskGIT decoder of ROADMAP item 1 calls it",

@@ -305,6 +305,7 @@ def grads_by_full_arrays(loss: Tensor, leaves: list[Tensor]) -> list[np.ndarray]
                 start, stop, rows = g
                 g = np.zeros_like(parent.data)
                 g[start:stop] = rows
+            g = np.asarray(g, parent.data.dtype)
             if parent not in grads:
                 grads[parent] = np.array(g) if parent._backward is None else g
             elif parent._backward is None:
@@ -333,7 +334,7 @@ def sliced_parents(draw):
     seed=st.integers(0, 2**16),
 )
 def test_row_grads_add_up_like_full_arrays(case, dtype, full_dtype, interior, seed):
-    """A float64 full-shape consumer of a float32 parent hands it float64 grads, which promote the sum.
+    """A float64 full-shape consumer of a float32 parent hands it float64 grads, cast to the parent's float32.
 
     np.array_equal, not bytes: outside a later slice's rows, the oracle's + 0.0 turns a -0.0 into +0.0.
     """
@@ -423,6 +424,32 @@ def test_an_adopted_grad_is_never_written(adopted, side, later):
     assert handed and all(np.array_equal(grad, copy) for grad, copy in handed)
     assert adopted == "shared" or not handed[0][0].flags.writeable
     assert np.array_equal(x.grad, want)
+
+
+@pytest.mark.parametrize(
+    "data", [np.arange(3), np.array([True, False]), np.arange(3, dtype=np.uint8), np.int64(2)], ids=["int64", "bool", "uint8", "scalar"]
+)
+def test_only_a_floating_tensor_may_require_grad(data):
+    """A grad takes its node's dtype, so an int leaf would turn a 0.5 grad into 0."""
+    with pytest.raises(T.ShapeError, match="floating"):
+        Tensor(data, requires_grad=True)
+    assert Tensor(data).grad is None
+
+
+@pytest.mark.parametrize("interior", [False, True], ids=["leaf", "interior"])
+def test_grad_dtype_does_not_depend_on_operand_order(interior):
+    """A float32 node both sliced and multiplied by a float64 constant, with the product on either side of the add."""
+    grads = []
+    for product_first in (True, False):
+        x = Tensor(np.ones((2, 3), np.float32), requires_grad=True)
+        node = T.scale(x, 1.5) if interior else x
+        product = T.tensor_sum(T.mul(node, Tensor(np.ones((2, 3)))))
+        sliced = T.tensor_sum(T.slice_rows(node, 0, 1))
+        (T.add(product, sliced) if product_first else T.add(sliced, product)).backward()
+        grads.append(x.grad)
+    assert [g.dtype for g in grads] == [np.dtype(np.float32)] * 2
+    want = np.array([[2.0, 2.0, 2.0], [1.0, 1.0, 1.0]]) * (1.5 if interior else 1.0)
+    assert np.array_equal(grads[0], want) and np.array_equal(grads[1], want)
 
 
 class TestFiniteDifferences:
@@ -516,6 +543,19 @@ class TestFiniteDifferences:
 
         check_gradients(loss, [q, k, v])
 
+    def test_attention_with_a_dead_query_row(self):
+        """Batch 0 has every key padded, batch 1 some: the dead row's function is the constant 0."""
+        q, k, v = randt(self.rng, 2, 2, 4), randt(self.rng, 2, 3, 4), randt(self.rng, 2, 3, 4)
+        mask = np.array([[True, True, True], [False, True, False]])
+
+        def loss():
+            out = T.scaled_dot_product_attention(q, k, v, key_padding_mask=mask)
+            return T.tensor_sum(T.mul(out, out))
+
+        check_gradients(loss, [q, k, v])
+        for t in (q, k, v):
+            assert not t.grad[0].any()
+
     def test_cross_entropy_gradient(self):
         logits = randt(self.rng, 4, 6)
         targets = np.array([1, 0, 5, 2])
@@ -582,6 +622,34 @@ def test_op_keeps_dtype_in_forward_and_backward(op, dtype):
     assert loss.dtype == dtype
     assert [i.grad.dtype for i in inputs] == [np.dtype(dtype)] * len(inputs)
     assert [i.grad.shape for i in inputs] == [i.shape for i in inputs]
+
+
+@pytest.mark.parametrize("op", sorted(_op_cases(np.random.default_rng(0), np.float32)))
+def test_op_grads_keep_the_input_dtype_under_a_float64_consumer(op):
+    """The float64 constant promotes the loss; each float32 input still gets a float32 grad."""
+    rng = np.random.default_rng(5)
+    out, inputs = _op_cases(rng, np.float32)[op]
+    assert out.dtype == np.float32
+    loss = T.tensor_sum(T.mul(out, Tensor(np.asarray(rng.standard_normal(out.shape)))))
+    loss.backward()
+    assert loss.dtype == np.float64
+    assert [i.grad.dtype for i in inputs] == [np.dtype(np.float32)] * len(inputs)
+    assert [i.grad.shape for i in inputs] == [i.shape for i in inputs]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_attention_query_with_every_key_padded_outputs_zeros(dtype):
+    """float32 would give it uniform weights and float64 its unmasked softmax; both give zeros, and live rows stay bitwise."""
+    rng = np.random.default_rng(11)
+    q, k, v = (Tensor(rng.standard_normal(shape).astype(dtype)) for shape in ((2, 2, 4), (2, 3, 4), (2, 3, 4)))
+    dead = np.array([[True, True, True], [False, True, False]])
+    live = np.array([[False, True, True], [False, True, False]])  # the same partial row, and no dead one
+    out = T.scaled_dot_product_attention(q, k, v, key_padding_mask=dead)
+    assert out.dtype == dtype
+    assert np.array_equal(out.data[0], np.zeros((2, 4)))
+    assert out.data[1].tobytes() == T.scaled_dot_product_attention(q, k, v, key_padding_mask=live).data[1].tobytes()
+    one = T.scaled_dot_product_attention(Tensor(q.data[:1]), Tensor(k.data[:1]), Tensor(v.data[:1]), key_padding_mask=dead[:1])
+    assert np.array_equal(one.data, np.zeros((1, 2, 4)))
 
 
 @pytest.mark.parametrize(
