@@ -27,10 +27,14 @@ duplicate ids included, and matmul against a shared 2-D weight folds the
 input's batch dims into rows, so each grad is one 2-D GEMM.
 
 Ops: add, mul, scale, matmul (2+ dims per side), transpose, reshape,
-slice_rows, embedding_lookup, softmax, layer_norm, silu, tensor_sum,
+slice_rows, embedding_lookup, layer_norm, silu, tensor_sum,
 scaled_dot_product_attention and cross_entropy, a one-term weighted-NLL
 node, as are the losses of scenenat.matching with more terms.
 log_softmax_array works on plain arrays, outside the graph.
+Attention is one node over (q, k, v) with one masking rule: a padded key's
+score is -inf, and a query whose keys are all padded gets weights 0, so
+output 0, in every float dtype. With P the weights and c = 1/sqrt(d), its
+backward is dS = c * P * (dP - rowsum(dP * P)) for dP = g @ V^T.
 
 Float32 is the training precision; gradient checks run the same code in
 float64. Only a floating tensor may require grad. A forward that mixes
@@ -65,17 +69,23 @@ def no_grad():
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "_requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
         # numpy arrays and scalars keep their dtype; any other input becomes float32
         self.data = data if isinstance(data, np.ndarray) else np.asarray(data, None if isinstance(data, np.generic) else np.float32)
-        if requires_grad and self.data.dtype.kind != "f":
-            raise ShapeError(f"only a floating tensor may require grad, got {self.data.dtype}")
         self.grad = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
+
+    requires_grad = property(lambda self: self._requires_grad)
+
+    @requires_grad.setter
+    def requires_grad(self, flag: bool) -> None:  # __init__ and _make set the flag here too: the check has no way round
+        if flag and self.data.dtype.kind != "f":
+            raise ShapeError(f"only a floating tensor may require grad, got {self.data.dtype}")
+        self._requires_grad = flag
 
     @property
     def shape(self):
@@ -152,9 +162,7 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     if _grad_enabled:
         for p in parents:
             if p.requires_grad:
-                out.requires_grad = True
-                out._parents = parents
-                out._backward = backward_fn
+                out.requires_grad, out._parents, out._backward = True, parents, backward_fn
                 break
     return out
 
@@ -310,18 +318,6 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
     return _make(table.data[ids], (table,), backward)
 
 
-def softmax(a: Tensor) -> Tensor:
-    """Softmax over the last axis."""
-    s = np.exp(a.data - np.maximum.reduce(a.data, axis=-1, keepdims=True))
-    s /= np.add.reduce(s, axis=-1, keepdims=True)
-
-    def backward(g):
-        dot = np.add.reduce(g * s, axis=-1, keepdims=True)
-        return ((g - dot) * s,)
-
-    return _make(s, (a,), backward)
-
-
 def log_softmax_array(x: np.ndarray) -> np.ndarray:
     """Numerically stable log-softmax over the last axis of a plain numpy array (no graph)."""
     shifted = x - np.maximum.reduce(x, axis=-1, keepdims=True)
@@ -370,25 +366,28 @@ def scaled_dot_product_attention(
     v: Tensor,
     key_padding_mask: np.ndarray | None = None,
 ) -> Tensor:
-    """Attention over the last two dims of [..., N, d] query/key/value.
+    """Attention over [..., N, d] q, k, v; key_padding_mask is bool [..., M], True = padded, same for every head and query."""
+    if min(q.data.ndim, k.data.ndim, v.data.ndim) < 2 or q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
+        raise ShapeError(f"scaled_dot_product_attention: q {q.shape}, k {k.shape}, v {v.shape}")
+    c = 1.0 / float(np.sqrt(q.data.shape[-1]))
+    s = (q.data @ np.swapaxes(k.data, -1, -2)) * c
+    if key_padding_mask is not None:
+        pad = np.asarray(key_padding_mask)
+        while pad.ndim < s.ndim:
+            pad = np.expand_dims(pad, -2)
+        s = np.where(pad, -np.inf, s)
+    top = np.maximum.reduce(s, axis=-1, keepdims=True)
+    top[top == -np.inf] = 0  # a row with every key padded shifts by 0: exp(-inf) is 0, and -inf - -inf never runs
+    p = np.exp(s - top)
+    p /= np.maximum(np.add.reduce(p, axis=-1, keepdims=True), 1)  # a live row sums to 1 or more, a dead one to 0: not 0/0
 
-    key_padding_mask is boolean [..., M] with True marking padded keys;
-    padded scores get a large negative additive bias before the softmax.
-    A query whose keys are all padded outputs zeros, with zero grads, in float32
-    and float64 (else float32 gives it uniform weights, float64 its unmasked softmax).
-    """
-    dk = q.data.shape[-1]
-    scores = scale(matmul(q, transpose(k, tuple(range(k.data.ndim - 2)) + (k.data.ndim - 1, k.data.ndim - 2))), 1.0 / np.sqrt(dk))
-    if key_padding_mask is None:
-        return matmul(softmax(scores), v)
-    pad = np.asarray(key_padding_mask)
-    while pad.ndim < scores.data.ndim:  # pad mask [..., M] broadcasts across heads and query positions
-        pad = np.expand_dims(pad, -2)
-    bias = np.where(pad, np.asarray(-1e9, dtype=q.data.dtype), np.asarray(0.0, dtype=q.data.dtype))
-    out = matmul(softmax(add(scores, Tensor(bias))), v)
-    dead = pad.all(axis=-1, keepdims=True)
-    # Only a batch with a dead query records the mul, so the tape of any other is unchanged.
-    return mul(out, Tensor((~dead).astype(out.data.dtype))) if dead.any() else out
+    def backward(g):
+        dp = g @ np.swapaxes(v.data, -1, -2)
+        ds = p * (dp - np.add.reduce(dp * p, axis=-1, keepdims=True)) * c
+        dq, dk, dv = ds @ k.data, np.swapaxes(ds, -1, -2) @ q.data, np.swapaxes(p, -1, -2) @ g
+        return _unbroadcast(dq, q.data.shape), _unbroadcast(dk, k.data.shape), _unbroadcast(dv, v.data.shape)
+
+    return _make(p @ v.data, (q, k, v), backward)
 
 
 def cross_entropy(

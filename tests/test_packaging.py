@@ -64,6 +64,7 @@ def test_script_entry_points_resolve():
 # Public names with no caller in src or bench, each kept for a stated reason.
 NO_CALLER_YET = {
     "tensor_sum": "tensor op; the gradchecks reduce through it",
+    "mul": "tensor op; the gradchecks reduce through it",
     "total_loss": "the training loop of ROADMAP item 1 calls it",
     "remask_count": "the MaskGIT decoder of ROADMAP item 1 calls it",
 }
@@ -75,6 +76,7 @@ DELETED = {
     "tokenize_text": "a one-line split-and-look-up with one caller; synthesize_instruction does it inline",
     "rotation_bins": "360 // rotation_bin_degrees has one reader, DiscretizationSpec.axes, which computes it",
     "TEMPLATES": "a table rendered from SENTENCE_FRAMES x PREDICATE_PHRASES; synthesize_instruction fills {p}",
+    "softmax": "scaled_dot_product_attention is one node with its own masked softmax, and nothing else called it",
 }
 
 

@@ -19,14 +19,6 @@ def test_matmul_identity():
     np.testing.assert_allclose(out.data, a)
 
 
-def test_softmax_uniform_and_rowsum():
-    out = T.softmax(Tensor(np.zeros(5)))
-    np.testing.assert_allclose(out.data, np.full(5, 0.2))
-    rng = np.random.default_rng(1)
-    s = T.softmax(Tensor(rng.standard_normal((4, 7))))
-    np.testing.assert_allclose(s.data.sum(axis=-1), np.ones(4), atol=1e-12)
-
-
 def test_silu_at_zero():
     assert T.silu(Tensor(np.zeros(1))).data[0] == 0.0
 
@@ -436,6 +428,15 @@ def test_only_a_floating_tensor_may_require_grad(data):
     assert Tensor(data).grad is None
 
 
+def test_an_int_tensor_may_not_require_grad_after_construction():
+    """Setting the flag later passes the same check: else backward would cast t's 0.5 grads to int 0."""
+    t = Tensor(np.arange(3))
+    with pytest.raises(T.ShapeError, match="floating"):
+        t.requires_grad = True
+    T.tensor_sum(T.scale(t, 0.5)).backward()
+    assert not t.requires_grad and t.grad is None
+
+
 @pytest.mark.parametrize("interior", [False, True], ids=["leaf", "interior"])
 def test_grad_dtype_does_not_depend_on_operand_order(interior):
     """A float32 node both sliced and multiplied by a float64 constant, with the product on either side of the add."""
@@ -515,11 +516,6 @@ class TestFiniteDifferences:
         weight = randt(self.rng, 2, 2, 4)
         check_gradients(lambda: T.tensor_sum(T.mul(T.embedding_lookup(table, ids), weight)), [table, weight])
 
-    def test_softmax(self):
-        x = randt(self.rng, 3, 5)
-        w = randt(self.rng, 3, 5)
-        check_gradients(lambda: T.tensor_sum(T.mul(T.softmax(x), w)), [x, w])
-
     def test_layer_norm(self):
         x = randt(self.rng, 2, 3, 6)
         gamma = Tensor(np.ones(6) + 0.1 * self.rng.standard_normal(6), requires_grad=True)
@@ -555,6 +551,24 @@ class TestFiniteDifferences:
         check_gradients(loss, [q, k, v])
         for t in (q, k, v):
             assert not t.grad[0].any()
+
+    @pytest.mark.parametrize(
+        "q_shape, kv_shape, shared_kv",
+        [((3, 4), (2, 5, 4), False), ((3, 4), (2, 5, 4), True), ((2, 3, 4), (5, 4), False)],
+        ids=["shared_q", "shared_q_x_as_k_and_v", "shared_k_v"],
+    )
+    def test_attention_with_a_2d_side_against_a_batched_one(self, q_shape, kv_shape, shared_kv):
+        """A 2-D side's grads sum over the batch, and a leaf passed as both k and v gets both grads."""
+        q, k = randt(self.rng, *q_shape), randt(self.rng, *kv_shape)
+        v = k if shared_kv else randt(self.rng, *kv_shape)
+        mask = np.zeros((2, 5), dtype=bool)
+        mask[1, 2:] = True
+        w = randt(self.rng, 2, 3, 4, requires_grad=False)
+
+        def loss():
+            return T.tensor_sum(T.mul(T.scaled_dot_product_attention(q, k, v, key_padding_mask=mask), w))
+
+        check_gradients(loss, [q, k] if shared_kv else [q, k, v], max_probes_per_tensor=16)
 
     def test_cross_entropy_gradient(self):
         logits = randt(self.rng, 4, 6)
@@ -595,7 +609,6 @@ def _op_cases(rng, dtype):
         "reshape": (T.reshape(x, (6, 4)), [x]),
         "slice_rows": (T.slice_rows(x, 0, 1), [x]),
         "embedding_lookup": (T.embedding_lookup(table, np.array([[0, 3], [3, 5]])), [table]),
-        "softmax": (T.softmax(x), [x]),
         "layer_norm": (T.layer_norm(x, gamma, beta), [x, gamma, beta]),
         "silu": (T.silu(x), [x]),
         "tensor_sum": (T.tensor_sum(x), [x]),
@@ -637,9 +650,9 @@ def test_op_grads_keep_the_input_dtype_under_a_float64_consumer(op):
     assert [i.grad.shape for i in inputs] == [i.shape for i in inputs]
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
 def test_attention_query_with_every_key_padded_outputs_zeros(dtype):
-    """float32 would give it uniform weights and float64 its unmasked softmax; both give zeros, and live rows stay bitwise."""
+    """Every float dtype, float16 included, gives it zeros, and the partial row stays bitwise."""
     rng = np.random.default_rng(11)
     q, k, v = (Tensor(rng.standard_normal(shape).astype(dtype)) for shape in ((2, 2, 4), (2, 3, 4), (2, 3, 4)))
     dead = np.array([[True, True, True], [False, True, False]])
@@ -650,6 +663,36 @@ def test_attention_query_with_every_key_padded_outputs_zeros(dtype):
     assert out.data[1].tobytes() == T.scaled_dot_product_attention(q, k, v, key_padding_mask=live).data[1].tobytes()
     one = T.scaled_dot_product_attention(Tensor(q.data[:1]), Tensor(k.data[:1]), Tensor(v.data[:1]), key_padding_mask=dead[:1])
     assert np.array_equal(one.data, np.zeros((1, 2, 4)))
+
+
+@pytest.mark.parametrize(
+    "shapes", [((2, 4), (3, 5), (3, 5)), ((2, 4), (3, 4), (2, 4)), ((4,), (3, 4), (3, 4))], ids=["q_k_width", "k_v_count", "1d_query"]
+)
+def test_attention_rejects_mismatched_shapes(shapes):
+    q, k, v = (Tensor(np.zeros(shape)) for shape in shapes)
+    with pytest.raises(T.ShapeError, match="scaled_dot_product_attention"):
+        T.scaled_dot_product_attention(q, k, v)
+
+
+@pytest.mark.parametrize(
+    "mask",
+    [None, np.array([[False, True, False], [False, False, False]]), np.array([[True, True, True], [False, True, False]])],
+    ids=["no_mask", "partial", "dead_row"],
+)
+def test_attention_is_one_node_whatever_the_mask(mask):
+    """The tape is q, k, v and one op; an all-False mask is no mask, and weights sum to 1 on every live row."""
+    rng = np.random.default_rng(3)
+    q, k, v = randt(rng, 2, 2, 4), randt(rng, 2, 3, 4), randt(rng, 2, 3, 4)
+    out = T.scaled_dot_product_attention(q, k, v, key_padding_mask=mask)
+    tape = T.build_tape(out)
+    assert len(tape) == 4 and set(tape[:3]) == {q, k, v} and tape[3] is out
+    if mask is None:
+        unmasked = T.scaled_dot_product_attention(q, k, v, key_padding_mask=np.zeros((2, 3), dtype=bool))
+        assert unmasked.data.tobytes() == out.data.tobytes()
+    live = np.ones(2, dtype=bool) if mask is None else ~mask.all(axis=-1)
+    ones = T.scaled_dot_product_attention(q, k, Tensor(np.ones((2, 3, 4))), key_padding_mask=mask)
+    np.testing.assert_allclose(ones.data[live], 1.0, rtol=1e-12)
+    assert not ones.data[~live].any()
 
 
 @pytest.mark.parametrize(
