@@ -173,11 +173,12 @@ def recon_loss(logits: dict[str, Tensor], targets: np.ndarray, weights: LossWeig
 
     logits maps attribute name to [B, N, columns, width] (category/rotation
     have a single column). targets is [B, N, 12] with -1 at unsupervised
-    positions. PAD targets (empty-row filler outside the heads' vocabulary)
-    are skipped. Each attribute's term is its mean negative log-likelihood
-    over its own positions, scaled by its weight. Only attributes with a
-    supervised position are inputs of the loss's node; with none, the loss
-    is a constant zero.
+    positions. PAD targets (the empty-row filler, the head width) are skipped;
+    any other target outside the head's classes raises ShapeError. Each
+    attribute's term is its mean negative log-likelihood over its own
+    positions, scaled by its weight. Only attributes with a supervised
+    position are inputs of the loss's node; with none, the loss is a
+    constant zero.
     """
     terms = []
     for name, (lo, hi) in ATTRIBUTE_COLUMNS.items():
@@ -187,6 +188,8 @@ def recon_loss(logits: dict[str, Tensor], targets: np.ndarray, weights: LossWeig
         flat_targets = targets[:, :, lo:hi].reshape(-1)
         if flat_logits.shape[0] != flat_targets.shape[0]:
             raise tn.ShapeError(f"recon_loss: {name} logits {t.shape} for targets {targets[:, :, lo:hi].shape}")
+        if flat_targets.min(initial=-1) < -1 or flat_targets.max(initial=width) > width:
+            raise tn.ShapeError(f"recon_loss: {name} targets outside -1, the {width} head classes and PAD ({width})")
         selected = np.nonzero((flat_targets >= 0) & (flat_targets < width))[0]
         if selected.size == 0:
             continue

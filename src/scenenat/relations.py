@@ -7,10 +7,9 @@ MEDIUM_DISTANCE (3). ``box_table`` states the box rule once: the geometry
 columns of one or more layouts as a float64 [n, 7] table of ``GeometryFrame``
 fields (centre, half sizes, yaw in radians) with positive half sizes.
 ``pair_relations`` states the relation rule once, on subject and object rows
-of such tables that broadcast. ``relation_matrix`` builds every ordered pair
-of one table from the same two parts, the footprint test and the
-classification, and runs the footprint test once per pair; extraction reads
-it. iRecall classifies only a batch's candidate pairs with ``pair_relations``.
+of such tables that broadcast. ``relation_matrix`` is ``pair_relations`` over
+every ordered pair of one table; extraction reads it. iRecall classifies only
+a batch's candidate pairs with ``pair_relations``.
 The collision pair loop reads the table's rows as Python floats.
 ``GeometryFrame`` stays the scalar reference of the volume functions and the
 test oracles.
@@ -140,18 +139,6 @@ def _inside(dx: np.ndarray, dy: np.ndarray, box) -> np.ndarray:
     return (np.abs(dx * c + dy * s) <= box[3]) & (np.abs(dy * c - dx * s) <= box[4])
 
 
-def _classify(dx: np.ndarray, dy: np.ndarray, dz: np.ndarray, gap: np.ndarray, overlap: np.ndarray) -> np.ndarray:
-    """The relation rule (``pair_relations``) on subject-minus-object offsets, the gap (the sum of the half
-    heights, so the mean height) and whether either centre lies in the other's footprint."""
-    d = np.sqrt(dx * dx + dy * dy)
-    bearing = np.searchsorted(_BEARING_EDGES, np.arctan2(dy, dx), side="right")
-    rel = _SECTOR_IDS[(d <= CLOSE_DISTANCE).astype(np.intp), bearing]
-    rel[d > MEDIUM_DISTANCE] = -1
-    rel[overlap & (dz > gap)] = _ABOVE_ID
-    rel[overlap & (-dz > gap)] = _BELOW_ID
-    return rel
-
-
 def pair_relations(subjects: np.ndarray, objects: np.ndarray) -> np.ndarray:
     """Relation of each subject box to its object box: the one statement of the relation rule.
 
@@ -165,26 +152,27 @@ def pair_relations(subjects: np.ndarray, objects: np.ndarray) -> np.ndarray:
     atan2(0, 0) = 0: each box is closely_right_of the other, the one pair whose
     two orders are not mirror predicates.
     """
-    s, o = np.moveaxis(subjects, -1, 0), np.moveaxis(objects, -1, 0)
-    dx, dy, dz = s[0] - o[0], s[1] - o[1], s[2] - o[2]
-    overlap = _inside(dx, dy, o) | _inside(-dx, -dy, s)
-    return _classify(dx, dy, dz, s[5] + o[5], overlap)
+    s, o = (a.transpose(-1, *range(a.ndim - 1)) for a in (subjects, objects))  # np.moveaxis(a, -1, 0) at C cost
+    dx, dy, dz, gap = s[0] - o[0], s[1] - o[1], s[2] - o[2], s[5] + o[5]
+    # The object's offset from the subject is (-dx, -dy); negation is exact and rounding symmetric, so (dx, dy)
+    # gives the subject's footprint test the same |u| and |v| bit for bit.
+    overlap = _inside(dx, dy, o) | _inside(dx, dy, s)
+    d = np.sqrt(dx * dx + dy * dy)
+    bearing = np.searchsorted(_BEARING_EDGES, np.arctan2(dy, dx), side="right")
+    rel = _SECTOR_IDS[(d <= CLOSE_DISTANCE).astype(np.intp), bearing]
+    rel[d > MEDIUM_DISTANCE] = -1
+    rel[overlap & (dz > gap)] = _ABOVE_ID
+    rel[overlap & (-dz > gap)] = _BELOW_ID
+    return rel
 
 
 def relation_matrix(boxes: np.ndarray) -> np.ndarray:
-    """``pair_relations`` of every ordered pair of boxes, as an int [N, N] matrix.
+    """``pair_relations`` of every ordered pair of a float [N, 7] ``box_table``, as an int [N, N] matrix.
 
-    ``boxes`` is a float [N, 7] ``box_table``. Entry [i, j] is the relation of
-    box i (subject) to box j (object); -1 is none and fills the diagonal. The
-    footprint test runs once per ordered pair: entry [j, i] of the subject-in-
-    object test is [i, j]'s object-in-subject test, as the offsets are exact
-    negatives.
+    Entry [i, j] is the relation of box i (subject) to box j (object); -1 is
+    none and fills the diagonal.
     """
-    o = boxes.T
-    s = o[:, :, None]  # subject fields along the rows, object fields along the columns
-    dx, dy, dz = s[0] - o[0], s[1] - o[1], s[2] - o[2]
-    inside = _inside(dx, dy, o)
-    rel = _classify(dx, dy, dz, s[5] + o[5], inside | inside.T)
+    rel = pair_relations(boxes[:, None], boxes[None])
     np.fill_diagonal(rel, -1)
     return rel
 

@@ -23,11 +23,11 @@ Dense row-major arrays only; broadcasting is limited to missing leading
 (batch) dims plus size-1 axes, and the backward rules undo it by summation
 so every rule stays auditable. Two rules sum without a per-element loop:
 embedding_lookup scatters its grad back into the table with one bincount,
-duplicate ids included, and matmul against a shared 2-D weight folds the
+duplicate ids included, and matmul, whose weight is always 2-D, folds the
 input's batch dims into rows, so each grad is one 2-D GEMM.
 
-Ops: add, mul, scale, matmul (2+ dims per side), transpose, reshape,
-slice_rows, embedding_lookup, layer_norm, silu, tensor_sum,
+Ops: add, mul, scale, matmul ([..., n, k] input, 2-D [k, m] weight),
+transpose, reshape, slice_rows, embedding_lookup, layer_norm, silu, tensor_sum,
 scaled_dot_product_attention and cross_entropy, a one-term weighted-NLL
 node, as are the losses of scenenat.matching with more terms.
 log_softmax_array works on plain arrays, outside the graph.
@@ -255,21 +255,16 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim < 2 or b.data.ndim < 2 or a.data.shape[-1] != b.data.shape[-2]:
-        raise ShapeError(f"matmul: needs 2+ dims and equal inner dims, {a.data.shape} @ {b.data.shape}")
-    out_data = a.data @ b.data
-    shared_weight = b.data.ndim == 2 and a.data.ndim > 2
+    """[..., n, k] input times a 2-D [k, m] weight; any other weight raises ShapeError."""
+    if a.data.ndim < 2 or b.data.ndim != 2 or a.data.shape[-1] != b.data.shape[0]:
+        raise ShapeError(f"matmul: needs a [..., n, k] input and a [k, m] weight, got {a.data.shape} @ {b.data.shape}")
 
     def backward(g):
-        if shared_weight:
-            # Fold the batch dims into rows: one GEMM per grad, no per-batch products to sum.
-            g2 = g.reshape(-1, g.shape[-1])
-            return (g2 @ b.data.T).reshape(a.data.shape), a.data.reshape(-1, a.data.shape[-1]).T @ g2
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        return _unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape)
+        # Fold the batch dims into rows: one GEMM per grad, no per-batch products to sum.
+        g2 = g.reshape(-1, g.shape[-1])
+        return (g2 @ b.data.T).reshape(a.data.shape), a.data.reshape(-1, a.data.shape[-1]).T @ g2
 
-    return _make(out_data, (a, b), backward)
+    return _make(a.data @ b.data, (a, b), backward)
 
 
 def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
@@ -366,13 +361,16 @@ def scaled_dot_product_attention(
     v: Tensor,
     key_padding_mask: np.ndarray | None = None,
 ) -> Tensor:
-    """Attention over [..., N, d] q, k, v; key_padding_mask is bool [..., M], True = padded, same for every head and query."""
+    """Attention over [..., N, d] q, k, v; key_padding_mask is bool [..., M], True = padded, same for every head and
+    query. A mask of another dtype, with a query axis or not ending in the M keys raises ShapeError."""
     if min(q.data.ndim, k.data.ndim, v.data.ndim) < 2 or q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
         raise ShapeError(f"scaled_dot_product_attention: q {q.shape}, k {k.shape}, v {v.shape}")
     c = 1.0 / float(np.sqrt(q.data.shape[-1]))
     s = (q.data @ np.swapaxes(k.data, -1, -2)) * c
     if key_padding_mask is not None:
         pad = np.asarray(key_padding_mask)
+        if pad.dtype != bool or not 1 <= pad.ndim < s.ndim or pad.shape[-1] != s.shape[-1]:
+            raise ShapeError(f"scaled_dot_product_attention: key_padding_mask {pad.dtype} {pad.shape} for scores {s.shape}")
         while pad.ndim < s.ndim:
             pad = np.expand_dims(pad, -2)
         s = np.where(pad, -np.inf, s)

@@ -389,6 +389,21 @@ def test_recon_loss_rejects_non_integer_targets(dtype):
         recon_loss(logits, np.ones((2, 3, 12), dtype=dtype), LossWeights())
 
 
+@pytest.mark.parametrize(
+    "name, column, target",
+    [("category", 0, 6), ("category", 0, -7), ("rotation", 11, 37)],
+    ids=["category_6", "category_-7", "rotation_37"],
+)
+def test_recon_loss_rejects_targets_it_cannot_score(name, column, target):
+    """A target is -1, a head class or PAD (the head width); anything else raises instead of being dropped."""
+    rng = np.random.default_rng(0)
+    logits = {k: Tensor(v) for k, v in attribute_logits(rng, np.float64).items()}
+    targets = recon_targets(rng)
+    targets[1, 2, column] = target
+    with pytest.raises(ShapeError, match=name):
+        recon_loss(logits, targets, LossWeights())
+
+
 def test_recon_loss_uniform_single_token():
     n_classes = 7
     logits = {

@@ -140,6 +140,22 @@ def test_inside_not_symmetric_in_general():
     assert classify(big, small) is RelationPredicate.BELOW
 
 
+@pytest.mark.parametrize("edge_yaw", [0.0, math.radians(30)], ids=["axis_aligned_edge", "yawed_edge"])
+@pytest.mark.parametrize("edge_box_below", [True, False], ids=["edge_box_below", "edge_box_above"])
+def test_a_centre_on_the_footprint_edge_stacks_in_both_orders(edge_yaw, edge_box_below):
+    """A small box's centre lies exactly on a big box's footprint edge (|u| == hx), the pair stacked clear of
+    each other: above in one order, below in the other, as the test of either order meets the same edge."""
+    dx, dy = 0.7, 0.4
+    hx = float(abs(dx * np.cos(edge_yaw) + dy * np.sin(edge_yaw)))  # the rule's u, so the centre is on the edge
+    big = GeometryFrame((0.0, 0.0, 0.5 if edge_box_below else 2.5), (hx, 2.0, 0.5), edge_yaw)
+    small = GeometryFrame((dx, dy, 1.5), (0.1, 0.1, 0.1), 0.0 if edge_yaw else 0.5)  # one box yawed, one axis-aligned
+    top, bottom = (small, big) if edge_box_below else (big, small)
+    assert classify(top, bottom) is RelationPredicate.ABOVE
+    assert classify(bottom, top) is RelationPredicate.BELOW
+    nudged = GeometryFrame(big.center, (math.nextafter(hx, 0.0), 2.0, 0.5), edge_yaw)  # the edge is inclusive
+    assert classify(small, nudged) not in (RelationPredicate.ABOVE, RelationPredicate.BELOW)
+
+
 def test_bearing_sectors_match_oracle_on_every_grid_offset():
     """np.arctan2 may differ from math.atan2 by an ulp; on the 0.125 position grid no sector or band changes."""
     origin = box(0, 0, w=0.01, d=0.01)

@@ -102,6 +102,13 @@ def test_matmul_rejects_one_dimensional_operands(a_shape, b_shape):
         T.matmul(a, b)
 
 
+@pytest.mark.parametrize("a_shape, b_shape", [((2, 3, 4), (2, 4, 3)), ((3, 4), (2, 4, 3))], ids=["3d@3d", "2d@3d"])
+def test_matmul_takes_only_a_2d_weight(a_shape, b_shape):
+    a, b = Tensor(np.ones(a_shape), requires_grad=True), Tensor(np.ones(b_shape), requires_grad=True)
+    with pytest.raises(T.ShapeError, match="matmul"):
+        T.matmul(a, b)
+
+
 @pytest.mark.parametrize("reduction", ["none", "Mean"])
 def test_cross_entropy_rejects_unknown_reduction(reduction):
     logits = Tensor(np.zeros((3, 5)), requires_grad=True)
@@ -471,11 +478,6 @@ class TestFiniteDifferences:
         a, b = randt(self.rng, 3, 5), randt(self.rng, 5, 2)
         check_gradients(lambda: T.tensor_sum(T.matmul(a, b)), [a, b])
 
-    def test_matmul_batched(self):
-        a, b = randt(self.rng, 2, 3, 4), randt(self.rng, 2, 4, 3)
-        w = randt(self.rng, 2, 3, 3)
-        check_gradients(lambda: T.tensor_sum(T.mul(T.matmul(a, b), w)), [a, b, w])
-
     def test_matmul_broadcast_weight(self):
         x, w = randt(self.rng, 2, 3, 4), randt(self.rng, 4, 4)
         check_gradients(lambda: T.tensor_sum(T.matmul(x, w)), [x, w])
@@ -672,6 +674,19 @@ def test_attention_rejects_mismatched_shapes(shapes):
     q, k, v = (Tensor(np.zeros(shape)) for shape in shapes)
     with pytest.raises(T.ShapeError, match="scaled_dot_product_attention"):
         T.scaled_dot_product_attention(q, k, v)
+
+
+@pytest.mark.parametrize(
+    "mask",
+    [np.array([[True], [False]]), np.array([[0.5, 0, 0, 0, 0]] * 2), np.zeros((2, 2, 5), dtype=bool), np.zeros(4, dtype=bool)],
+    ids=["one_key_per_batch", "float", "query_axis", "wrong_key_count"],
+)
+def test_attention_rejects_a_mask_that_would_broadcast(mask):
+    """A [B, 1] mask would pad every key of a batch, a float one would pad on any nonzero: both raise."""
+    rng = np.random.default_rng(5)
+    q, k = randt(rng, 2, 2, 4), randt(rng, 2, 5, 4)
+    with pytest.raises(T.ShapeError, match="key_padding_mask"):
+        T.scaled_dot_product_attention(q, k, k, key_padding_mask=mask)
 
 
 @pytest.mark.parametrize(
