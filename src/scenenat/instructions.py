@@ -4,13 +4,16 @@ Each sentence fills one of 4 sentence frames with its predicate's phrase
 (frames x phrases, no rendered table), so the whole corpus tokenizes against
 a fixed whitespace word vocabulary. Sampling is pair-first over the scene's
 ``RelationTable``: its rows are grouped by unordered instance pair with one
-stable argsort, up to k pairs are drawn uniformly without replacement, and
-only then is one member (one orientation) of each drawn pair picked
-uniformly. The picked rows stay int rows. One greedy pass orders them so
-consecutive sentences reuse a mentioned category when possible, and gives
-each mention its article: "another" for a second distinct instance of a
-mentioned category, else "the". The rows, in sentence order, become the
-instruction's own ``RelationTable`` over the scene's categories.
+stable argsort. One ``rng.random`` call then draws one key per pair and two
+uniforms u per picked pair. The up to k pairs with the smallest keys are
+picked, so every subset is equally likely; only then is one member (one
+orientation) of each picked pair chosen as floor(u * members), and each
+sentence's frame as floor(u * 4). The picked rows stay int rows. One greedy
+pass orders them so consecutive sentences reuse a mentioned category when
+possible, and gives each mention its article: "another" for a second
+distinct instance of a mentioned category, else "the". The rows, in
+sentence order, become the instruction's own ``RelationTable`` over the
+scene's categories.
 """
 
 from __future__ import annotations
@@ -109,10 +112,12 @@ def synthesize_instruction(
     The table's rows (``extract_triplets(scene)`` when not given) are grouped
     by unordered instance pair, in (min, max) index order: the order in which
     the pairs first occur in ``extract_triplets``' row-major rows. min(k, pairs)
-    pairs are drawn uniformly without replacement and one member of each
-    uniformly, so the returned table's rows record the actual count. Words
-    of the table's categories missing from ``word_to_id`` raise ValueError,
-    and triplets that are not a ``RelationTable`` TypeError, before any draw.
+    pairs are drawn uniformly without replacement (those with the smallest
+    uniform keys), then one member of each pair and one frame per sentence
+    uniformly, all from one ``rng.random`` call, so the returned table's
+    rows record the actual count. Words of the table's categories missing from ``word_to_id`` raise
+    ValueError, and triplets that are not a ``RelationTable`` TypeError,
+    before any draw.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -133,14 +138,17 @@ def synthesize_instruction(
     np.not_equal(codes[1:], codes[:-1], out=edges[1:-1])
     bounds = np.flatnonzero(edges)
     pairs = len(bounds) - 1
-    picked = np.sort(rng.choice(pairs, size=min(k, pairs), replace=False))
-    members = rng.integers(bounds[picked + 1] - bounds[picked])
+    n = min(k, pairs)
+    draws = rng.random(pairs + 2 * n)
+    picked = np.sort(np.argpartition(draws[:pairs], n - 1)[:n])
+    # the int casts floor u * count, which u < 1 keeps below count
+    members = (draws[pairs : pairs + n] * (bounds[picked + 1] - bounds[picked])).astype(np.intp)
+    frames = (draws[pairs + n :] * len(SENTENCE_FRAMES)).astype(np.intp).tolist()
     cats = table.categories
     plan = _sentence_plan(cats, table.rows[order[bounds[picked] + members]].tolist())
     sentences = []
-    for (s, p, o), (art_s, art_o) in plan:
-        frame = SENTENCE_FRAMES[int(rng.integers(len(SENTENCE_FRAMES)))]
-        frame = frame.replace("{p}", PREDICATE_PHRASES[RELATION_SET[p]])
+    for ((s, p, o), (art_s, art_o)), f in zip(plan, frames):
+        frame = SENTENCE_FRAMES[f].replace("{p}", PREDICATE_PHRASES[RELATION_SET[p]])
         sentences.append(frame.replace("{s}", f"{art_s} {cats[s]}").replace("{o}", f"{art_o} {cats[o]}"))
     text = f" {CONNECTOR} ".join(sentences)
     tokens = [word_to_id[w] for w in text.split()]

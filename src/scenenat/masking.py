@@ -7,6 +7,14 @@ go through the replace-and-remask trichotomy: 10% random in-vocabulary
 token, 88% of the rest the MASK id, the remainder kept unchanged. All
 selected positions are supervised with their original tokens. At inference
 ``remask_count`` samples the same gamma at tau = step / total_steps.
+
+Each sampling call makes one ``rng.random`` draw and selects by key order.
+``sample_mask`` draws tau, p_obj, one key per row and one key per cell: the
+object rows are the n_objects rows with the smallest keys, and the token
+cells the remaining open cells with the smallest keys, so every subset of
+a given size is equally likely. ``corrupt`` draws one [2, N, 12] block: plane 0 splits the
+planned positions three ways, and plane 1 gives a randomized cell the id
+floor(u * mask_id), which lies below MASK because u < 1.
 """
 
 from __future__ import annotations
@@ -61,19 +69,21 @@ def sample_mask(grid: TokenizedScene, rng: np.random.Generator) -> MaskPlan:
     n = grid.tokens.shape[0]
     if n < 1:
         raise ValueError("grid has no object rows")
-    tau = float(rng.uniform())
+    draws = rng.random(2 + n + n * GRID_COLUMNS)
+    tau, p_obj = draws[:2].tolist()
     gamma = mask_ratio(tau)
-    p_obj = float(rng.uniform())
     budget = _round_half_up(gamma * n * GRID_COLUMNS)
     # no clamps: p_obj * gamma <= 1 keeps n_objects <= n, and gamma <= 1 keeps remaining <= the open cells
     n_objects = _round_half_up(p_obj * gamma * n)
-    rows = rng.choice(n, size=n_objects, replace=False)
+    rows = np.sort(np.argsort(draws[2 : 2 + n])[:n_objects])
     positions = np.zeros((n, GRID_COLUMNS), dtype=bool)
     positions[rows] = True
     remaining = budget - n_objects * GRID_COLUMNS
     if remaining > 0:
-        positions.reshape(-1)[rng.choice(np.flatnonzero(~positions), size=remaining, replace=False)] = True
-    return MaskPlan(gamma=gamma, object_rows=np.sort(rows), positions=positions)
+        cell_keys = draws[2 + n :].reshape(n, GRID_COLUMNS)
+        cell_keys[rows] = 1.0  # above every key, so no cell of an object row is among the smallest
+        positions.reshape(-1)[np.argpartition(cell_keys, remaining - 1, axis=None)[:remaining]] = True
+    return MaskPlan(gamma=gamma, object_rows=rows, positions=positions)
 
 
 def corrupt(
@@ -83,16 +93,23 @@ def corrupt(
 
     Returns the corrupted grid and the supervision targets: original tokens
     at every planned position (kept and randomized included), -1 elsewhere.
+    A plan whose positions are not a bool array of the grid's shape raises
+    ValueError before any draw.
     """
+    positions = np.asarray(plan.positions)
+    if positions.dtype != bool or positions.shape != grid.tokens.shape:
+        raise ValueError(
+            f"plan positions must be a bool array of shape {grid.tokens.shape}, got {positions.dtype} {positions.shape}"
+        )
     out = grid.copy()
-    targets = np.where(plan.positions, grid.tokens, -1)
-    mask_ids = np.broadcast_to(codec.mask_ids, grid.tokens.shape)
-    draws = rng.random(grid.tokens.shape)
-    randomize = plan.positions & (draws < RANDOM_TOKEN_FRACTION)
-    remask = plan.positions & ~randomize & (
-        draws < RANDOM_TOKEN_FRACTION + (1 - RANDOM_TOKEN_FRACTION) * MASK_TOKEN_FRACTION
+    targets = np.where(positions, grid.tokens, -1)
+    split, picks = rng.random((2, *grid.tokens.shape))
+    randomize = positions & (split < RANDOM_TOKEN_FRACTION)
+    remask = positions & (split >= RANDOM_TOKEN_FRACTION) & (
+        split < RANDOM_TOKEN_FRACTION + (1 - RANDOM_TOKEN_FRACTION) * MASK_TOKEN_FRACTION
     )
-    out.tokens[randomize] = rng.integers(mask_ids[randomize])  # any non-MASK id of the column
-    out.tokens[remask] = mask_ids[remask]
-    out.mask_flags[remask] = True
+    # any non-MASK id of the column: the cast floors u * mask_id, which u < 1 keeps below mask_id (< 2**53)
+    np.copyto(out.tokens, picks * codec.mask_ids, casting="unsafe", where=randomize)
+    np.copyto(out.tokens, codec.mask_ids, where=remask)
+    out.mask_flags |= remask
     return out, targets

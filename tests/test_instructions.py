@@ -24,6 +24,8 @@ from scenenat.relations import RELATION_SET, RelationTable, RelationTriplet, ext
 from scenenat.relations import RelationPredicate as P
 from scenenat.scene import DiscretizationSpec, SceneCodec, SceneLayout, SceneObject
 
+from test_masking import LargestDraws
+
 CATEGORIES = ["bed", "chair", "desk", "floor lamp"]
 CODEC = SceneCodec(CATEGORIES, DiscretizationSpec(), max_objects=8)
 LARGE_CODEC = SceneCodec(CATEGORIES, DiscretizationSpec(), max_objects=32)
@@ -64,18 +66,21 @@ def referring_expressions_oracle(ordered: list[RelationTriplet]) -> list[tuple[s
 
 
 def synthesize_oracle(k: int, rng: np.random.Generator, table: RelationTable) -> Instruction:
-    """Pair-first sampling over a table's triplets, grouping by unordered pair in a dict."""
+    """Pair-first sampling over a table's triplets, grouping by unordered pair in a dict and selecting by key order."""
     pairs: dict[tuple[int, int], list[RelationTriplet]] = {}
     for t in table:
         a, b = t.subject_instance, t.object_instance
         pairs.setdefault((a, b) if a < b else (b, a), []).append(t)
     keys = list(pairs)
-    picked = sorted(keys[i] for i in rng.choice(len(keys), size=min(k, len(keys)), replace=False).tolist())
-    members = rng.integers([len(pairs[key]) for key in picked]).tolist()
+    n = min(k, len(keys))
+    draws = rng.random(len(keys) + 2 * n).tolist()
+    pair_keys, member_draws, frame_draws = draws[: len(keys)], draws[len(keys) : len(keys) + n], draws[len(keys) + n :]
+    picked = sorted(keys[i] for i in sorted(range(len(keys)), key=pair_keys.__getitem__)[:n])
+    members = [int(u * len(pairs[key])) for u, key in zip(member_draws, picked)]
     chosen = discourse_order_oracle([pairs[key][j] for key, j in zip(picked, members)])
     sentences = []
-    for t, (art_s, art_o) in zip(chosen, referring_expressions_oracle(chosen)):
-        frame = SENTENCE_FRAMES[int(rng.integers(len(SENTENCE_FRAMES)))].replace("{p}", PREDICATE_PHRASES[t.predicate])
+    for t, (art_s, art_o), u in zip(chosen, referring_expressions_oracle(chosen), frame_draws):
+        frame = SENTENCE_FRAMES[int(u * len(SENTENCE_FRAMES))].replace("{p}", PREDICATE_PHRASES[t.predicate])
         sentences.append(frame.replace("{s}", f"{art_s} {t.subject}").replace("{o}", f"{art_o} {t.object}"))
     text = f" {CONNECTOR} ".join(sentences)
     return Instruction(text=text, tokens=[VOCAB[w] for w in text.split()], triplets=table_of(table.categories, chosen))
@@ -219,6 +224,24 @@ def test_pair_and_member_frequencies_match_exact_probabilities():
         outcomes = list(expected)
         result = chisquare([seen[o] for o in outcomes], [draws * expected[o] for o in outcomes])
         assert result.pvalue > 1e-4, (k, result)
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_largest_draws_pick_each_groups_last_member_and_the_last_frame(k):
+    # Groups of one to five members: floor(u * size) must stay below every group size and below the frame count.
+    groups = [[(0, P.LEFT_OF, 1)], [(0, P.BEHIND, 2), (2, P.IN_FRONT_OF, 0)]]
+    groups.append([(1, P.ABOVE, 2), (2, P.BELOW, 1), (1, P.LEFT_OF, 2)])
+    groups.append([(0, P.RIGHT_OF, 3), (3, P.LEFT_OF, 0), (0, P.ABOVE, 3), (3, P.BELOW, 0)])
+    groups.append([(1, P.RIGHT_OF, 3), (3, P.LEFT_OF, 1), (1, P.ABOVE, 3), (3, P.BELOW, 1), (1, P.BEHIND, 3)])
+    rows = [[s, RELATION_SET.index(p), o] for group in groups for s, p, o in group]
+    table = RelationTable(["bed", "chair", "desk", "bed"], rows)
+    instr = synthesize_instruction(EMPTY, k, LargestDraws(), triplets=table, word_to_id=VOCAB)
+    # every key ties, so the picked pairs are some k of the five; each is represented by its last member
+    last = {frozenset((g[-1][0], g[-1][2])): [g[-1][0], RELATION_SET.index(g[-1][1]), g[-1][2]] for g in groups}
+    assert len(instr.triplets) == k
+    for row in instr.triplets.rows.tolist():
+        assert row == last[frozenset((row[0], row[2]))]
+    assert [sentence.split()[0] for sentence in instr.text.split(f" {CONNECTOR} ")] == ["keep"] * k
 
 
 def test_bad_table_fails_before_any_draw():

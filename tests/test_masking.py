@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import chisquare, kstest
 
 from scenenat.masking import MaskPlan, corrupt, mask_ratio, remask_count, sample_mask
-from scenenat.scene import GRID_COLUMNS, DiscretizationSpec, SceneCodec, SceneLayout, SceneObject
+from scenenat.scene import GRID_COLUMNS, DiscretizationSpec, SceneCodec, SceneLayout, SceneObject, TokenizedScene
 
 
 def make_codec(n=8):
@@ -155,22 +156,24 @@ def test_empty_rows_are_maskable():
 
 
 def sample_mask_oracle(grid, rng):
-    """sample_mask as first written: clamped counts, and the open cells rebuilt from a set difference of rows."""
+    """sample_mask's draw order in Python: clamped counts, key-sorted selection, and the open cells rebuilt from a
+    set difference of rows."""
     n = grid.tokens.shape[0]
-    gamma = mask_ratio(float(rng.uniform()))
-    p_obj = float(rng.uniform())
+    draws = rng.random(2 + n + n * GRID_COLUMNS).tolist()
+    gamma = mask_ratio(draws[0])
+    row_keys, cell_keys = draws[2 : 2 + n], draws[2 + n :]
     budget = math.floor(gamma * n * GRID_COLUMNS + 0.5)
-    n_objects = min(math.floor(p_obj * gamma * n + 0.5), n)
-    rows = rng.choice(n, size=n_objects, replace=False) if n_objects else np.empty(0, dtype=np.int64)
+    n_objects = min(math.floor(draws[1] * gamma * n + 0.5), n)
+    rows = np.array(sorted(sorted(range(n), key=row_keys.__getitem__)[:n_objects]), dtype=np.intp)
     positions = np.zeros((n, GRID_COLUMNS), dtype=bool)
     positions[rows] = True
     remaining = budget - n_objects * GRID_COLUMNS
     if remaining > 0:
         open_rows = np.setdiff1d(np.arange(n), rows)
-        flat = (open_rows[:, None] * GRID_COLUMNS + np.arange(GRID_COLUMNS)[None, :]).reshape(-1)
-        chosen = rng.choice(flat, size=min(remaining, flat.shape[0]), replace=False)
+        flat = (open_rows[:, None] * GRID_COLUMNS + np.arange(GRID_COLUMNS)[None, :]).reshape(-1).tolist()
+        chosen = sorted(flat, key=cell_keys.__getitem__)[: min(remaining, len(flat))]
         positions.reshape(-1)[chosen] = True
-    return MaskPlan(gamma=gamma, object_rows=np.sort(rows), positions=positions)
+    return MaskPlan(gamma=gamma, object_rows=rows, positions=positions)
 
 
 @pytest.mark.parametrize(
@@ -187,3 +190,107 @@ def test_sample_mask_matches_set_difference_oracle(n, empty):
         np.testing.assert_array_equal(plan.object_rows, expected.object_rows)
         np.testing.assert_array_equal(plan.positions, expected.positions)
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "positions",
+    [np.ones((1, GRID_COLUMNS), dtype=bool), np.zeros((4, GRID_COLUMNS), dtype=np.int64)],
+    ids=["one_row_plan", "int_positions"],
+)
+def test_corrupt_rejects_a_plan_that_does_not_fit_the_grid_before_any_draw(positions):
+    # At the parent the one-row plan masked all 48 cells, and int positions indexed rows: one 1 rewrote 24 cells.
+    codec = make_codec(4)
+    grid = full_grid(codec, np.random.default_rng(0))
+    positions.reshape(-1)[0] = 1
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="must be a bool array of shape"):
+        corrupt(grid, MaskPlan(gamma=1.0, object_rows=np.empty(0, dtype=np.intp), positions=positions), rng, codec)
+    assert rng.bit_generator.state == state
+
+
+def test_gamma_follows_the_cosine_schedule_and_sets_the_masked_count():
+    # gamma = cos(pi * tau / 2) with tau uniform has CDF 1 - 2 arccos(g) / pi on [0, 1]
+    codec = make_codec()
+    rng = np.random.default_rng(8)
+    grid = full_grid(codec, rng)
+    gammas = []
+    for _ in range(10_000):
+        plan = sample_mask(grid, rng)
+        budget = math.floor(plan.gamma * grid.tokens.size + 0.5)
+        assert plan.masked_count == max(budget, len(plan.object_rows) * GRID_COLUMNS)
+        gammas.append(plan.gamma)
+    result = kstest(gammas, lambda g: 1 - 2 * np.arccos(g) / math.pi)
+    assert result.pvalue > 1e-3, result
+
+
+def test_every_row_and_every_cell_is_selected_equally_often():
+    codec = make_codec()
+    rng = np.random.default_rng(9)
+    grid = full_grid(codec, rng)
+    rows = np.zeros(codec.max_objects)
+    cells = np.zeros((codec.max_objects, GRID_COLUMNS))
+    for _ in range(20_000):
+        plan = sample_mask(grid, rng)
+        rows[plan.object_rows] += 1
+        token_cells = plan.positions.copy()
+        token_cells[plan.object_rows] = False
+        cells += token_cells
+    assert rows.sum() > 10_000 and cells.sum() > 100_000
+    for counts in (rows, cells.reshape(-1)):
+        result = chisquare(counts)
+        assert result.pvalue > 1e-3, result
+
+
+def test_replacement_ids_are_uniform_over_each_columns_non_mask_ids():
+    # Every cell of an empty grid holds its column's last non-MASK id (EMPTY or PAD), so a replacement that is
+    # neither that id nor MASK must be uniform over the column's other mask_id - 1 ids.
+    codec = make_codec(32)
+    grid = codec.tokenize(SceneLayout("bedroom", []))
+    plan = MaskPlan(gamma=1.0, object_rows=np.arange(32), positions=np.ones(grid.tokens.shape, dtype=bool))
+    original = codec.mask_ids - 1
+    assert (grid.tokens == original).all()
+    rng = np.random.default_rng(10)
+    counts = [np.zeros(m - 1) for m in codec.mask_ids]
+    for _ in range(1_500):
+        tokens = corrupt(grid, plan, rng, codec)[0].tokens
+        for c, m in enumerate(codec.mask_ids):
+            col = tokens[:, c]
+            np.add.at(counts[c], col[(col != m) & (col != original[c])], 1)
+    for c, col_counts in enumerate(counts):
+        assert col_counts.min() > 10
+        result = chisquare(col_counts)
+        assert result.pvalue > 1e-4, (c, result)
+
+
+TOP = np.nextafter(1.0, 0.0)  # the largest double below 1, the largest value rng.random can return
+
+
+class LargestDraws:
+    """A generator stand-in whose draws are all the largest double below 1; zero_first_plane zeroes out[0]."""
+
+    def __init__(self, zero_first_plane=False):
+        self.zero_first_plane = zero_first_plane
+
+    def random(self, size):
+        out = np.full(size, TOP)
+        if self.zero_first_plane:
+            out[0] = 0.0
+        return out
+
+
+def test_floor_of_the_largest_draw_stays_below_the_count():
+    n = np.arange(1, 2**20, dtype=np.int64)
+    np.testing.assert_array_equal((TOP * n).astype(np.int64), n - 1)
+    for big in (2**52 + 1, 3 * 2**50, 2**53 - 1):
+        assert math.floor(TOP * big) == big - 1
+
+
+@pytest.mark.parametrize("categories", [1, 4, 12, 200])
+def test_largest_replacement_draw_gives_each_columns_last_non_mask_id(categories):
+    codec = SceneCodec([f"c{i}" for i in range(categories)], DiscretizationSpec(), max_objects=4)
+    grid = TokenizedScene(np.zeros((4, GRID_COLUMNS), dtype=np.int64), np.zeros((4, GRID_COLUMNS), dtype=bool))
+    plan = MaskPlan(gamma=1.0, object_rows=np.arange(4), positions=np.ones(grid.tokens.shape, dtype=bool))
+    corrupted, _ = corrupt(grid, plan, LargestDraws(zero_first_plane=True), codec)  # every cell is randomized
+    np.testing.assert_array_equal(corrupted.tokens, np.broadcast_to(codec.mask_ids - 1, grid.tokens.shape))
+    assert not corrupted.mask_flags.any()
