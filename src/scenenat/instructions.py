@@ -13,7 +13,7 @@ pass orders them so consecutive sentences reuse a mentioned category when
 possible, and gives each mention its article: "another" for a second
 distinct instance of a mentioned category, else "the". The rows, in
 sentence order, become the instruction's own ``RelationTable`` over the
-scene's categories.
+scene's categories, built unchecked as rows the package derived (see ``relations``).
 """
 
 from __future__ import annotations
@@ -115,12 +115,12 @@ def synthesize_instruction(
     pairs are drawn uniformly without replacement (those with the smallest
     uniform keys), then one member of each pair and one frame per sentence
     uniformly, all from one ``rng.random`` call, so the returned table's
-    rows record the actual count. Words of the table's categories missing from ``word_to_id`` raise
-    ValueError, and triplets that are not a ``RelationTable`` TypeError,
+    rows record the actual count. A k that is not an int of at least 1 and words of the table's categories
+    missing from ``word_to_id`` raise ValueError, and triplets that are not a ``RelationTable`` TypeError,
     before any draw.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+        raise ValueError(f"k must be an int of at least 1, got {k!r}")
     table = extract_triplets(scene) if triplets is None else triplets
     if not isinstance(table, RelationTable):
         raise TypeError(f"triplets must be a RelationTable, got {type(table).__name__}")
@@ -154,4 +154,4 @@ def synthesize_instruction(
     tokens = [word_to_id[w] for w in text.split()]
     if len(tokens) > MAX_TOKENS:
         raise ValueError(f"instruction tokenizes to {len(tokens)} > {MAX_TOKENS} words")
-    return Instruction(text=text, tokens=tokens, triplets=RelationTable(cats, [row for row, _ in plan]))
+    return Instruction(text, tokens, RelationTable._derived(cats, np.array([row for row, _ in plan], dtype=np.int64)))

@@ -38,6 +38,8 @@ def mask_ratio(tau: float) -> float:
 
 def remask_count(step: int, total_steps: int, total_masked: int) -> int:
     """Tokens still masked after a decoding step: floor(total_masked * gamma), 0 after the final step."""
+    if any(isinstance(v, bool) or not isinstance(v, int) for v in (step, total_steps, total_masked)):
+        raise ValueError(f"step, total_steps and total_masked must be ints, got {(step, total_steps, total_masked)}")
     if total_steps < 1:
         raise ValueError(f"total_steps must be at least 1, got {total_steps}")
     if total_masked < 0:

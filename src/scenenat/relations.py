@@ -20,6 +20,7 @@ object index) per related ordered pair, a predicate id being its
 ``RELATION_SET`` index. Instructions, the matched loss and iRecall read the
 same tables; a ``RelationTriplet`` is only the view of one row, built when
 the row is read, so a scene's ~1000 relations cost one array and no objects.
+Only the public ``RelationTable`` constructor checks rows (see its docstring).
 """
 
 from __future__ import annotations
@@ -84,6 +85,9 @@ def frame_of(obj: SceneObject) -> GeometryFrame:
     return GeometryFrame(obj.position, tuple(s / 2.0 for s in obj.size), math.radians(obj.yaw_deg))
 
 
+_BOX_SCALE = np.array([1.0, 1.0, 1.0, 0.5, 0.5, 0.5, math.pi / 180.0])  # np.radians is x * (pi / 180) too
+
+
 def box_table(*scenes: SceneLayout) -> np.ndarray:
     """``frame_of``'s fields of each object of one or more scenes, in order, as a float64 [n, 7] array: x y z,
     hx hy hz, yaw in radians.
@@ -92,7 +96,7 @@ def box_table(*scenes: SceneLayout) -> np.ndarray:
     index when there are several.
     """
     g = np.concatenate([s.geometry for s in scenes])
-    table = np.concatenate([g[:, :3], g[:, 3:6] / 2.0, np.radians(g[:, 6:])], axis=1)
+    table = g * _BOX_SCALE
     bad = np.flatnonzero((table[:, 3:6] <= 0.0).any(axis=1))
     if bad.size:
         row, k = int(bad[0]), 0
@@ -198,8 +202,10 @@ class RelationTable(Sequence[RelationTriplet]):
     ``categories`` holds each instance's category and ``rows`` the
     ``RELATION_SET`` ids; both are read-only, and equal ones make equal tables.
     Reading row i builds its ``RelationTriplet``, with the instance ids filled
-    in. A row that is not an int triple, points outside ``categories`` or
-    ``RELATION_SET``, or relates an instance to itself raises ValueError.
+    in. The constructor copies and checks ``rows``: one that is not an int
+    triple, points outside ``categories`` or ``RELATION_SET``, or relates an
+    instance to itself raises ValueError. Tables of rows the package derived
+    skip both (``_derived`` freezes them in place); property tests pin them.
     """
 
     def __init__(self, categories: Sequence[str], rows: np.ndarray):
@@ -214,8 +220,14 @@ class RelationTable(Sequence[RelationTriplet]):
             if (rows[:, 0] == rows[:, 2]).any():
                 raise ValueError("a row relates an instance to itself")
         rows.flags.writeable = False
-        self.categories = tuple(categories)
-        self.rows = rows
+        self.categories, self.rows = tuple(categories), rows
+
+    @classmethod
+    def _derived(cls, categories: Sequence[str], rows: np.ndarray) -> RelationTable:
+        rows.flags.writeable = False
+        table = cls.__new__(cls)
+        table.categories, table.rows = tuple(categories), rows
+        return table
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -244,5 +256,4 @@ def extract_triplets(scene: SceneLayout) -> RelationTable:
     """
     rel = relation_matrix(box_table(scene))
     subjects, objects = np.nonzero(rel >= 0)
-    rows = np.stack([subjects, rel[subjects, objects], objects], axis=1)
-    return RelationTable(scene.categories, rows)
+    return RelationTable._derived(scene.categories, np.stack([subjects, rel[subjects, objects], objects], axis=1))

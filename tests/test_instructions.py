@@ -1,10 +1,11 @@
 import math
+import re
 from collections import Counter
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
@@ -24,6 +25,7 @@ from scenenat.relations import RELATION_SET, RelationTable, RelationTriplet, ext
 from scenenat.relations import RelationPredicate as P
 from scenenat.scene import DiscretizationSpec, SceneCodec, SceneLayout, SceneObject
 
+from test_evaluation import count_calls
 from test_masking import LargestDraws
 
 CATEGORIES = ["bed", "chair", "desk", "floor lamp"]
@@ -145,6 +147,68 @@ def test_table_sampling_matches_dict_grouping_oracle(scene, k, seed):
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     assert synthesize_instruction(scene, k, rng, word_to_id=VOCAB) == synthesize_oracle(k, oracle_rng, table)
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@st.composite
+def spread_layouts(draw):
+    """Unsnapped scenes of 0..4 objects over 16 m x 16 m, so many have few relations or none."""
+    xy = st.floats(-8.0, 8.0)
+    objects = [
+        SceneObject(
+            draw(st.sampled_from(CATEGORIES)),
+            (0, 0, 0, 0),
+            (draw(xy), draw(xy), 0.5),
+            (0.5, 0.5, 1.0),
+            draw(st.floats(-720.0, 720.0)),
+        )
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    return SceneLayout("bedroom", objects)
+
+
+def assert_checked(table: RelationTable, categories):
+    """The table equals the one the checked constructor builds from a copy of its rows, which are frozen int64."""
+    assert table.rows.dtype == np.int64 and table.rows.shape == (len(table), 3) and not table.rows.flags.writeable
+    assert table == RelationTable(categories, table.rows.copy())
+
+
+@given(crowded_layouts() | spread_layouts(), st.integers(0, 2**32 - 1))
+@example(EMPTY, 0)
+def test_derived_tables_pass_the_checked_constructor(scene, seed):
+    # extract_triplets and the instruction's table skip the constructor's checks; this is where they still hold
+    table = extract_triplets(scene)
+    assert_checked(table, scene.categories)
+    rng = np.random.default_rng(seed)
+    for k in range(1, 5) if len(table) else ():
+        instr = synthesize_instruction(scene, k, rng, word_to_id=VOCAB, triplets=table)
+        assert len(instr.triplets) == min(k, len({pair_of(t) for t in table}))
+        assert_checked(instr.triplets, scene.categories)
+
+
+def test_prep_builds_no_checked_table(monkeypatch):
+    # a guard on call counts, not a timing: prep's tables come from rows already checked or derived
+    # four objects 1 m apart in a row: every pair relates both ways
+    objects = [SceneObject(c, (0, 0, 0, 0), (i, 0.0, 0.5), (0.5, 0.5, 1.0), 0.0) for i, c in enumerate(CATEGORIES)]
+    scene = LARGE_CODEC.snap(SceneLayout("bedroom", objects))
+    inits = count_calls(monkeypatch, RelationTable, "__init__")
+    table = extract_triplets(scene)
+    rng = np.random.default_rng(0)
+    for k in range(1, 5):
+        synthesize_instruction(scene, k, rng, word_to_id=VOCAB, triplets=table)
+        synthesize_instruction(scene, k, rng, word_to_id=VOCAB)
+    assert len(table) == 12 and inits == []
+    RelationTable(table.categories, table.rows)
+    assert len(inits) == 1
+
+
+@pytest.mark.parametrize("k", [2.5, 2.0, True, False, 0, -1, "2", None])
+def test_k_must_be_an_int_of_at_least_one_before_any_draw(k):
+    table = RelationTable(["bed", "chair"], [[0, 2, 1]])
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="^" + re.escape(f"k must be an int of at least 1, got {k!r}") + "$"):
+        synthesize_instruction(EMPTY, k, rng, triplets=table, word_to_id=VOCAB)
+    assert rng.bit_generator.state == state
 
 
 # Instances 0 and 2 are beds, 1 a chair and 3 a desk.

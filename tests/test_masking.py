@@ -55,6 +55,19 @@ def test_remask_count_rejects_a_negative_total():
         remask_count(0, 4, -3)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [(1.5, 4, 10), (1, 4, 10.5), (1, 4.0, 10), (True, 4, 10), (1, True, 10), (0, 4, False), (np.float64(1), 4, 10)],
+    ids=[
+        "float_step", "float_total_masked", "float_total_steps", "bool_step", "bool_total_steps", "bool_total_masked",
+        "numpy_float_step",
+    ],
+)
+def test_remask_count_takes_only_ints(args):
+    with pytest.raises(ValueError, match="must be ints"):
+        remask_count(*args)
+
+
 def test_object_level_masks_cover_full_rows():
     codec = make_codec()
     rng = np.random.default_rng(0)

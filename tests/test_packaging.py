@@ -1,7 +1,7 @@
 """pyproject.toml declares exactly the third-party modules the package and its tests import, every public
 function, class and method of a public class of the package has a caller outside the tests, every public
-upper-case module constant is read outside the tests, and every private module-level function of the package
-has a caller in the package, so none is kept only for a test."""
+upper-case module constant is read outside the tests, and every private module-level function and private
+method of the package has a caller in the package, so none is kept only for a test."""
 
 import ast
 import re
@@ -156,8 +156,15 @@ def test_every_public_constant_is_read_outside_the_tests():
     assert constants - read == set()
 
 
+def private_names(node: ast.AST) -> set[str]:
+    """A private top-level function, or the private methods of a class; dunder names are not private."""
+    defs = node.body if isinstance(node, ast.ClassDef) else [node]
+    return {n.name for n in defs if isinstance(n, ast.FunctionDef) and n.name.startswith("_") and not n.name.endswith("__")}
+
+
 def test_every_private_function_has_a_caller_in_the_package():
+    # a method counts as called only from another definition, as references() leaves out a method's own name
     nodes = package_nodes()
-    private = {n.name for n in nodes if isinstance(n, ast.FunctionDef) and n.name.startswith("_") and not n.name.endswith("__")}
-    assert private
+    private = set().union(*map(private_names, nodes))
+    assert {"_sentence_plan", "_triplet", "_hold", "_derived"} <= private
     assert private - set().union(*map(references, nodes)) == set()

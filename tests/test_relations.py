@@ -1,8 +1,9 @@
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from scenenat.relations import (
@@ -265,6 +266,63 @@ def test_box_table_holds_the_fields_of_frame_of_bitwise():
     table = box_table(scene_with(narrow))
     assert table.dtype == np.float64 and all(type(v) is float for row in table.tolist() for v in row)
     assert table.tolist() == float64_table(narrow).tolist()
+
+
+# Yaws past 1e4 degrees in both signs, where the radian products are largest, and exact quarter turns.
+YAWS = st.one_of(
+    st.floats(-1e7, -1e4), st.floats(-360.0, 360.0), st.floats(1e4, 1e7), st.integers(-40, 40).map(lambda q: 90.0 * q)
+)
+
+
+@st.composite
+def box_scenes(draw):
+    """Two to four scenes of up to 5 unsnapped objects each."""
+    coordinate, size = st.floats(-5.0, 5.0), st.floats(1e-3, 4.0)
+    return [
+        scene_with(
+            [
+                SceneObject(
+                    "bed",
+                    (0, 0, 0, 0),
+                    tuple(draw(coordinate) for _ in range(3)),
+                    tuple(draw(size) for _ in range(3)),
+                    draw(YAWS),
+                )
+                for _ in range(draw(st.integers(0, 5)))
+            ]
+        )
+        for _ in range(draw(st.integers(2, 4)))
+    ]
+
+
+def concatenated_box_table(*scenes):
+    """The table as three pieces: the centres, the sizes halved and the yaws through np.radians."""
+    g = np.concatenate([s.geometry for s in scenes])
+    return np.concatenate([g[:, :3], g[:, 3:6] / 2.0, np.radians(g[:, 6:])], axis=1)
+
+
+@given(box_scenes())
+def test_box_table_of_several_scenes_is_bitwise_the_concatenated_pieces(scenes):
+    table = box_table(*scenes)
+    assert table.dtype == np.float64 and table.shape == (sum(len(s.categories) for s in scenes), 7)
+    assert table.tobytes() == concatenated_box_table(*scenes).tobytes()
+
+
+@given(box_scenes(), st.data())
+def test_box_table_names_the_scene_and_object_of_a_bad_size(scenes, data):
+    assume(any(s.categories for s in scenes))
+    k = data.draw(st.sampled_from([k for k, s in enumerate(scenes) if s.categories]))
+    objects = scenes[k].objects
+    i = data.draw(st.integers(0, len(objects) - 1))
+    axis = data.draw(st.integers(0, 2))
+    bad = data.draw(st.sampled_from([0.0, -0.0, -1e-3, -4.0, 5e-324]))  # the last halves to zero
+    size = tuple(bad if a == axis else v for a, v in enumerate(objects[i].size))
+    o = objects[i]
+    objects[i] = SceneObject(o.category, o.appearance, o.position, size, o.yaw_deg)
+    scenes[k] = scene_with(objects)
+    message = f"scene {k}: object {i} has non-positive size {size}"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        box_table(*scenes)
 
 
 def test_extract_mirrored_pair():
