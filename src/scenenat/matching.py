@@ -78,14 +78,17 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
 
 
 def _classes(gt, heads) -> tuple[np.ndarray, int]:
-    """The [3, min(J, Q)] classes of the triplets kept, and the number cut, after checking the contract."""
+    """The [3, min(J, Q)] classes of the triplets kept, and the number cut, after checking the contract.
+
+    The [3, J] class table is C-contiguous whatever gt's layout, so each head's range check runs along a J-long row.
+    """
     shapes = [logits.shape for logits in heads]
     if any(len(shape) != 2 or shape[0] != shapes[0][0] for shape in shapes):
         raise tn.ShapeError(f"triplet heads must be [queries, classes], got {shapes}")
     if not (isinstance(gt, np.ndarray) and gt.ndim == 2 and gt.shape[1] == 3 and gt.dtype.kind in "iu"):
         got = f"{gt.dtype} {gt.shape}" if isinstance(gt, np.ndarray) else type(gt).__name__
         raise tn.ShapeError(f"triplet gt must be an int [J, 3] ndarray, got {got}")
-    classes = gt.T.astype(np.int64)
+    classes = np.ascontiguousarray(gt.T, dtype=np.int64)
     n_q, widths = shapes[0][0], [shape[1] for shape in shapes]
     if classes.size and (classes.min() < 0 or (classes.max(axis=1) >= np.array(widths) - 1).any()):
         raise tn.ShapeError(f"triplet gt has classes outside heads of {widths}")

@@ -97,13 +97,13 @@ def box_table(*scenes: SceneLayout) -> np.ndarray:
     """
     g = np.concatenate([s.geometry for s in scenes])
     table = g * _BOX_SCALE
-    bad = np.flatnonzero((table[:, 3:6] <= 0.0).any(axis=1))
-    if bad.size:
-        row, k = int(bad[0]), 0
+    bad = table[:, 3:6] <= 0.0
+    if bad.any():  # one flat reduction: a per-row any would start numpy's inner loop once per 3-wide row
+        row, k = int(np.flatnonzero(bad)[0]) // 3, 0
         while row >= len(scenes[k].categories):
             row, k = row - len(scenes[k].categories), k + 1
         where = f"scene {k}: " if len(scenes) > 1 else ""
-        raise ValueError(f"{where}object {row} has non-positive size {tuple(g[bad[0], 3:6].tolist())}")
+        raise ValueError(f"{where}object {row} has non-positive size {tuple(scenes[k].geometry[row, 3:6].tolist())}")
     return table
 
 

@@ -31,6 +31,9 @@ transpose, reshape, slice_rows, embedding_lookup, layer_norm, silu, tensor_sum,
 scaled_dot_product_attention and cross_entropy, a one-term weighted-NLL
 node, as are the losses of scenenat.matching with more terms.
 log_softmax_array works on plain arrays, outside the graph.
+Row maxima (log_softmax_array, attention) reduce across a contiguous
+transposed copy: numpy runs a reduction's inner loop once per row of the
+contiguous axis, so a last-axis max pays that loop's overhead once per row.
 Attention is one node over (q, k, v) with one masking rule: a padded key's
 score is -inf, and a query whose keys are all padded gets weights 0, so
 output 0, in every float dtype. With P the weights and c = 1/sqrt(d), its
@@ -107,7 +110,7 @@ class Tensor:
 
         def receive(node: Tensor, g) -> None:
             leaf = node._backward is None
-            if leaf and not node.requires_grad:
+            if leaf and not node._requires_grad:
                 return
             rows, g = (slice(*g[:2]), g[2]) if type(g) is tuple else (..., g)  # slice_rows' row grad, or every row
             g = np.asarray(g, node.data.dtype)
@@ -161,7 +164,7 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     out = Tensor(data)
     if _grad_enabled:
         for p in parents:
-            if p.requires_grad:
+            if p._requires_grad:
                 out.requires_grad, out._parents, out._backward = True, parents, backward_fn
                 break
     return out
@@ -313,9 +316,14 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
     return _make(table.data[ids], (table,), backward)
 
 
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """np.maximum.reduce(x, axis=-1, keepdims=True), taken along the rows' long transposed axis."""
+    return np.maximum.reduce(np.ascontiguousarray(x.reshape(-1, x.shape[-1]).T), axis=0).reshape(*x.shape[:-1], 1)
+
+
 def log_softmax_array(x: np.ndarray) -> np.ndarray:
     """Numerically stable log-softmax over the last axis of a plain numpy array (no graph)."""
-    shifted = x - np.maximum.reduce(x, axis=-1, keepdims=True)
+    shifted = x - _row_max(x)
     return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
 
 
@@ -374,7 +382,7 @@ def scaled_dot_product_attention(
         while pad.ndim < s.ndim:
             pad = np.expand_dims(pad, -2)
         s = np.where(pad, -np.inf, s)
-    top = np.maximum.reduce(s, axis=-1, keepdims=True)
+    top = _row_max(s)
     top[top == -np.inf] = 0  # a row with every key padded shifts by 0: exp(-inf) is 0, and -inf - -inf never runs
     p = np.exp(s - top)
     p /= np.maximum(np.add.reduce(p, axis=-1, keepdims=True), 1)  # a live row sums to 1 or more, a dead one to 0: not 0/0

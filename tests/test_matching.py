@@ -376,6 +376,30 @@ def test_both_matchers_keep_the_first_q_triplets_and_only_the_loss_counts_the_cu
     assert matching.truncated_triplet_count() == before + max(n_t - n_q, 0)
 
 
+GT_LAYOUTS = {
+    "c-ordered": np.ascontiguousarray,
+    "fortran": np.asfortranarray,
+    "transposed-3-by-j": lambda gt: np.ascontiguousarray(gt.T).T,
+}
+
+
+@pytest.mark.parametrize("bad", [(0, 5), (1, 10), (2, 5), (1, -1)], ids=["subject-null", "predicate-null", "object-null", "negative"])
+@pytest.mark.parametrize("layout", GT_LAYOUTS.values(), ids=GT_LAYOUTS.keys())
+def test_classes_reads_every_row_whatever_the_layout_of_gt(layout, bad):
+    """A 1000-row gt cut to 64 queries: an id outside its head, only in the cut tail, raises in every layout."""
+    heads = random_heads(np.random.default_rng(4), n_q=64)
+    gt = np.random.default_rng(5).integers(0, [5, 10, 5], size=(1000, 3))
+    broken = gt.copy()
+    broken[900, bad[0]] = bad[1]
+    with pytest.raises(ShapeError, match=OUTSIDE):
+        triplet_loss(layout(broken), *heads, LossWeights())
+    with pytest.raises(ShapeError, match=OUTSIDE):
+        matching_cost(layout(broken), *(t.data for t in heads))
+    classes, cut = matching._classes(layout(gt), [t.data for t in heads])
+    assert np.array_equal(classes, gt[:64].T)
+    assert cut == 1000 - 64
+
+
 def test_recon_loss_rejects_logits_of_another_grid():
     logits = {k: Tensor(v) for k, v in attribute_logits(np.random.default_rng(0), np.float64, n=2).items()}
     with pytest.raises(ShapeError, match="category logits"):

@@ -1,7 +1,8 @@
 """pyproject.toml declares exactly the third-party modules the package and its tests import, every public
 function, class and method of a public class of the package has a caller outside the tests, every public
-upper-case module constant is read outside the tests, and every private module-level function and private
-method of the package has a caller in the package, so none is kept only for a test."""
+upper-case module constant is read outside the tests, every private module-level function and private
+method of the package has a caller in the package, so none is kept only for a test, and the package takes no
+last-axis max or min outside tensor._row_max."""
 
 import ast
 import re
@@ -168,3 +169,42 @@ def test_every_private_function_has_a_caller_in_the_package():
     private = set().union(*map(private_names, nodes))
     assert {"_sentence_plan", "_triplet", "_hold", "_derived"} <= private
     assert private - set().union(*map(references, nodes)) == set()
+
+
+EXTREMA = {"max", "min", "amax", "amin"}
+
+
+def last_axis_extrema(tree: ast.AST) -> list[str]:
+    """Where a tree takes a max or min along the last axis outside _row_max: np.maximum.reduce or
+    np.minimum.reduce, or .max / .min with axis -1, by keyword or position (second for an np. call).
+
+    It reads syntax, not memory layout: a reduce along a short contiguous axis that is not written as axis -1,
+    such as axis=1 over a transposed (Fortran-ordered) [3, J] array, passes it. Such layouts are kept out by
+    the code that builds them, as matching._classes does for its class table."""
+    exempt = {id(n) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name == "_row_max" for n in ast.walk(f)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in exempt:
+            continue
+        if isinstance(node, ast.Attribute) and node.attr == "reduce" and getattr(node.value, "attr", None) in ("maximum", "minimum"):
+            found.append(ast.unparse(node))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in EXTREMA:
+            on_np = isinstance(node.func.value, ast.Name) and node.func.value.id in ("np", "numpy")
+            axes = [kw.value for kw in node.keywords if kw.arg == "axis"] + (node.args[1:2] if on_np else node.args[:1])
+            if any(ast.unparse(axis) == "-1" for axis in axes):
+                found.append(ast.unparse(node))
+    return found
+
+
+def test_the_last_axis_extrema_scan_flags_each_form():
+    flagged = "np.maximum.reduce(x, axis=-1)\nnp.minimum.reduce(x, -1)\nx.max(axis=-1)\nx.min(-1)\nnp.max(x, -1)\nnp.amin(x, axis=-1)"
+    assert len(last_axis_extrema(ast.parse(flagged))) == 6
+    kept = "x.max(axis=1)\nx.min()\nnp.max(x)\nnp.maximum(a, b)\ndef _row_max(x):\n    return np.maximum.reduce(x.T, axis=0)"
+    assert last_axis_extrema(ast.parse(kept)) == []
+
+
+def test_the_package_takes_row_maxima_only_in_row_max():
+    # a last-axis reduce runs its inner loop once per row, so short rows pay that overhead once each
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")]
+    assert "_row_max" in {node.name for tree in trees for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert [hit for tree in trees for hit in last_axis_extrema(tree)] == []

@@ -750,3 +750,90 @@ def test_embedding_attention_cross_entropy_step_grads_stay_float32():
     params = {"table": table, "wq": wq, "wk": wk, "wv": wv, "head": head, "gamma": gamma, "beta": beta}
     assert {name: p.grad.dtype for name, p in params.items()} == dict.fromkeys(params, np.dtype(np.float32))
     assert [node for node in T.build_tape(loss) if node._parents and node.grad is not None] == []
+
+
+# -- row maxima along the transposed axis against the last-axis reduce they replaced --------------
+
+ROW_KINDS = ("finite", "some_neg_inf", "only_neg_inf", "nan", "signed_zeros")
+
+
+@st.composite
+def row_max_arrays(draw):
+    """A float16/32/64 array of 1-4 dims, last axis 1-70, leading dims possibly 0, whose rows each hold finite
+    values, some -inf, only -inf, a NaN, or a mix of -0.0, +0.0 and negatives."""
+    dtype = draw(st.sampled_from([np.float16, np.float32, np.float64]))
+    shape = (*draw(st.lists(st.integers(0, 4), max_size=3)), draw(st.integers(1, 70)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = (rng.standard_normal(shape) * 8).astype(dtype)
+    rows = x.reshape(-1, shape[-1])  # a view: x is a fresh C-ordered array
+    for row, kind in zip(rows, draw(st.lists(st.sampled_from(ROW_KINDS), min_size=len(rows), max_size=len(rows)))):
+        some = rng.random(row.shape) < 0.5
+        if kind == "some_neg_inf":
+            row[some] = -np.inf
+        elif kind == "only_neg_inf":
+            row[:] = -np.inf
+        elif kind == "nan":
+            row[rng.integers(row.size)] = np.nan
+        elif kind == "signed_zeros":
+            row[:] = np.where(some, -0.0, 0.0)
+            row[rng.random(row.shape) < 0.3] = -1.5
+    return x
+
+
+def parent_log_softmax(x):
+    shifted = x - np.maximum.reduce(x, axis=-1, keepdims=True)
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
+
+
+def parent_attention(q, k, v, key_padding_mask):
+    c = 1.0 / float(np.sqrt(q.shape[-1]))
+    s = (q @ np.swapaxes(k, -1, -2)) * c
+    if key_padding_mask is not None:
+        pad = key_padding_mask
+        while pad.ndim < s.ndim:
+            pad = np.expand_dims(pad, -2)
+        s = np.where(pad, -np.inf, s)
+    top = np.maximum.reduce(s, axis=-1, keepdims=True)
+    top[top == -np.inf] = 0
+    p = np.exp(s - top)
+    p /= np.maximum(np.add.reduce(p, axis=-1, keepdims=True), 1)
+    return p @ v
+
+
+@given(x=row_max_arrays())
+def test_row_max_equals_the_last_axis_reduce(x):
+    """Equal as values, NaN where NaN; -0.0 equals +0.0, as the order of equal maxima may differ."""
+    got, want = T._row_max(x), np.maximum.reduce(x, axis=-1, keepdims=True)
+    assert (got.shape, got.dtype) == (want.shape, want.dtype)
+    np.testing.assert_array_equal(got, want)
+
+
+@given(x=row_max_arrays())
+def test_log_softmax_array_equals_the_last_axis_reduce_formula(x):
+    with np.errstate(all="ignore"):  # a row of only -inf gives NaN in both
+        got, want = T.log_softmax_array(x), parent_log_softmax(x)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+
+
+@given(
+    dtype=st.sampled_from([np.float16, np.float32, np.float64]),
+    lead=st.lists(st.integers(0, 3), max_size=2),
+    n_q=st.integers(1, 5),
+    n_k=st.integers(1, 70),
+    masked=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_attention_equals_the_last_axis_reduce_formula(dtype, lead, n_q, n_k, masked, seed):
+    """With and without a key padding mask; a masked batch row has every key padded, its query rows dead."""
+    rng = np.random.default_rng(seed)
+    q, k, v = (rng.standard_normal((*lead, n, 4)).astype(dtype) for n in (n_q, n_k, n_k))
+    mask = None
+    if masked:
+        mask = rng.random((*lead, n_k)) < 0.5
+        mask.reshape(-1, n_k)[:1] = True
+    with np.errstate(all="ignore"):
+        got = T.scaled_dot_product_attention(Tensor(q), Tensor(k), Tensor(v), key_padding_mask=mask).data
+        want = parent_attention(q, k, v, mask)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
