@@ -6,7 +6,9 @@ triplet_loss assigns with the loss's own per-pair cost, so the matched loss
 is never above that of any other assignment. It takes one log-softmax per
 head and uses it for both the assignment cost and the loss. matching_cost is
 the DETR-style negative-probability cost (Carion et al., arXiv 2005.12872),
-kept only as a diagnostic; nothing in the loss assigns with it.
+kept only as a diagnostic; nothing in the loss assigns with it. hungarian is
+the one assignment entry point; it row- and column-reduces a square cost
+before scipy solves it.
 
 Both take one ground-truth contract, checked in one place (_classes). The
 three heads are [Q, classes] with one Q. gt is an int [J, 3] ndarray of
@@ -62,9 +64,18 @@ class LossWeights:
 def hungarian(cost: np.ndarray) -> np.ndarray:
     """Exact minimum-cost assignment of J rows to distinct columns, J <= K.
 
-    Returns sigma with sigma[j] the column assigned to row j. Among
-    equal-cost assignments the choice is scipy's, so callers must not rely
-    on a particular tie-break.
+    Returns sigma with sigma[j] the column assigned to row j. A square,
+    non-empty cost is first reduced as in Kuhn-Munkres steps 1-2: each row's
+    minimum is subtracted into a new array (the caller's is never written),
+    then each column's minimum in place. A square assignment takes every row
+    and every column once, so this moves every assignment's total by one
+    constant and keeps the set of optimal ones; scipy's solver, which starts
+    from zero duals, then begins nearer the optimum. A rectangular cost
+    (rows < cols) goes to scipy unreduced, as a column shift there is not
+    exact when some columns stay free. Among equal-cost assignments, and
+    near-ties that the subtraction's rounding can reorder, the choice is
+    scipy's on the cost it is given, so callers must not rely on a
+    particular tie-break.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2:
@@ -74,6 +85,9 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
         raise ValueError(f"need rows <= cols, got {rows}x{cols}")
     if not np.isfinite(cost).all():
         raise ValueError("cost matrix must be finite")
+    if rows == cols and rows:
+        cost = cost - cost.min(axis=1, keepdims=True)
+        cost -= cost.min(axis=0)
     return linear_sum_assignment(cost)[1]
 
 

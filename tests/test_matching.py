@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from scenenat import matching
 from scenenat import tensor as tn
@@ -80,6 +81,100 @@ def test_hungarian_rejects_bad_input():
         hungarian(np.zeros((3, 2)))
     with pytest.raises(ValueError):
         hungarian(np.array([[np.inf, 1.0]]))
+
+
+def cost_of_kind(kind: str, rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+    noise = rng.random((rows, cols))
+    if kind == "column-dominated":  # like an untrained model: a few queries are cheap for every triplet
+        return 10.0 * rng.random(cols) + noise
+    if kind == "row-dominated":
+        return 10.0 * rng.random((rows, 1)) + noise
+    if kind == "duplicate-rows":  # repeated ground-truth triplets give identical cost rows
+        return noise[rng.integers(0, max(rows // 4, 1), rows)]
+    if kind == "small-integer-ties":
+        return rng.integers(0, 3, (rows, cols)).astype(np.float64)
+    if kind == "negative":
+        return -5.0 * noise - 1.0
+    if kind == "offset":
+        return 1e6 + noise
+    return noise
+
+
+COST_KINDS = ("uniform", "column-dominated", "row-dominated", "duplicate-rows", "small-integer-ties", "negative", "offset")
+
+
+@given(
+    st.integers(1, 64),
+    st.integers(1, 64),
+    st.booleans(),
+    st.sampled_from(COST_KINDS),
+    st.integers(0, 2**32 - 1),
+)
+def test_reduced_hungarian_reaches_the_raw_optimum(a, b, square, kind, seed):
+    rows, cols = (a, a) if square else (min(a, b), max(a, b))
+    cost = cost_of_kind(kind, rows, cols, np.random.default_rng(seed))
+    sigma = hungarian(cost)
+    assert len(set(sigma.tolist())) == rows
+    want_rows, want_cols = linear_sum_assignment(cost)
+    got, want = cost[np.arange(rows), sigma].sum(), cost[want_rows, want_cols].sum()
+    assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+    if rows < cols:  # a rectangular cost goes to scipy as it is
+        assert sigma.tobytes() == want_cols.tobytes()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda c: c,
+        np.asfortranarray,
+        lambda c: (c.setflags(write=False), c)[1],
+        lambda c: c.astype(np.float32),
+        lambda c: (10 * c).astype(np.int64),
+    ],
+    ids=["float64-C", "float64-F", "read-only", "float32", "int"],
+)
+def test_hungarian_never_writes_its_cost(make):
+    cost = make(np.random.default_rng(3).random((16, 16)) + np.arange(16.0))
+    before = cost.copy()
+    sigma = hungarian(cost)
+    assert cost.dtype == before.dtype and cost.tobytes() == before.tobytes()
+    assert sorted(sigma.tolist()) == list(range(16))
+
+
+def test_hungarian_keeps_its_edge_shapes():
+    assert hungarian(np.zeros((0, 0))).size == 0
+    assert hungarian(np.zeros((0, 5))).size == 0
+    np.testing.assert_array_equal(hungarian(np.array([[-3.5]])), [0])
+    with pytest.raises(ValueError):
+        hungarian(np.zeros((2, 0)))
+
+
+@pytest.mark.parametrize("gt", [int_gt([]), int_gt([(0, 3, 1), (2, 5, 0)])], ids=["no-triplets", "all-cut"])
+def test_triplet_loss_with_no_queries_is_zero(gt):
+    heads = [Tensor(np.zeros((0, n))) for n in (6, 11, 6)]
+    before = matching.truncated_triplet_count()
+    assert triplet_loss(gt, *heads, WEIGHTS).item() == 0.0
+    assert matching.truncated_triplet_count() - before == len(gt)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n_q", [16, 64])
+def test_triplet_loss_on_a_duplicate_heavy_full_cut_is_bitwise_the_unreduced_one(n_q, dtype, monkeypatch):
+    rng = np.random.default_rng(21)
+    distinct = np.stack([rng.integers(0, n, 12) for n in (5, 10, 5)], axis=1)
+    gt = distinct[rng.integers(0, len(distinct), 200)]
+    data = triplet_data(rng, dtype, n_q=n_q)
+    solved = []
+    monkeypatch.setattr(matching, "linear_sum_assignment", lambda cost: (solved.append(cost), linear_sum_assignment(cost))[1])
+    value, grads, _, _ = loss_and_grads(lambda t, g: triplet_loss(g, t["s"], t["p"], t["o"], WEIGHTS), data, gt)
+    assert [c.shape for c in solved] == [(n_q, n_q)]
+    reduced = solved[0]  # a zero in every row and every column: the reduced path ran
+    assert (reduced.min(axis=0) == 0).all() and (reduced.min(axis=1) == 0).all()
+
+    monkeypatch.setattr(matching, "hungarian", lambda cost: linear_sum_assignment(np.asarray(cost, np.float64))[1])
+    want_value, want_grads, _, _ = loss_and_grads(lambda t, g: triplet_loss(g, t["s"], t["p"], t["o"], WEIGHTS), data, gt)
+    assert value == want_value
+    assert grads == want_grads
 
 
 def test_matching_cost_uniform_logits():

@@ -1,8 +1,8 @@
 """pyproject.toml declares exactly the third-party modules the package and its tests import, every public
 function, class and method of a public class of the package has a caller outside the tests, every public
 upper-case module constant is read outside the tests, every private module-level function and private
-method of the package has a caller in the package, so none is kept only for a test, and the package takes no
-last-axis max or min outside tensor._row_max."""
+method of the package has a caller in the package, so none is kept only for a test, the package takes no
+last-axis max or min outside tensor._row_max, and it names linear_sum_assignment only in matching.hungarian."""
 
 import ast
 import re
@@ -208,3 +208,43 @@ def test_the_package_takes_row_maxima_only_in_row_max():
     trees = [ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")]
     assert "_row_max" in {node.name for tree in trees for node in tree.body if isinstance(node, ast.FunctionDef)}
     assert [hit for tree in trees for hit in last_axis_extrema(tree)] == []
+
+
+def assignment_names(tree: ast.Module) -> list[str]:
+    """Where a module names linear_sum_assignment outside a plain import of it and the body of a top-level
+    hungarian: a bare name or an attribute, read or bound, and an import that renames it."""
+    hungarian = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "hungarian"]
+    exempt = {id(n) for f in hungarian for n in ast.walk(f)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in exempt:
+            continue
+        if getattr(node, "id", None) == "linear_sum_assignment" or getattr(node, "attr", None) == "linear_sum_assignment":
+            found.append(ast.unparse(node))
+        elif isinstance(node, ast.alias) and node.name.endswith("linear_sum_assignment") and node.asname:
+            found.append(f"import {node.name} as {node.asname}")
+    return found
+
+
+def test_the_assignment_scan_flags_a_call_outside_hungarian():
+    flagged = (
+        "from scipy.optimize import linear_sum_assignment\n"
+        "def hungarian(cost):\n    return linear_sum_assignment(cost)[1]\n"
+        "def other(cost):\n    return linear_sum_assignment(cost)[1]\n"
+        "solve = linear_sum_assignment\n"
+        "scipy.optimize.linear_sum_assignment(cost)\n"
+        "from scipy.optimize import linear_sum_assignment as lsap\n"
+    )
+    assert sorted(assignment_names(ast.parse(flagged))) == [
+        "import linear_sum_assignment as lsap", "linear_sum_assignment", "linear_sum_assignment",
+        "scipy.optimize.linear_sum_assignment",
+    ]
+    kept = "from scipy.optimize import linear_sum_assignment\ndef hungarian(cost):\n    return linear_sum_assignment(cost)[1]"
+    assert assignment_names(ast.parse(kept)) == []
+
+
+def test_the_package_assigns_only_through_hungarian():
+    # every assignment then gets hungarian's checks and its square-cost reduction
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
+    assert "hungarian" in {node.name for node in trees["matching"].body if isinstance(node, ast.FunctionDef)}
+    assert [hit for tree in trees.values() for hit in assignment_names(tree)] == []
