@@ -93,9 +93,10 @@ def box_table(*scenes: SceneLayout) -> np.ndarray:
     hx hy hz, yaw in radians.
 
     An object whose half size is not positive raises ValueError naming its index in its scene, and the scene's
-    index when there are several.
+    index when there are several. One scene's geometry column is multiplied without a concatenate: the product is
+    already a new array.
     """
-    g = np.concatenate([s.geometry for s in scenes])
+    g = scenes[0].geometry if len(scenes) == 1 else np.concatenate([s.geometry for s in scenes])
     table = g * _BOX_SCALE
     bad = table[:, 3:6] <= 0.0
     if bad.any():  # one flat reduction: a per-row any would start numpy's inner loop once per 3-wide row

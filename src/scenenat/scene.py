@@ -17,9 +17,14 @@ hand-built objects; ``detokenize`` checks its rows against the head widths.
 
 ``ATTRIBUTE_COLUMNS`` says where each attribute sits in the grid. Each codec
 builds one geometry table from ``DiscretizationSpec.axes``: the bounds and bin
-count of the seven geometry columns (tx ty tz lx ly lz rot). ``tokenize``
-clamps and floors a layout's geometry column against it at once, and
-``detokenize`` maps the bins back to their centres in one expression."""
+count of the seven geometry columns (tx ty tz lx ly lz rot). Those columns are
+one slice of the column table, from the start of the first
+``LAYOUT_ATTRIBUTES`` entry to the end of the last, so the codec writes and
+reads them as a view. ``tokenize`` floors a layout's geometry column against
+the table at once, and clamps it only when a value lies outside the bounds.
+``detokenize`` selects the live rows once, range-checks only them, and maps
+their bins back to the centres in one expression. The layout it returns
+copies its columns, so it shares no memory with the grid."""
 
 from __future__ import annotations
 
@@ -210,10 +215,10 @@ class SceneCodec:
         self.mask_ids.flags.writeable = False
         empty_row = [self.empty_id if c.pad_id is None else c.pad_id for c in cols]
         self._empty_tokens = np.tile(np.array(empty_row, dtype=np.int64), (max_objects, 1))
-        # Geometry table: the grid columns, bounds and bin widths of the seven
-        # geometry axes, in the order of ``spec.axes``.
+        # Geometry table: the grid columns (one slice), bounds and bin widths of
+        # the seven geometry axes, in the order of ``spec.axes``.
         self._appearance = slice(*ATTRIBUTE_COLUMNS["appearance"])
-        self._geometry = np.concatenate([np.arange(*ATTRIBUTE_COLUMNS[a]) for a in LAYOUT_ATTRIBUTES])
+        self._geometry = slice(ATTRIBUTE_COLUMNS[LAYOUT_ATTRIBUTES[0]][0], ATTRIBUTE_COLUMNS[LAYOUT_ATTRIBUTES[-1]][1])
         self._lo, self._hi, self._bins = np.array(spec.axes, dtype=np.float64).T
         self._span = self._hi - self._lo
         self._bin_width = self._span / self._bins
@@ -239,12 +244,14 @@ class SceneCodec:
             raise ValueError(f"object {i} has unknown category {scene.categories[i]!r}")
         geometry = scene.geometry.copy()
         geometry[:, -1] %= 360.0
-        _clamp_events += int(np.count_nonzero((geometry < self._lo) | (geometry > self._hi)))
-        clamped = np.minimum(np.maximum(geometry, self._lo, out=geometry), self._hi, out=geometry)  # np.clip at C cost
+        outside = (geometry < self._lo) | (geometry > self._hi)
+        if outside.any():  # clamping in-range values (NaN included) changes nothing, so in-range scenes skip it
+            _clamp_events += int(np.count_nonzero(outside))
+            np.minimum(np.maximum(geometry, self._lo, out=geometry), self._hi, out=geometry)  # np.clip at C cost
         tokens = self._empty_tokens.copy()
         tokens[:n, 0] = ids
         tokens[:n, self._appearance] = scene.appearance
-        tokens[:n, self._geometry] = np.minimum(np.floor((clamped - self._lo) / self._span * self._bins), self._bins - 1)
+        tokens[:n, self._geometry] = np.minimum(np.floor((geometry - self._lo) / self._span * self._bins), self._bins - 1)
         return TokenizedScene(tokens=tokens, mask_flags=np.zeros((self.max_objects, GRID_COLUMNS), dtype=bool))
 
     def detokenize(self, grid: TokenizedScene, room_type: str = "bedroom") -> SceneLayout:
@@ -257,16 +264,18 @@ class SceneCodec:
             raise ValueError(f"grid has shape {grid.tokens.shape}, expected {(self.max_objects, GRID_COLUMNS)}")
         if grid.tokens.dtype.kind not in "iu":
             raise ValueError(f"grid tokens must be integers, got {grid.tokens.dtype}")
-        mask_hits = grid.tokens == self.mask_ids[None, :]
+        mask_hits = grid.tokens == self.mask_ids
         if mask_hits.any():
             n = int(mask_hits.sum())
             raise IncompleteSceneError(f"grid still has {n} MASK tokens")
-        outside = (grid.tokens[:, :1] != self.empty_id) & ((grid.tokens < 0) | (grid.tokens >= self._head_widths))
+        rows = grid.tokens[:, 0] != self.empty_id
+        live = grid.tokens[rows]
+        outside = (live < 0) | (live >= self._head_widths)
         if outside.any():
-            r, c = (int(v) for v in np.argwhere(outside)[0])
+            i, c = (int(v) for v in np.argwhere(outside)[0])
             col = self.columns[c]
-            raise ValueError(f"row {r} column {col.name}: token {grid.tokens[r, c]} outside [0, {col.head_width})")
-        live = grid.tokens[grid.tokens[:, 0] != self.empty_id]
+            r = int(np.flatnonzero(rows)[i])
+            raise ValueError(f"row {r} column {col.name}: token {live[i, c]} outside [0, {col.head_width})")
         categories = [self.categories[c] for c in live[:, 0].tolist()]
         centres = self._lo + (live[:, self._geometry] + 0.5) * self._bin_width
         return SceneLayout.__new__(SceneLayout)._hold(room_type, categories, live[:, self._appearance], centres)

@@ -308,6 +308,16 @@ def test_box_table_of_several_scenes_is_bitwise_the_concatenated_pieces(scenes):
     assert table.tobytes() == concatenated_box_table(*scenes).tobytes()
 
 
+@given(box_scenes())
+def test_box_table_of_one_scene_is_a_new_array(scenes):
+    scene, geometry = scenes[0], scenes[0].geometry.copy()
+    table = box_table(scene)
+    assert not np.shares_memory(table, scene.geometry)
+    assert table.tobytes() == box_table(*scenes)[: len(scene.categories)].tobytes()
+    table[:] = 1.0
+    np.testing.assert_array_equal(scene.geometry, geometry)
+
+
 @given(box_scenes(), st.data())
 def test_box_table_names_the_scene_and_object_of_a_bad_size(scenes, data):
     assume(any(s.categories for s in scenes))

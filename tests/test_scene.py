@@ -114,6 +114,11 @@ def test_grid_layout_is_read_off_the_one_column_table():
     assert geometry == list(range(5, 12)) and len(geometry) == len(DiscretizationSpec().axes)
 
 
+def test_the_codec_geometry_slice_is_the_column_tables():
+    geometry = np.concatenate([np.arange(*sc.ATTRIBUTE_COLUMNS[a]) for a in sc.LAYOUT_ATTRIBUTES])
+    np.testing.assert_array_equal(np.arange(sc.GRID_COLUMNS)[make_codec()._geometry], geometry)
+
+
 def test_quantize_lower_bound_is_bin_zero():
     assert quantize(-4.0, AxisSpec(-4.0, 4.0, 64)) == 0
     codec = make_codec()
@@ -285,6 +290,27 @@ def test_detokenize_rejects_out_of_vocabulary_tokens_in_live_rows(column, value,
     grid.tokens[0, column] = value
     with pytest.raises(ValueError, match=f"row 0 column {name}: token {value} outside"):
         codec.detokenize(grid)
+
+
+def test_detokenize_names_the_grid_row_of_a_bad_token_after_empty_rows():
+    codec = make_codec()
+    grid = one_object_grid(codec)
+    grid.tokens[[0, 2]] = grid.tokens[[2, 0]]  # rows 0-1 EMPTY, row 2 live
+    grid.tokens[2, 7] = 64
+    with pytest.raises(ValueError, match="row 2 column tz: token 64 outside"):
+        codec.detokenize(grid)
+
+
+def test_detokenize_layout_owns_its_columns():
+    codec = make_codec()
+    grid = codec.tokenize(random_scene(np.random.default_rng(5), codec, n_objects=3))
+    layout = codec.detokenize(grid)
+    appearance, geometry = layout.appearance.copy(), layout.geometry.copy()
+    assert not np.shares_memory(layout.appearance, grid.tokens)
+    assert not (layout.appearance.flags.writeable or layout.geometry.flags.writeable)
+    grid.tokens[:] = 0
+    np.testing.assert_array_equal(layout.appearance, appearance)
+    np.testing.assert_array_equal(layout.geometry, geometry)
 
 
 def test_detokenize_leaves_empty_rows_unchecked():
