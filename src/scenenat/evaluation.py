@@ -163,8 +163,8 @@ def monte_carlo_volume(
     Samples uniformly in the intersection of the two axis-aligned bounding
     regions (a superset of the true intersection).
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
+        raise ValueError(f"samples must be an int >= 1, got {samples!r}")
     boxes = [_box(*f.center, *f.half_extents, f.yaw) for f in (a, b)]
     bounds = np.array([box[2:6] + box[7:9] for box in boxes])  # per box: x_lo, x_hi, y_lo, y_hi, z_lo, z_hi
     lo = np.maximum(*bounds[:, 0::2])

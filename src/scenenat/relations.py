@@ -17,10 +17,10 @@ test oracles.
 ``extract_triplets`` returns a scene's relations as a ``RelationTable``: the
 layout's categories column plus one int row (subject index, predicate id,
 object index) per related ordered pair, a predicate id being its
-``RELATION_SET`` index. Instructions, the matched loss and iRecall read the
-same tables; a ``RelationTriplet`` is only the view of one row, built when
-the row is read, so a scene's ~1000 relations cost one array and no objects.
-Only the public ``RelationTable`` constructor checks rows (see its docstring).
+``RELATION_SET`` index. Instructions, the matched loss and iRecall read its
+``.rows``, so a scene's ~1000 relations cost one array and no objects;
+iterating a table builds the ``RelationTriplet`` row view the bench census
+reads. Only the public ``RelationTable`` constructor checks rows.
 """
 
 from __future__ import annotations
@@ -197,13 +197,13 @@ class RelationTriplet:
             raise ValueError("stored triplets must have a real predicate")
 
 
-class RelationTable(Sequence[RelationTriplet]):
+class RelationTable:
     """A scene's relations as an int [T, 3] table of (subject index, predicate id, object index).
 
-    ``categories`` holds each instance's category and ``rows`` the
-    ``RELATION_SET`` ids; both are read-only, and equal ones make equal tables.
-    Reading row i builds its ``RelationTriplet``, with the instance ids filled
-    in. The constructor copies and checks ``rows``: one that is not an int
+    Its relations are read through ``rows`` and the instances' categories
+    through ``categories``; both are read-only, and equal ones make equal
+    tables. Iterating builds each row's ``RelationTriplet`` for the bench
+    census. The constructor copies and checks ``rows``: one that is not an int
     triple, points outside ``categories`` or ``RELATION_SET``, or relates an
     instance to itself raises ValueError. Tables of rows the package derived
     skip both (``_derived`` freezes them in place); property tests pin them.
@@ -239,11 +239,6 @@ class RelationTable(Sequence[RelationTriplet]):
 
     def _triplet(self, s: int, p: int, o: int) -> RelationTriplet:
         return RelationTriplet(self.categories[s], RELATION_SET[p], self.categories[o], s, o)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self._triplet(*row) for row in self.rows[i].tolist()]
-        return self._triplet(*self.rows[i].tolist())
 
     def __iter__(self) -> Iterator[RelationTriplet]:
         return (self._triplet(*row) for row in self.rows.tolist())

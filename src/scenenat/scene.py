@@ -78,7 +78,8 @@ class DiscretizationSpec:
     def __post_init__(self):
         for name in ("position_bounds", "size_bounds"):
             b = np.asarray(getattr(self, name), dtype=object)  # object dtype takes ragged bounds without raising
-            if b.shape != (3, 2) or not all(isinstance(v, (int, float, np.integer, np.floating)) for v in b.flat):
+            numbers = all(isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool) for v in b.flat)
+            if b.shape != (3, 2) or not numbers:
                 raise ConfigurationError(f"{name} must be 3 (lo, hi) pairs of numbers, got {getattr(self, name)!r}")
             try:  # the codec reads the bounds as float64, which an int past the float range does not fit
                 b.astype(np.float64)

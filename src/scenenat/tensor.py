@@ -289,8 +289,9 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    """Rows start:stop of the first axis, 0 <= start < stop <= len(a) (else ShapeError); its grad is a row grad."""
-    if a.data.ndim == 0 or not 0 <= start < stop <= a.data.shape[0]:
+    """Rows start:stop of the first axis, ints 0 <= start < stop <= len(a) (else ShapeError); its grad is a row grad."""
+    ints = not any(isinstance(i, bool) or not isinstance(i, int) for i in (start, stop))
+    if a.data.ndim == 0 or not (ints and 0 <= start < stop <= a.data.shape[0]):
         raise ShapeError(f"slice_rows: rows {start}:{stop} of shape {a.data.shape}")
 
     def backward(g):

@@ -11,7 +11,7 @@ from scenenat.matching import ATTRIBUTE_COLUMNS, LossWeights, encode_triplets, r
 from scenenat.relations import RELATION_SET, extract_triplets
 from scenenat.scene import SceneLayout
 
-from test_instructions import CATEGORIES, CODEC, VOCAB, snapped_layouts
+from support import CATEGORIES, CODEC, VOCAB, snapped_layouts
 
 QUERIES = 8
 
@@ -49,7 +49,7 @@ def prep_and_losses(scene: SceneLayout, seed: int) -> list[bytes]:
     return out
 
 
-@given(snapped_layouts(), st.integers(0, 2**32 - 1))
+@given(snapped_layouts(CODEC), st.integers(0, 2**32 - 1))
 def test_prep_chain_and_losses_repeat_bitwise_for_a_seed(scene, seed):
     assume(len(extract_triplets(scene)))
     assert prep_and_losses(scene, seed) == prep_and_losses(scene, seed)

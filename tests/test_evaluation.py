@@ -31,6 +31,8 @@ from scenenat.relations import (
 )
 from scenenat.scene import DiscretizationSpec, SceneCodec, SceneLayout, SceneObject
 
+from support import count_calls, obj
+
 
 def frame(x=0.0, y=0.0, z=0.5, w=1.0, d=1.0, h=1.0, yaw=0.0):
     return GeometryFrame(center=(x, y, z), half_extents=(w / 2, d / 2, h / 2), yaw=yaw)
@@ -152,6 +154,13 @@ def test_monte_carlo_disjoint():
     assert est == 0.0
 
 
+@pytest.mark.parametrize("samples", [0, -5, True, 2.5, 1.0])
+def test_monte_carlo_rejects_samples_that_are_not_a_positive_int(samples):
+    # True and 2.5 would pass a bare samples < 1 check and fail inside rng.uniform with numpy's TypeError
+    with pytest.raises(ValueError, match="samples must be an int >= 1"):
+        monte_carlo_volume(frame(), frame(x=0.5), samples, np.random.default_rng(0))
+
+
 def test_monte_carlo_agrees_with_analytic():
     rng = np.random.default_rng(11)
     for _ in range(100):
@@ -160,10 +169,6 @@ def test_monte_carlo_agrees_with_analytic():
         est, stderr = monte_carlo_volume(a, b, 20_000, rng)
         tol = max(0.02 * exact, 3 * stderr, 1e-3)
         assert abs(exact - est) <= tol
-
-
-def obj(cat, x, y, z=0.25, w=0.5, d=0.5, h=0.5):
-    return SceneObject(cat, (0, 0, 0, 0), (x, y, z), (w, d, h), 0.0)
 
 
 def test_collision_single_object():
@@ -475,19 +480,6 @@ def test_face_to_face_boxes_at_45_degrees_do_not_collide(order):
     assert report.colliding_pairs == 1 and report.v_sum == pytest.approx(0.001 * w, rel=1e-6)
 
 
-def count_calls(monkeypatch, module, name):
-    """Patch module.<name> to record each call in the returned list and still run."""
-    calls = []
-    wrapped = getattr(module, name)
-
-    def counting(*args):
-        calls.append(1)
-        return wrapped(*args)
-
-    monkeypatch.setattr(module, name, counting)
-    return calls
-
-
 def test_broad_phase_keeps_apart_pairs_from_the_clip(monkeypatch):
     calls = count_calls(monkeypatch, evaluation, "_clipped_area")
     assert collision_metrics(SceneLayout("r", [obj("a", 0.0, 0.0), obj("b", 10.0, 0.0)])).colliding_pairs == 0
@@ -727,8 +719,8 @@ def realized_oracle(instruction, scene):
 def own_or_random_triplet(own: RelationTable, categories, rng) -> tuple:
     """Half the time (when it has rows) a row of the scene's own table, else a random (subject, predicate, object)."""
     if own and rng.uniform() < 0.5:
-        t = own[int(rng.integers(len(own)))]
-        return t.subject, t.predicate, t.object
+        s, p, o = own.rows[int(rng.integers(len(own)))].tolist()
+        return own.categories[s], RELATION_SET[p], own.categories[o]
     return (
         categories[int(rng.integers(4))],
         RELATION_SET[int(rng.integers(len(RELATION_SET)))],

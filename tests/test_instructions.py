@@ -18,20 +18,15 @@ from scenenat.instructions import (
     SENTENCE_FRAMES,
     Instruction,
     _sentence_plan,
-    build_word_vocab,
     synthesize_instruction,
 )
 from scenenat.relations import RELATION_SET, RelationTable, RelationTriplet, extract_triplets
 from scenenat.relations import RelationPredicate as P
 from scenenat.scene import DiscretizationSpec, SceneCodec, SceneLayout, SceneObject
 
-from test_evaluation import count_calls
-from test_masking import LargestDraws
+from support import CATEGORIES, CODEC, VOCAB, LargestDraws, count_calls, snapped_layouts
 
-CATEGORIES = ["bed", "chair", "desk", "floor lamp"]
-CODEC = SceneCodec(CATEGORIES, DiscretizationSpec(), max_objects=8)
 LARGE_CODEC = SceneCodec(CATEGORIES, DiscretizationSpec(), max_objects=32)
-VOCAB = build_word_vocab(CATEGORIES)
 WORDS = {i: w for w, i in VOCAB.items()}
 EMPTY = SceneLayout("bedroom", [])
 
@@ -95,24 +90,7 @@ def table_of(categories: list[str], triplets: list[RelationTriplet]) -> Relation
     return table
 
 
-@st.composite
-def snapped_layouts(draw):
-    """Snapped scenes of 2..8 objects packed into 2 m x 2 m, so most pairs relate."""
-    xy = st.floats(-1.0, 1.0)
-    objects = [
-        SceneObject(
-            draw(st.sampled_from(CATEGORIES)),
-            (0, 0, 0, 0),
-            (draw(xy), draw(xy), draw(st.floats(0.0, 2.0))),
-            tuple(draw(st.floats(0.05, 2.0)) for _ in range(3)),
-            draw(st.floats(0.0, 360.0, exclude_max=True)),
-        )
-        for _ in range(draw(st.integers(2, 8)))
-    ]
-    return CODEC.snap(SceneLayout("bedroom", objects))
-
-
-@given(snapped_layouts(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+@given(snapped_layouts(CODEC), st.integers(1, 4), st.integers(0, 2**32 - 1))
 def test_instruction_samples_distinct_pairs_and_renders_its_triplets(scene, k, seed):
     triplets = extract_triplets(scene)
     assume(triplets)
@@ -129,7 +107,7 @@ def test_instruction_samples_distinct_pairs_and_renders_its_triplets(scene, k, s
 @st.composite
 def crowded_layouts(draw):
     """Snapped layouts plus objects that share a base object's ground centre or stand on it."""
-    scene = draw(snapped_layouts())
+    scene = draw(snapped_layouts(CODEC))
     objects = list(scene.objects)
     for _ in range(draw(st.integers(1, 4))):
         base = draw(st.sampled_from(objects))

@@ -7,6 +7,8 @@ from scipy.stats import chisquare, kstest
 from scenenat.masking import MaskPlan, corrupt, mask_ratio, remask_count, sample_mask
 from scenenat.scene import GRID_COLUMNS, DiscretizationSpec, SceneCodec, SceneLayout, SceneObject, TokenizedScene
 
+from support import TOP, LargestDraws
+
 
 def make_codec(n=8):
     return SceneCodec(["bed", "chair", "desk", "lamp"], DiscretizationSpec(), max_objects=n)
@@ -274,22 +276,6 @@ def test_replacement_ids_are_uniform_over_each_columns_non_mask_ids():
         assert col_counts.min() > 10
         result = chisquare(col_counts)
         assert result.pvalue > 1e-4, (c, result)
-
-
-TOP = np.nextafter(1.0, 0.0)  # the largest double below 1, the largest value rng.random can return
-
-
-class LargestDraws:
-    """A generator stand-in whose draws are all the largest double below 1; zero_first_plane zeroes out[0]."""
-
-    def __init__(self, zero_first_plane=False):
-        self.zero_first_plane = zero_first_plane
-
-    def random(self, size):
-        out = np.full(size, TOP)
-        if self.zero_first_plane:
-            out[0] = 0.0
-        return out
 
 
 def test_floor_of_the_largest_draw_stays_below_the_count():

@@ -2,7 +2,8 @@
 function, class and method of a public class of the package has a caller outside the tests, every public
 upper-case module constant is read outside the tests, every private module-level function and private
 method of the package has a caller in the package, so none is kept only for a test, the package takes no
-last-axis max or min outside tensor._row_max, and it names linear_sum_assignment only in matching.hungarian."""
+last-axis max or min outside tensor._row_max, it names linear_sum_assignment only in matching.hungarian, and no
+test file imports a test module: shared fixtures live in tests/support.py."""
 
 import ast
 import re
@@ -248,3 +249,28 @@ def test_the_package_assigns_only_through_hungarian():
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
     assert "hungarian" in {node.name for node in trees["matching"].body if isinstance(node, ast.FunctionDef)}
     assert [hit for tree in trees.values() for hit in assignment_names(tree)] == []
+
+
+def imports_of_test_modules(tree: ast.AST) -> list[str]:
+    """The test_* modules a tree imports, as import test_x or from test_x import y."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name.split(".")[0].startswith("test_")]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0].startswith("test_"):
+            found.append(node.module)
+    return found
+
+
+def test_the_test_import_scan_flags_both_forms():
+    flagged = "import test_masking\nimport numpy, test_scene as ts\nfrom test_evaluation import count_calls"
+    assert imports_of_test_modules(ast.parse(flagged)) == ["test_masking", "test_scene", "test_evaluation"]
+    kept = "from support import count_calls\nfrom gradcheck import check_gradients\nimport pytest"
+    assert imports_of_test_modules(ast.parse(kept)) == []
+
+
+def test_no_test_file_imports_a_test_module():
+    # a fixture that two modules share is defined once, in tests/support.py, not copied or imported from a test
+    assert (ROOT / "tests" / "support.py").is_file()
+    for path in (ROOT / "tests").rglob("*.py"):
+        assert imports_of_test_modules(ast.parse(path.read_text(encoding="utf-8"))) == [], path.name

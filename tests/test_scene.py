@@ -223,6 +223,7 @@ def test_invalid_axis_raises_configuration_error():
         ("size_bounds", (((0, 1), 2),) * 3),
         ("position_bounds", ((0, 10**400),) * 3),
         ("size_bounds", ((-(10**400), 1),) * 3),
+        ("position_bounds", ((False, True),) * 3),
     ):
         with pytest.raises(ConfigurationError, match=f"{name} must be 3 \\(lo, hi\\) pairs of numbers"):
             DiscretizationSpec(**{name: bounds})
@@ -512,6 +513,18 @@ def test_snap_is_idempotent(spec, scene):
     codec = SceneCodec(CATEGORIES, spec, max_objects=6)
     once = codec.snap(scene)
     assert codec.snap(once) == once
+
+
+def test_the_codec_carries_the_room_type_it_is_given():
+    # every other test sends "bedroom", the default, through the codec
+    codec = make_codec()
+    bedroom = random_scene(np.random.default_rng(5), codec, n_objects=3)
+    library = SceneLayout("library", bedroom.objects)
+    snapped = codec.snap(library)
+    assert snapped.room_type == "library" and snapped.objects == codec.snap(bedroom).objects
+    grid = codec.tokenize(library)
+    assert codec.detokenize(grid, room_type="library").room_type == "library"
+    assert codec.detokenize(grid).room_type == "bedroom"
 
 
 @given(objs=st.lists(objects, max_size=6), room=st.sampled_from(["bedroom", "library"]))

@@ -145,9 +145,10 @@ def test_cross_entropy_with_class_weights_rejects_non_integer_targets(targets):
         T.cross_entropy(logits, targets, class_weights=np.ones(3))
 
 
-@pytest.mark.parametrize("start, stop", [(3, 9), (-1, 4), (-1, 0), (2, 2), (3, 1), (0, 5)])
+@pytest.mark.parametrize("start, stop", [(3, 9), (-1, 4), (-1, 0), (2, 2), (3, 1), (0, 5), (False, True), (0.0, 1.5)])
 def test_slice_rows_rejects_rows_outside_the_input(start, stop):
-    # numpy would clip (3, 9) to one row, wrap (-1, 4) to the last row and give (-1, 0) no rows
+    # numpy would clip (3, 9) to one row, wrap (-1, 4) to the last row and give (-1, 0) no rows; it reads
+    # (False, True) as row 0 and refuses a float bound with a bare TypeError
     x = Tensor(np.zeros((4, 2)), requires_grad=True)
     with pytest.raises(T.ShapeError, match="rows"):
         T.slice_rows(x, start, stop)
