@@ -122,6 +122,9 @@ class SceneObject:
         for name, values, length in (("appearance", a, APPEARANCE_CODES), ("position", p, 3), ("size", s, 3)):
             if len(values) != length:
                 raise ValueError(f"{name} needs {length} values, got {values}")
+        for v in a:  # the set test alone would take True as 1 and 3.0 as 3
+            if v.__class__ is bool or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"appearance codes must be ints, got {a}")
         if not _APPEARANCE_IDS.issuperset(a):
             raise ValueError(f"appearance codes must lie in [0, {APPEARANCE_VOCAB}), got {a}")
         for name, values in (("position", p), ("size", s), ("yaw_deg", (self.yaw_deg,))):

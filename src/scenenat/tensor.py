@@ -329,7 +329,11 @@ def log_softmax_array(x: np.ndarray) -> np.ndarray:
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Normalize the last axis (epsilon 1e-5), then scale by gamma and shift by beta."""
+    """Normalize the last axis (epsilon 1e-5), then scale by gamma and shift by beta, both [D] for a [..., D] x
+    (else ShapeError)."""
+    d = x.data.shape[-1:]
+    if not d or gamma.data.shape != d or beta.data.shape != d:
+        raise ShapeError(f"layer_norm: gamma {gamma.data.shape} and beta {beta.data.shape} for input {x.data.shape}")
     mu = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)

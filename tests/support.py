@@ -1,4 +1,4 @@
-"""Fixtures that several test modules share, each defined once.
+"""Fixtures and helpers that several test modules share, each defined once.
 
 A plain module, not a ``test_*`` one, so pytest does not collect it; ``pytest.ini`` puts ``tests`` on the path.
 Test modules import from here and never from one another.
@@ -8,6 +8,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from scenenat.instructions import build_word_vocab
+from scenenat.relations import GeometryFrame
 from scenenat.scene import DiscretizationSpec, SceneCodec, SceneLayout, SceneObject
 
 # The prep fixtures: an 8-object codec over four categories, one of them two words, and its word vocabulary.
@@ -31,22 +32,32 @@ class LargestDraws:
         return out
 
 
-def count_calls(monkeypatch, module, name):
-    """Patch module.<name> to record each call in the returned list and still run."""
+def count_calls(monkeypatch, owner, name):
+    """Patch owner.<name>, a module function or a method, to record each call in the returned list and still run."""
     calls = []
-    wrapped = getattr(module, name)
+    wrapped = getattr(owner, name)
 
     def counting(*args):
         calls.append(1)
         return wrapped(*args)
 
-    monkeypatch.setattr(module, name, counting)
+    monkeypatch.setattr(owner, name, counting)
     return calls
 
 
-def obj(cat, x, y, z=0.25, w=0.5, d=0.5, h=0.5, yaw=0.0):
-    """An object of the given category at (x, y, z), w x d x h, turned yaw degrees."""
-    return SceneObject(cat, (0, 0, 0, 0), (x, y, z), (w, d, h), yaw)
+def make_codec(max_objects=4, **spec):
+    """A codec over bed, chair, desk and lamp; spec holds DiscretizationSpec fields."""
+    return SceneCodec(["bed", "chair", "desk", "lamp"], DiscretizationSpec(**spec), max_objects=max_objects)
+
+
+def obj(cat, x, y, z=0.25):
+    """A 0.5 m cube of the given category centred at (x, y, z), unturned."""
+    return SceneObject(cat, (0, 0, 0, 0), (x, y, z), (0.5, 0.5, 0.5), 0.0)
+
+
+def frame(x=0.0, y=0.0, z=0.5, w=1.0, d=1.0, h=1.0, yaw=0.0):
+    """The frame of a w x d x h box centred at (x, y, z), turned yaw radians."""
+    return GeometryFrame(center=(x, y, z), half_extents=(w / 2, d / 2, h / 2), yaw=yaw)
 
 
 @st.composite
@@ -65,3 +76,35 @@ def snapped_layouts(draw, codec):
         for _ in range(draw(st.integers(2, 8)))
     ]
     return codec.snap(SceneLayout("bedroom", objects))
+
+
+# Central finite differences: check_gradients probes each element at x + STEP and x - STEP.
+STEP = 1e-6
+TOLERANCE = 1e-5  # on the relative error, the autodiff library's accuracy contract
+
+
+def check_gradients(make_loss, params, max_probes_per_tensor=8):
+    """Assert that the analytic grads of make_loss() with respect to float64 params match central differences.
+
+    make_loss must rebuild the graph from the current param values on every call. Probes every element of a
+    tensor of at most max_probes_per_tensor elements, else that many drawn without replacement from a generator
+    seeded 0.
+    """
+    rng = np.random.default_rng(0)
+    for p in params:
+        p.grad = None
+    make_loss().backward()
+    grads = [np.zeros(p.data.size) if p.grad is None else p.grad.reshape(-1).copy() for p in params]
+    for p, grad in zip(params, grads):
+        flat, n = p.data.reshape(-1), p.data.size
+        probes = range(n) if n <= max_probes_per_tensor else rng.choice(n, size=max_probes_per_tensor, replace=False)
+        for i in probes:
+            orig = flat[i]
+            flat[i] = orig + STEP
+            f_plus = make_loss().item()
+            flat[i] = orig - STEP
+            f_minus = make_loss().item()
+            flat[i] = orig
+            analytic, numeric = float(grad[i]), (f_plus - f_minus) / (2 * STEP)
+            err = abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric))
+            assert err < TOLERANCE, f"gradient mismatch at element {i}: analytic={analytic!r} numeric={numeric!r} rel_err={err:.3g}"

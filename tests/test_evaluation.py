@@ -31,11 +31,7 @@ from scenenat.relations import (
 )
 from scenenat.scene import DiscretizationSpec, SceneCodec, SceneLayout, SceneObject
 
-from support import count_calls, obj
-
-
-def frame(x=0.0, y=0.0, z=0.5, w=1.0, d=1.0, h=1.0, yaw=0.0):
-    return GeometryFrame(center=(x, y, z), half_extents=(w / 2, d / 2, h / 2), yaw=yaw)
+from support import count_calls, frame, make_codec, obj
 
 
 def footprint_args(f: GeometryFrame):
@@ -69,7 +65,8 @@ def box_volume(f: GeometryFrame) -> float:
     return 8.0 * hx * hy * hz
 
 
-def random_frame(rng):
+def random_clustered_frame(rng):
+    """A frame centred within 0.6 m of (0, 0) with half extents of 0.15 to 0.8 m, so two of them mostly overlap."""
     return GeometryFrame(
         center=(float(rng.uniform(-0.6, 0.6)), float(rng.uniform(-0.6, 0.6)), float(rng.uniform(0.2, 1.0))),
         half_extents=tuple(rng.uniform(0.15, 0.8, size=3)),
@@ -102,7 +99,7 @@ def test_axis_aligned_exact():
 def test_symmetry_and_bounds():
     rng = np.random.default_rng(3)
     for _ in range(200):
-        a, b = random_frame(rng), random_frame(rng)
+        a, b = random_clustered_frame(rng), random_clustered_frame(rng)
         v_ab = obb_intersection_volume(a, b)
         v_ba = obb_intersection_volume(b, a)
         assert v_ab == pytest.approx(v_ba, abs=1e-12)
@@ -112,7 +109,7 @@ def test_symmetry_and_bounds():
 def test_rigid_motion_invariance():
     rng = np.random.default_rng(4)
     for _ in range(50):
-        a, b = random_frame(rng), random_frame(rng)
+        a, b = random_clustered_frame(rng), random_clustered_frame(rng)
         base = obb_intersection_volume(a, b)
         dx, dy, dz = rng.uniform(-2, 2, size=3)
         phi = float(rng.uniform(-math.pi, math.pi))
@@ -164,7 +161,7 @@ def test_monte_carlo_rejects_samples_that_are_not_a_positive_int(samples):
 def test_monte_carlo_agrees_with_analytic():
     rng = np.random.default_rng(11)
     for _ in range(100):
-        a, b = random_frame(rng), random_frame(rng)
+        a, b = random_clustered_frame(rng), random_clustered_frame(rng)
         exact = obb_intersection_volume(a, b)
         est, stderr = monte_carlo_volume(a, b, 20_000, rng)
         tol = max(0.02 * exact, 3 * stderr, 1e-3)
@@ -729,7 +726,7 @@ def own_or_random_triplet(own: RelationTable, categories, rng) -> tuple:
 
 
 def test_irecall_matches_pairwise_oracle():
-    codec = SceneCodec(["bed", "chair", "desk", "lamp"], DiscretizationSpec(), max_objects=8)
+    codec = make_codec(8)
     rng = np.random.default_rng(17)
     batch = []
     for _ in range(200):

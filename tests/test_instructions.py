@@ -215,14 +215,7 @@ def test_article_rule(ordered, articles):
 
 
 def test_dense_scene_builds_triplets_only_for_the_instruction(monkeypatch):
-    built = []
-    post_init = RelationTriplet.__post_init__
-
-    def counting(self):
-        built.append(self)
-        post_init(self)
-
-    monkeypatch.setattr(RelationTriplet, "__post_init__", counting)
+    built = count_calls(monkeypatch, RelationTriplet, "__post_init__")
     rng = np.random.default_rng(5)
     objects = [
         SceneObject(CATEGORIES[i % 4], (0, 0, 0, 0), (*rng.uniform(-1.5, 1.5, size=2), 0.5), (0.4, 0.4, 1.0), 0.0)

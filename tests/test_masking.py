@@ -7,11 +7,7 @@ from scipy.stats import chisquare, kstest
 from scenenat.masking import MaskPlan, corrupt, mask_ratio, remask_count, sample_mask
 from scenenat.scene import GRID_COLUMNS, DiscretizationSpec, SceneCodec, SceneLayout, SceneObject, TokenizedScene
 
-from support import TOP, LargestDraws
-
-
-def make_codec(n=8):
-    return SceneCodec(["bed", "chair", "desk", "lamp"], DiscretizationSpec(), max_objects=n)
+from support import TOP, LargestDraws, make_codec
 
 
 def full_grid(codec, rng):
@@ -71,7 +67,7 @@ def test_remask_count_takes_only_ints(args):
 
 
 def test_object_level_masks_cover_full_rows():
-    codec = make_codec()
+    codec = make_codec(8)
     rng = np.random.default_rng(0)
     grid = full_grid(codec, rng)
     for _ in range(100):
@@ -81,7 +77,7 @@ def test_object_level_masks_cover_full_rows():
 
 
 def test_boundary_p_obj_shares():
-    codec = make_codec()
+    codec = make_codec(8)
     rng = np.random.default_rng(1)
     grid = full_grid(codec, rng)
     seen_only_objects = seen_only_tokens = False
@@ -96,7 +92,7 @@ def test_boundary_p_obj_shares():
 
 
 def test_masked_count_tracks_budget():
-    codec = make_codec()
+    codec = make_codec(8)
     rng = np.random.default_rng(2)
     grid = full_grid(codec, rng)
     for _ in range(200):
@@ -107,7 +103,7 @@ def test_masked_count_tracks_budget():
 
 
 def test_mean_masked_fraction_matches_cosine_integral():
-    codec = make_codec()
+    codec = make_codec(8)
     rng = np.random.default_rng(3)
     grid = full_grid(codec, rng)
     fractions = []
@@ -118,7 +114,7 @@ def test_mean_masked_fraction_matches_cosine_integral():
 
 
 def test_corruption_trichotomy_fractions():
-    codec = make_codec()
+    codec = make_codec(8)
     rng = np.random.default_rng(4)
     grid = full_grid(codec, rng)
     n_random = n_mask = n_keep = 0
@@ -141,7 +137,7 @@ def test_corruption_trichotomy_fractions():
 
 
 def test_corrupt_random_tokens_stay_in_column_vocabulary():
-    codec = make_codec()
+    codec = make_codec(8)
     rng = np.random.default_rng(5)
     grid = full_grid(codec, rng)
     for _ in range(50):
@@ -152,7 +148,7 @@ def test_corrupt_random_tokens_stay_in_column_vocabulary():
 
 
 def test_corrupt_leaves_unselected_positions_untouched():
-    codec = make_codec()
+    codec = make_codec(8)
     rng = np.random.default_rng(6)
     grid = full_grid(codec, rng)
     plan = sample_mask(grid, rng)
@@ -163,7 +159,7 @@ def test_corrupt_leaves_unselected_positions_untouched():
 
 
 def test_empty_rows_are_maskable():
-    codec = make_codec()
+    codec = make_codec(8)
     rng = np.random.default_rng(7)
     grid = codec.tokenize(SceneLayout("bedroom", []))
     plan = sample_mask(grid, rng)
@@ -226,7 +222,7 @@ def test_corrupt_rejects_a_plan_that_does_not_fit_the_grid_before_any_draw(posit
 
 def test_gamma_follows_the_cosine_schedule_and_sets_the_masked_count():
     # gamma = cos(pi * tau / 2) with tau uniform has CDF 1 - 2 arccos(g) / pi on [0, 1]
-    codec = make_codec()
+    codec = make_codec(8)
     rng = np.random.default_rng(8)
     grid = full_grid(codec, rng)
     gammas = []
@@ -240,7 +236,7 @@ def test_gamma_follows_the_cosine_schedule_and_sets_the_masked_count():
 
 
 def test_every_row_and_every_cell_is_selected_equally_often():
-    codec = make_codec()
+    codec = make_codec(8)
     rng = np.random.default_rng(9)
     grid = full_grid(codec, rng)
     rows = np.zeros(codec.max_objects)

@@ -24,10 +24,10 @@ from scenenat.matching import (
 from scenenat.evaluation import irecall
 from scenenat.instructions import build_word_vocab, synthesize_instruction
 from scenenat.relations import RELATION_SET, RelationPredicate, RelationTable, extract_triplets
-from scenenat.scene import DiscretizationSpec, SceneCodec, SceneLayout, SceneObject
+from scenenat.scene import SceneCodec, SceneLayout, SceneObject
 from scenenat.tensor import ShapeError, Tensor
 
-from gradcheck import check_gradients
+from support import check_gradients, count_calls, make_codec
 
 
 @functools.cache
@@ -195,16 +195,9 @@ def test_matching_cost_confident_query_attains_bound():
     assert (cost >= -3.0 - 1e-12).all() and (cost <= 0.0 + 1e-12).all()
 
 
-def make_codec():
-    return SceneCodec(["bed", "chair", "desk", "lamp"], DiscretizationSpec(), max_objects=4)
-
-
-def random_heads(rng, n_q=4, n_cat=6, n_pred=11, grad=False):
-    return (
-        Tensor(rng.standard_normal((n_q, n_cat)), requires_grad=grad),
-        Tensor(rng.standard_normal((n_q, n_pred)), requires_grad=grad),
-        Tensor(rng.standard_normal((n_q, n_cat)), requires_grad=grad),
-    )
+def random_heads(rng, n_q=4, n_cat=6):
+    """Subject, predicate and object logits of n_q queries; the predicate head has 11 classes."""
+    return tuple(Tensor(rng.standard_normal((n_q, n))) for n in (n_cat, 11, n_cat))
 
 
 def test_triplet_loss_all_null_case():
@@ -313,14 +306,7 @@ def assert_encodes_as_oracle(encoded: np.ndarray, table: RelationTable, codec: S
 
 def test_encode_table_equals_encode_of_its_triplets(monkeypatch):
     # Encoding, instruction synthesis and iRecall read the int rows; none of them builds a row's triplet.
-    reads = []
-    read_row = RelationTable._triplet
-
-    def counting(self, s, p, o):
-        reads.append((s, p, o))
-        return read_row(self, s, p, o)
-
-    monkeypatch.setattr(RelationTable, "_triplet", counting)
+    reads = count_calls(monkeypatch, RelationTable, "_triplet")
     rng = np.random.default_rng(8)
     codec = make_codec()
     vocab = build_word_vocab(codec.categories)
@@ -703,19 +689,22 @@ TRIPLET_CASES = {
 }
 
 
-def triplet_data(rng, dtype, n_q=4, n_cat=6, n_pred=11):
-    return {h: rng.standard_normal((n_q, n)).astype(dtype) for h, n in zip("spo", (n_cat, n_pred, n_cat))}
+def triplet_data(rng, dtype, n_q=4):
+    """Subject, predicate and object logits of n_q queries over 6, 11 and 6 classes."""
+    return {h: rng.standard_normal((n_q, n)).astype(dtype) for h, n in zip("spo", (6, 11, 6))}
 
 
-def attribute_logits(rng, dtype, b=2, n=3, n_cat=5):
-    shapes = {"category": (b, n, n_cat), "appearance": (b, n, 4, 64), "position": (b, n, 3, 64),
+def attribute_logits(rng, dtype, b=2, n=3):
+    """Logits of every attribute head for b grids of n rows; the category head has 5 classes."""
+    shapes = {"category": (b, n, 5), "appearance": (b, n, 4, 64), "position": (b, n, 3, 64),
               "size": (b, n, 3, 64), "rotation": (b, n, 36)}
     return {name: rng.standard_normal(shape).astype(dtype) for name, shape in shapes.items()}
 
 
-def recon_targets(rng, b=2, n=3, n_cat=5, unsupervised=()):
-    """Targets with about half the positions supervised, a few PAD (out-of-head) ids, and none in `unsupervised`."""
-    widths = np.array([n_cat] + [64] * 10 + [36])
+def recon_targets(rng, b=2, n=3, unsupervised=()):
+    """Targets for attribute_logits' heads with about half the positions supervised, a few PAD (out-of-head) ids,
+    and none in `unsupervised`."""
+    widths = np.array([5] + [64] * 10 + [36])
     targets = np.where(rng.random((b, n, 12)) < 0.5, rng.integers(0, widths, size=(b, n, 12)), -1)
     targets[0, 0, :] = widths  # PAD filler: outside every head, so skipped
     for name in unsupervised:

@@ -1,9 +1,10 @@
-"""pyproject.toml declares exactly the third-party modules the package and its tests import, every public
-function, class and method of a public class of the package has a caller outside the tests, every public
-upper-case module constant is read outside the tests, every private module-level function and private
+"""pyproject.toml declares exactly the third-party modules the package and its tests import, and no scripts;
+every public function, class and method of a public class of the package has a caller outside the tests, every
+public upper-case module constant is read outside the tests, every private module-level function and private
 method of the package has a caller in the package, so none is kept only for a test, the package takes no
-last-axis max or min outside tensor._row_max, it names linear_sum_assignment only in matching.hungarian, and no
-test file imports a test module: shared fixtures live in tests/support.py."""
+last-axis max or min outside tensor._row_max, it names linear_sum_assignment only in matching.hungarian, no
+test file imports a test module, and no two files under tests define the same top-level function or class:
+shared fixtures and helpers live in tests/support.py."""
 
 import ast
 import re
@@ -20,10 +21,14 @@ def project() -> dict:
         return tomllib.load(fh)["project"]
 
 
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
 def imported_top_level_modules(*roots: Path) -> set[str]:
     names = set()
     for path in (p for root in roots for p in root.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        for node in ast.walk(parse(path)):
             if isinstance(node, ast.Import):
                 names.update(alias.name.split(".")[0] for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -53,14 +58,8 @@ def test_requires_python_admits_only_interpreters_with_tomllib():
 
 
 def test_script_entry_points_resolve():
-    for name, target in project().get("scripts", {}).items():
-        module, _, func = target.partition(":")
-        parts = module.split(".")
-        path = ROOT / "src" / Path(*parts).with_suffix(".py")
-        assert path.is_file(), f"script {name} names missing module {module}"
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        defined = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
-        assert func in defined, f"script {name} names missing function {target}"
+    # the package has no command-line entry point, so it declares none
+    assert "scripts" not in project()
 
 
 # Public names with no caller in src or bench, each kept for a stated reason.
@@ -129,12 +128,12 @@ def loaded_names(tree: ast.AST) -> set[str]:
 
 def package_nodes() -> list[ast.stmt]:
     """The top-level statements of every module of the package."""
-    return [node for path in PACKAGE.glob("*.py") for node in ast.parse(path.read_text(encoding="utf-8")).body]
+    return [node for path in PACKAGE.glob("*.py") for node in parse(path).body]
 
 
 def bench_trees() -> list[ast.Module]:
     """The modules of the benchmark, its tests left out."""
-    return [ast.parse(path.read_text(encoding="utf-8")) for path in (ROOT / "bench").glob("*.py")]
+    return [parse(path) for path in (ROOT / "bench").glob("*.py")]
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
@@ -206,7 +205,7 @@ def test_the_last_axis_extrema_scan_flags_each_form():
 
 def test_the_package_takes_row_maxima_only_in_row_max():
     # a last-axis reduce runs its inner loop once per row, so short rows pay that overhead once each
-    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")]
+    trees = [parse(path) for path in PACKAGE.glob("*.py")]
     assert "_row_max" in {node.name for tree in trees for node in tree.body if isinstance(node, ast.FunctionDef)}
     assert [hit for tree in trees for hit in last_axis_extrema(tree)] == []
 
@@ -246,7 +245,7 @@ def test_the_assignment_scan_flags_a_call_outside_hungarian():
 
 def test_the_package_assigns_only_through_hungarian():
     # every assignment then gets hungarian's checks and its square-cost reduction
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
+    trees = {path.stem: parse(path) for path in PACKAGE.glob("*.py")}
     assert "hungarian" in {node.name for node in trees["matching"].body if isinstance(node, ast.FunctionDef)}
     assert [hit for tree in trees.values() for hit in assignment_names(tree)] == []
 
@@ -273,4 +272,32 @@ def test_no_test_file_imports_a_test_module():
     # a fixture that two modules share is defined once, in tests/support.py, not copied or imported from a test
     assert (ROOT / "tests" / "support.py").is_file()
     for path in (ROOT / "tests").rglob("*.py"):
-        assert imports_of_test_modules(ast.parse(path.read_text(encoding="utf-8"))) == [], path.name
+        assert imports_of_test_modules(parse(path)) == [], path.name
+
+
+def duplicate_definitions(trees: dict[str, ast.Module]) -> dict[str, list[str]]:
+    """The top-level function and class names that more than one of the named modules defines, with the modules
+    that define each; a def nested in a function or a class is not top-level."""
+    owners = {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                owners.setdefault(node.name, []).append(module)
+    return {name: modules for name, modules in owners.items() if len(modules) > 1}
+
+
+def test_the_duplicate_scan_flags_a_name_two_modules_define():
+    trees = {
+        "support": ast.parse("def make_codec():\n    pass\nclass LargestDraws:\n    def random(self):\n        pass"),
+        "test_a": ast.parse("def make_codec(n=8):\n    pass\ndef test_x(monkeypatch):\n    def counting(self):\n        pass"),
+        "test_b": ast.parse("class LargestDraws:\n    pass\ndef test_y():\n    def counting(self):\n        pass"),
+        "test_c": ast.parse("def random(rng):\n    pass\nmake_codec = None"),
+    }
+    assert duplicate_definitions(trees) == {"make_codec": ["support", "test_a"], "LargestDraws": ["support", "test_b"]}
+
+
+def test_no_two_test_modules_define_the_same_helper():
+    # a helper that two modules need is defined once, in tests/support.py
+    trees = {str(path.relative_to(ROOT / "tests")): parse(path) for path in sorted((ROOT / "tests").rglob("*.py"))}
+    assert "support.py" in trees
+    assert duplicate_definitions(trees) == {}

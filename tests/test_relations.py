@@ -23,16 +23,12 @@ from scenenat.relations import (
 )
 from scenenat.scene import DiscretizationSpec, SceneCodec, SceneLayout, SceneObject
 
-from support import obj, snapped_layouts
+from support import frame, obj, snapped_layouts
 
 
 def pack(frames):
     """The frames' fields as the float64 [N, 7] rows that ``relation_matrix`` takes."""
     return np.array([(*f.center, *f.half_extents, f.yaw) for f in frames], dtype=np.float64).reshape(-1, 7)
-
-
-def box(x, y, z=0.5, w=1.0, d=1.0, h=1.0, yaw=0.0):
-    return GeometryFrame(center=(x, y, z), half_extents=(w / 2, d / 2, h / 2), yaw=yaw)
 
 
 def oracle_classify(s: GeometryFrame, o: GeometryFrame) -> RelationPredicate:
@@ -82,7 +78,9 @@ def classify(s: GeometryFrame, o: GeometryFrame) -> RelationPredicate:
     return predicate_of(relation_matrix(pack([s, o]))[0, 1])
 
 
-def random_frame(rng):
+def random_scattered_frame(rng):
+    """A frame centred anywhere in 6 m x 6 m around (0, 0), with half extents of 0.05 to 1.2 m, so pairs of them
+    meet every relation and none."""
     return GeometryFrame(
         center=tuple(rng.uniform(-3, 3, size=2)) + (float(rng.uniform(0, 2)),),
         half_extents=tuple(rng.uniform(0.05, 1.2, size=3)),
@@ -91,17 +89,17 @@ def random_frame(rng):
 
 
 def test_relative_orientation_cardinal_cases():
-    o = box(0, 0)
-    assert classify(box(1, 0), o) is RelationPredicate.CLOSELY_RIGHT_OF
-    assert classify(box(0, 1), o) is RelationPredicate.CLOSELY_IN_FRONT_OF
-    assert classify(box(-1, 0), o) is RelationPredicate.CLOSELY_LEFT_OF
-    assert classify(box(0, -1), o) is RelationPredicate.CLOSELY_BEHIND
+    o = frame(0, 0)
+    assert classify(frame(1, 0), o) is RelationPredicate.CLOSELY_RIGHT_OF
+    assert classify(frame(0, 1), o) is RelationPredicate.CLOSELY_IN_FRONT_OF
+    assert classify(frame(-1, 0), o) is RelationPredicate.CLOSELY_LEFT_OF
+    assert classify(frame(0, -1), o) is RelationPredicate.CLOSELY_BEHIND
 
 
 def test_coincident_centres_classify_closely_right_of_both_orders():
     """Same ground centre, no vertical relation: the atan2(0, 0) = 0 convention, not mirrored."""
-    a = box(0, 0, z=0.5)
-    b = box(0, 0, z=0.9, w=0.5, d=2.0, yaw=0.3)
+    a = frame(0, 0, z=0.5)
+    b = frame(0, 0, z=0.9, w=0.5, d=2.0, yaw=0.3)
     assert classify(a, b) is RelationPredicate.CLOSELY_RIGHT_OF
     assert classify(b, a) is RelationPredicate.CLOSELY_RIGHT_OF
     right = RELATION_SET.index(RelationPredicate.CLOSELY_RIGHT_OF)
@@ -110,36 +108,36 @@ def test_coincident_centres_classify_closely_right_of_both_orders():
 
 def test_ground_distance():
     """Bands are measured on the ground plane (z does not count) and closed at d = 1 and d = 3."""
-    o = box(0, 0, z=0.5)
-    assert classify(box(1, 0, z=2.5), o) is RelationPredicate.CLOSELY_RIGHT_OF
-    assert classify(box(1 + 2**-40, 0, z=2.5), o) is RelationPredicate.RIGHT_OF
-    assert classify(box(0, 3, z=0.1), o) is RelationPredicate.IN_FRONT_OF
-    assert classify(box(0, 3 + 2**-40, z=0.1), o) is RelationPredicate.NONE
+    o = frame(0, 0, z=0.5)
+    assert classify(frame(1, 0, z=2.5), o) is RelationPredicate.CLOSELY_RIGHT_OF
+    assert classify(frame(1 + 2**-40, 0, z=2.5), o) is RelationPredicate.RIGHT_OF
+    assert classify(frame(0, 3, z=0.1), o) is RelationPredicate.IN_FRONT_OF
+    assert classify(frame(0, 3 + 2**-40, z=0.1), o) is RelationPredicate.NONE
     rng = np.random.default_rng(0)
     none = RelationPredicate.NONE
     for _ in range(50):
-        a, b = random_frame(rng), random_frame(rng)
+        a, b = random_scattered_frame(rng), random_scattered_frame(rng)
         assert (classify(a, b) is none) == (classify(b, a) is none)
 
 
 def test_inside_concentric():
     """A small box centred over a large one stacks: its centre lies inside the footprint."""
-    small = box(0, 0, z=2.0, w=0.5, d=0.5)
-    big = box(0, 0, z=0.5, w=2, d=2)
+    small = frame(0, 0, z=2.0, w=0.5, d=0.5)
+    big = frame(0, 0, z=0.5, w=2, d=2)
     assert classify(small, big) is RelationPredicate.ABOVE
 
 
 def test_inside_rotated_square():
     """The 45 degree unit square reaches sqrt(2)/2 along x: 0.69 stacks, 0.72 does not."""
-    o = box(0, 0, yaw=math.radians(45))
-    assert classify(box(0.69, 0, z=2.0), o) is RelationPredicate.ABOVE
-    assert classify(box(0.72, 0, z=2.0), o) is RelationPredicate.CLOSELY_RIGHT_OF
+    o = frame(0, 0, yaw=math.radians(45))
+    assert classify(frame(0.69, 0, z=2.0), o) is RelationPredicate.ABOVE
+    assert classify(frame(0.72, 0, z=2.0), o) is RelationPredicate.CLOSELY_RIGHT_OF
 
 
 def test_inside_not_symmetric_in_general():
     """Only the small box's centre lies in the other's footprint; one centre suffices, in both orders."""
-    small = box(0.8, 0, z=1.6, w=0.2, d=0.2)
-    big = box(0, 0, z=0.5, w=2.0, d=2.0)
+    small = frame(0.8, 0, z=1.6, w=0.2, d=0.2)
+    big = frame(0, 0, z=0.5, w=2.0, d=2.0)
     assert classify(small, big) is RelationPredicate.ABOVE
     assert classify(big, small) is RelationPredicate.BELOW
 
@@ -162,10 +160,10 @@ def test_a_centre_on_the_footprint_edge_stacks_in_both_orders(edge_yaw, edge_box
 
 def test_bearing_sectors_match_oracle_on_every_grid_offset():
     """np.arctan2 may differ from math.atan2 by an ulp; on the 0.125 position grid no sector or band changes."""
-    origin = box(0, 0, w=0.01, d=0.01)
+    origin = frame(0, 0, w=0.01, d=0.01)
     steps = np.arange(-26, 27) * 0.125
     for dy in steps:
-        others = [box(float(dx), float(dy), w=0.01, d=0.01) for dx in steps]
+        others = [frame(float(dx), float(dy), w=0.01, d=0.01) for dx in steps]
         rel = relation_matrix(pack([origin] + others))
         for k, other in enumerate(others, start=1):
             assert predicate_of(rel[k, 0]) is oracle_classify(other, origin)
@@ -173,31 +171,31 @@ def test_bearing_sectors_match_oracle_on_every_grid_offset():
 
 
 def test_classify_right_of():
-    s = box(2, 0, z=0.5)
-    o = box(0, 0, z=0.5)
+    s = frame(2, 0, z=0.5)
+    o = frame(0, 0, z=0.5)
     assert classify(s, o) is RelationPredicate.RIGHT_OF
 
 
 def test_classify_closely_in_front_of():
-    s = box(0, 0.5, z=0.5)
-    o = box(0, 0, z=0.5)
+    s = frame(0, 0.5, z=0.5)
+    o = frame(0, 0, z=0.5)
     assert classify(s, o) is RelationPredicate.CLOSELY_IN_FRONT_OF
 
 
 def test_classify_lamp_above_table():
-    lamp = box(0, 0, z=1.2, w=0.2, d=0.2, h=0.2)
-    table = box(0, 0, z=0.5, w=1.0, d=1.0, h=1.0)
+    lamp = frame(0, 0, z=1.2, w=0.2, d=0.2, h=0.2)
+    table = frame(0, 0, z=0.5, w=1.0, d=1.0, h=1.0)
     assert classify(lamp, table) is RelationPredicate.ABOVE
     assert classify(table, lamp) is RelationPredicate.BELOW
 
 
 def test_classify_far_pair_is_none():
-    assert classify(box(5, 0), box(0, 0)) is RelationPredicate.NONE
+    assert classify(frame(5, 0), frame(0, 0)) is RelationPredicate.NONE
 
 
 def test_sector_totality():
     rng = np.random.default_rng(1)
-    o = box(0, 0)
+    o = frame(0, 0)
     horizontals = {
         RelationPredicate.RIGHT_OF,
         RelationPredicate.IN_FRONT_OF,
@@ -206,14 +204,14 @@ def test_sector_totality():
     }
     for _ in range(500):
         theta = float(rng.uniform(-math.pi, math.pi))
-        s = box(2 * math.cos(theta), 2 * math.sin(theta))
+        s = frame(2 * math.cos(theta), 2 * math.sin(theta))
         assert classify(s, o) in horizontals
 
 
 def test_oracle_agreement_and_antisymmetry():
     rng = np.random.default_rng(2024)
     for _ in range(10_000):
-        s, o = random_frame(rng), random_frame(rng)
+        s, o = random_scattered_frame(rng), random_scattered_frame(rng)
         got = classify(s, o)
         assert got is oracle_classify(s, o)
         flipped = classify(o, s)
@@ -362,7 +360,7 @@ def test_extract_permutation_invariance():
 
 
 def test_footprint_corners_rotate():
-    f = box(1, 1, w=2, d=1, yaw=math.pi / 2)
+    f = frame(1, 1, w=2, d=1, yaw=math.pi / 2)
     corners = footprint_corners(f)
     expected = [(1.5, 0.0), (1.5, 2.0), (0.5, 2.0), (0.5, 0.0)]
     for (cx, cy), (ex, ey) in zip(corners, expected):

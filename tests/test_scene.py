@@ -19,7 +19,9 @@ from scenenat.scene import (
     SceneObject,
 )
 
-CATEGORIES = ["bed", "chair", "desk", "lamp"]
+from support import make_codec
+
+CATEGORIES = make_codec().categories  # the oracle reads category ids from this list
 
 
 class AxisSpec(NamedTuple):
@@ -72,10 +74,6 @@ def oracle_tokenize(codec: SceneCodec, scene: SceneLayout) -> tuple[np.ndarray, 
         tokens[i, 5:12] = [quantize(v, a) for v, a in zip(values, axes)]
         clamps += sum(not a.lo <= v <= a.hi for v, a in zip(values, axes))
     return tokens, clamps
-
-
-def make_codec(max_objects=4, **spec):
-    return SceneCodec(CATEGORIES, DiscretizationSpec(**spec), max_objects=max_objects)
 
 
 def random_scene(rng, codec, n_objects=None):
@@ -346,6 +344,11 @@ GOOD_FIELDS = {
         pytest.param("size", (0.4, 0.4, 0.6, 0.6), "needs 3 values", id="size-4"),
         pytest.param("appearance", (0, 0, -1, 0), "codes must lie in [0, 64)", id="code--1"),
         pytest.param("appearance", (0, 64, 0, 0), "codes must lie in [0, 64)", id="code-64"),
+        # a bool is an int and 3.0 hashes as 3, so the range test alone would store (True, 3.0, 2, 1) as [1, 3, 2, 1]
+        pytest.param("appearance", (True, 3, 2, 1), "codes must be ints", id="code-True"),
+        pytest.param("appearance", (1, 3.0, 2, 1), "codes must be ints", id="code-3.0"),
+        pytest.param("appearance", (1, 3, np.float64(2.0), 1), "codes must be ints", id="code-np.float64"),
+        pytest.param("appearance", (1, 3, 2, np.bool_(True)), "codes must be ints", id="code-np.bool_"),
     ],
 )
 def test_scene_object_rejects_bad_fields(name, value, problem):
@@ -358,6 +361,7 @@ FAULTS_IN_CHECK_ORDER = [
     ("appearance", (1, 2, 3), "appearance needs 4 values"),
     ("position", (0.5, 0.5), "position needs 3 values"),
     ("size", (0.4, 0.4, 0.6, 0.6), "size needs 3 values"),
+    ("appearance", (0, 1.0, 0, 0), "appearance codes must be ints"),
     ("appearance", (0, 64, 0, 0), "appearance codes must lie in [0, 64)"),
     ("position", (0.5, math.nan, 0.5), "position must be finite"),
     ("size", (1.0, math.inf, 1.0), "size must be finite"),

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from scenenat import tensor as T
 from scenenat.tensor import Tensor
 
-from gradcheck import check_gradients
+from support import check_gradients
 
 
 def randt(rng, *shape, requires_grad=True):
@@ -107,6 +107,16 @@ def test_matmul_takes_only_a_2d_weight(a_shape, b_shape):
     a, b = Tensor(np.ones(a_shape), requires_grad=True), Tensor(np.ones(b_shape), requires_grad=True)
     with pytest.raises(T.ShapeError, match="matmul"):
         T.matmul(a, b)
+
+
+@pytest.mark.parametrize("gamma_shape, beta_shape", [((1,), (4,)), ((4,), (1,)), ((5,), (4,)), ((4,), (5,))],
+                         ids=["gamma-1", "beta-1", "gamma-5", "beta-5"])
+def test_layer_norm_takes_only_last_axis_gamma_and_beta(gamma_shape, beta_shape):
+    # unchecked, a [1] gamma or beta would broadcast silently and take a [4] grad, and a [5] one would fail inside numpy
+    x = Tensor(np.ones((2, 3, 4)), requires_grad=True)
+    gamma, beta = Tensor(np.ones(gamma_shape), requires_grad=True), Tensor(np.zeros(beta_shape), requires_grad=True)
+    with pytest.raises(T.ShapeError, match="layer_norm"):
+        T.layer_norm(x, gamma, beta)
 
 
 @pytest.mark.parametrize("reduction", ["none", "Mean"])
