@@ -7,9 +7,10 @@ MEDIUM_DISTANCE (3). ``box_table`` states the box rule once: the geometry
 columns of one or more layouts as a float64 [n, 7] table of ``GeometryFrame``
 fields (centre, half sizes, yaw in radians) with positive half sizes.
 ``pair_relations`` states the relation rule once, on subject and object rows
-of such tables that broadcast. ``relation_matrix`` is ``pair_relations`` over
-every ordered pair of one table; extraction reads it. iRecall classifies only
-a batch's candidate pairs with ``pair_relations``.
+of such tables that broadcast, and runs the footprint test only when some pair
+is vertically separated. ``relation_matrix`` is it over every ordered pair of
+one table; extraction reads it. iRecall classifies only a batch's candidate
+pairs with ``pair_relations``.
 The collision pair loop reads the table's rows as Python floats.
 ``GeometryFrame`` stays the scalar reference of the volume functions and the
 test oracles.
@@ -147,27 +148,27 @@ def _inside(dx: np.ndarray, dy: np.ndarray, box) -> np.ndarray:
 def pair_relations(subjects: np.ndarray, objects: np.ndarray) -> np.ndarray:
     """Relation of each subject box to its object box: the one statement of the relation rule.
 
-    ``subjects`` and ``objects`` are ``box_table`` rows, float [..., 7], that
-    broadcast to a shape of at least one dimension; each result is a
-    ``RELATION_SET`` index, or -1 for none. In order: above or below when either
-    centre lies in the other's footprint and the z gap exceeds the mean
-    height; none beyond MEDIUM_DISTANCE on the ground; else the sector of the
-    bearing atan2(dy, dx) of the subject from the object, closely_* within
-    CLOSE_DISTANCE. Coincident ground centres with no vertical relation keep
-    atan2(0, 0) = 0: each box is closely_right_of the other, the one pair whose
-    two orders are not mirror predicates.
+    ``subjects`` and ``objects`` are ``box_table`` rows, float [..., 7], that broadcast to a shape of at least
+    one dimension; each result is a ``RELATION_SET`` index, or -1 for none. In order: above or below when either
+    centre lies in the other's footprint and the z gap exceeds the mean height; none beyond MEDIUM_DISTANCE on
+    the ground; else the sector of the bearing atan2(dy, dx) of the subject from the object, closely_* within
+    CLOSE_DISTANCE. Coincident ground centres with no vertical relation keep atan2(0, 0) = 0: each box is
+    closely_right_of the other, the one pair whose two orders are not mirror predicates. The footprint test
+    runs only when some pair's z gap exceeds its mean height: with none, it could change no result bit.
     """
     s, o = (a.transpose(-1, *range(a.ndim - 1)) for a in (subjects, objects))  # np.moveaxis(a, -1, 0) at C cost
     dx, dy, dz, gap = s[0] - o[0], s[1] - o[1], s[2] - o[2], s[5] + o[5]
-    # The object's offset from the subject is (-dx, -dy); negation is exact and rounding symmetric, so (dx, dy)
-    # gives the subject's footprint test the same |u| and |v| bit for bit.
-    overlap = _inside(dx, dy, o) | _inside(dx, dy, s)
+    above, below = dz > gap, -dz > gap
     d = np.sqrt(dx * dx + dy * dy)
     bearing = np.searchsorted(_BEARING_EDGES, np.arctan2(dy, dx), side="right")
     rel = _SECTOR_IDS[(d <= CLOSE_DISTANCE).astype(np.intp), bearing]
     rel[d > MEDIUM_DISTANCE] = -1
-    rel[overlap & (dz > gap)] = _ABOVE_ID
-    rel[overlap & (-dz > gap)] = _BELOW_ID
+    if above.any() or below.any():
+        # The object's offset from the subject is (-dx, -dy); negation is exact and rounding symmetric, so (dx, dy)
+        # gives the subject's footprint test the same |u| and |v| bit for bit.
+        overlap = _inside(dx, dy, o) | _inside(dx, dy, s)
+        rel[overlap & above] = _ABOVE_ID
+        rel[overlap & below] = _BELOW_ID
     return rel
 
 
@@ -251,5 +252,8 @@ def extract_triplets(scene: SceneLayout) -> RelationTable:
     ``np.nonzero`` of ``relation_matrix``; deterministic.
     """
     rel = relation_matrix(box_table(scene))
-    subjects, objects = np.nonzero(rel >= 0)
-    return RelationTable._derived(scene.categories, np.stack([subjects, rel[subjects, objects], objects], axis=1))
+    cells = np.flatnonzero(rel >= 0)
+    rows = np.empty((len(cells), 3), dtype=np.intp)
+    np.divmod(cells, len(rel), out=(rows[:, 0], rows[:, 2]))
+    rows[:, 1] = rel.ravel()[cells]
+    return RelationTable._derived(scene.categories, rows)

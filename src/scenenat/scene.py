@@ -46,6 +46,7 @@ GRID_COLUMNS = max(hi for _, hi in ATTRIBUTE_COLUMNS.values())
 APPEARANCE_CODES = len(range(*ATTRIBUTE_COLUMNS["appearance"]))
 APPEARANCE_VOCAB = 64  # each appearance code lies in [0, APPEARANCE_VOCAB)
 _APPEARANCE_IDS = frozenset(range(APPEARANCE_VOCAB))
+_BOOLS = (bool, np.bool_)
 # Ordinal layout attributes in grid order: the geometry columns, scored within one bin as well as exactly.
 LAYOUT_ATTRIBUTES = ("position", "size", "rotation")
 
@@ -118,6 +119,8 @@ class SceneObject:
     yaw_deg: float
 
     def __post_init__(self):
+        if not isinstance(self.category, str):  # str subclasses pass
+            raise ValueError(f"category must be a str, got {self.category}")
         a, p, s = self.appearance, self.position, self.size
         for name, values, length in (("appearance", a, APPEARANCE_CODES), ("position", p, 3), ("size", s, 3)):
             if len(values) != length:
@@ -129,6 +132,8 @@ class SceneObject:
             raise ValueError(f"appearance codes must lie in [0, {APPEARANCE_VOCAB}), got {a}")
         for name, values in (("position", p), ("size", s), ("yaw_deg", (self.yaw_deg,))):
             for v in values:  # a plain loop runs faster than all(map(...)) over 3 values
+                if isinstance(v, _BOOLS):  # math.isfinite would pass True as 1.0
+                    raise ValueError(f"{name} must hold numbers, not bools, got {getattr(self, name)}")
                 if not math.isfinite(v):
                     raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 

@@ -78,6 +78,30 @@ def snapped_layouts(draw, codec):
     return codec.snap(SceneLayout("bedroom", objects))
 
 
+@st.composite
+def resting_layouts(draw, codec):
+    """Unsnapped scenes of 2..8 objects of the codec's categories, each standing on the floor or resting on an
+    earlier object: z is the support's top plus half its own height, and its centre lies within 0.25 m of the
+    support's in x and y. Heights are sixteenths of a metre or any float, so the z gap of a resting pair equals
+    its mean height exactly in some draws and misses it by a rounding in others, and a tower of three is
+    vertically separated; heights of at most 0.5 m keep a tower of 8 within the codec's z bounds."""
+    xy, offset = st.floats(-1.0, 1.0), st.floats(-0.25, 0.25)
+    height = st.one_of(st.integers(1, 8).map(lambda k: k / 16), st.floats(0.05, 0.5))
+    objects = []
+    for _ in range(draw(st.integers(2, 8))):
+        size = (draw(st.floats(0.05, 2.0)), draw(st.floats(0.05, 2.0)), draw(height))
+        on = draw(st.none() | st.sampled_from(objects)) if objects else None
+        if on is None:
+            position = (draw(xy), draw(xy), size[2] / 2)
+        else:
+            x, y, z = on.position
+            top = z + on.size[2] / 2
+            position = (x + draw(offset), y + draw(offset), top + size[2] / 2)
+        yaw = draw(st.floats(0.0, 360.0, exclude_max=True))
+        objects.append(SceneObject(draw(st.sampled_from(codec.categories)), (0, 0, 0, 0), position, size, yaw))
+    return SceneLayout("bedroom", objects)
+
+
 # Central finite differences: check_gradients probes each element at x + STEP and x - STEP.
 STEP = 1e-6
 TOLERANCE = 1e-5  # on the relative error, the autodiff library's accuracy contract

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from scenenat import relations
 from scenenat.relations import (
     RELATION_SET,
     GeometryFrame,
@@ -23,7 +24,7 @@ from scenenat.relations import (
 )
 from scenenat.scene import DiscretizationSpec, SceneCodec, SceneLayout, SceneObject
 
-from support import frame, obj, snapped_layouts
+from support import count_calls, frame, obj, resting_layouts, snapped_layouts
 
 
 def pack(frames):
@@ -388,6 +389,79 @@ def test_relation_matrix_and_extract_triplets_match_oracle(scene):
             if pred is not RelationPredicate.NONE:
                 want.append(RelationTriplet(a.category, pred, b.category, i, j))
     assert list(extract_triplets(scene)) == want
+
+
+@given(resting_layouts(CODEC))
+def test_relation_matrix_matches_oracle_on_resting_layouts(scene):
+    # resting pairs sit on the dz == gap boundary, where the rule says planar, and towers are above or below
+    for layout in (scene, CODEC.snap(scene)):
+        frames = [frame_of(o) for o in layout.objects]
+        rel = relation_matrix(box_table(layout))
+        for i, s in enumerate(frames):
+            for j, o in enumerate(frames):
+                assert predicate_of(rel[i, j]) is (oracle_classify(s, o) if i != j else RelationPredicate.NONE)
+
+
+def desk_and_lamp(lift):
+    """The box table of a desk on the floor and a lamp lift metres above its top, off its centre but over its
+    footprint. Every value is dyadic, so at lift 0 the lamp's z gap to the desk equals their mean height exactly."""
+    desk = SceneObject("desk", (0, 0, 0, 0), (0.0, 0.0, 0.375), (1.2, 0.6, 0.75), 0.0)
+    lamp = SceneObject("lamp", (0, 0, 0, 0), (0.25, 0.0, 1.0 + lift), (0.3, 0.3, 0.5), 0.0)
+    return box_table(scene_with([desk, lamp]))
+
+
+# Both call shapes: extraction's [N, N] broadcast, and irecall's 1-D rows of candidate pairs, where one stacked
+# row alone is only above or only below.
+@pytest.mark.parametrize(
+    "lift, lamp_to_desk, footprint_tests",
+    [(0.0, RelationPredicate.CLOSELY_RIGHT_OF, 0), (0.125, RelationPredicate.ABOVE, 2)],
+    ids=["resting", "stacked"],
+)
+@pytest.mark.parametrize(
+    "shape, subjects", [("matrix", [1, 0]), ("rows", [1]), ("rows", [0])], ids=["matrix", "lamp row", "desk row"]
+)
+def test_the_footprint_test_runs_only_when_a_pair_is_vertically_separated(
+    monkeypatch, lift, lamp_to_desk, footprint_tests, shape, subjects
+):
+    boxes, objects = desk_and_lamp(lift), [1 - s for s in subjects]
+    calls = count_calls(monkeypatch, relations, "_inside")
+    if shape == "matrix":
+        rel = relation_matrix(boxes)[subjects, objects]
+    else:
+        rel = pair_relations(boxes[subjects], boxes[objects])
+    assert [predicate_of(r) for r in rel] == [lamp_to_desk if s else mirror_predicate(lamp_to_desk) for s in subjects]
+    assert len(calls) == footprint_tests
+
+
+def nonzero_rows(scene):
+    """Extraction's rows as np.nonzero of the relation matrix, a 2-D gather and a stack: the oracle of its flat
+    pass."""
+    rel = relation_matrix(box_table(scene))
+    subjects, objects = np.nonzero(rel >= 0)
+    return np.stack([subjects, rel[subjects, objects], objects], axis=1)
+
+
+def assert_extraction_rows_match_the_oracle(scene):
+    rows, want = extract_triplets(scene).rows, nonzero_rows(scene)
+    assert rows.dtype == want.dtype == np.intp and rows.shape == want.shape == (len(want), 3)
+    assert rows.tobytes() == want.tobytes()
+    assert rows.flags.c_contiguous and not rows.flags.writeable
+
+
+@given(snapped_layouts(CODEC))
+def test_extraction_rows_are_the_nonzero_formulation_bitwise(scene):
+    assert_extraction_rows_match_the_oracle(scene)
+
+
+@pytest.mark.parametrize(
+    "objects",
+    [[], [obj("bed", 0, 0)], [obj("bed", 0, 0), obj("chair", 3.5, 0), obj("desk", 0, -3.5), obj("lamp", 3.5, 3.5)]],
+    ids=["empty", "one object", "all over 3 m apart"],
+)
+def test_extraction_of_a_scene_with_no_relation_keeps_the_row_contract(objects):
+    scene = scene_with(objects)
+    assert len(extract_triplets(scene)) == 0
+    assert_extraction_rows_match_the_oracle(scene)
 
 
 @given(snapped_layouts(CODEC))

@@ -349,6 +349,15 @@ GOOD_FIELDS = {
         pytest.param("appearance", (1, 3.0, 2, 1), "codes must be ints", id="code-3.0"),
         pytest.param("appearance", (1, 3, np.float64(2.0), 1), "codes must be ints", id="code-np.float64"),
         pytest.param("appearance", (1, 3, 2, np.bool_(True)), "codes must be ints", id="code-np.bool_"),
+        # math.isfinite takes a bool as a number, so (True, False, 0.5) was stored as [1.0, 0.0, 0.5]
+        pytest.param("position", (True, False, 0.5), "must hold numbers, not bools", id="position-bool"),
+        pytest.param("size", (1.0, np.bool_(True), 1.0), "must hold numbers, not bools", id="size-np.bool_"),
+        pytest.param("yaw_deg", True, "must hold numbers, not bools", id="yaw_deg-bool"),
+        pytest.param("yaw_deg", np.bool_(False), "must hold numbers, not bools", id="yaw_deg-np.bool_"),
+        # a layout stored any category, so an int gave categories (3,)
+        pytest.param("category", 3, "must be a str", id="category-int"),
+        pytest.param("category", None, "must be a str", id="category-None"),
+        pytest.param("category", b"bed", "must be a str", id="category-bytes"),
     ],
 )
 def test_scene_object_rejects_bad_fields(name, value, problem):
@@ -358,13 +367,17 @@ def test_scene_object_rejects_bad_fields(name, value, problem):
 
 # One fault per field check, in the order SceneObject runs the checks.
 FAULTS_IN_CHECK_ORDER = [
+    ("category", 3, "category must be a str"),
     ("appearance", (1, 2, 3), "appearance needs 4 values"),
     ("position", (0.5, 0.5), "position needs 3 values"),
     ("size", (0.4, 0.4, 0.6, 0.6), "size needs 3 values"),
     ("appearance", (0, 1.0, 0, 0), "appearance codes must be ints"),
     ("appearance", (0, 64, 0, 0), "appearance codes must lie in [0, 64)"),
+    ("position", (0.5, True, 0.5), "position must hold numbers, not bools"),
     ("position", (0.5, math.nan, 0.5), "position must be finite"),
+    ("size", (1.0, np.bool_(False), 1.0), "size must hold numbers, not bools"),
     ("size", (1.0, math.inf, 1.0), "size must be finite"),
+    ("yaw_deg", True, "yaw_deg must hold numbers, not bools"),
     ("yaw_deg", math.nan, "yaw_deg must be finite"),
 ]
 
@@ -383,6 +396,12 @@ def test_scene_object_is_frozen_and_accepts_the_code_range_ends():
     with pytest.raises(dataclasses.FrozenInstanceError):
         obj.position = (0.0, 0.0, 0.0)
     assert SceneObject(**{**GOOD_FIELDS, "appearance": (0, 63, 0, 63)}).appearance == (0, 63, 0, 63)
+
+
+def test_scene_object_keeps_a_str_subclass_category_and_numpy_number_geometry():
+    fields = {"category": np.str_("bed"), "position": (np.float64(0.5), np.int64(1), 0.5), "yaw_deg": np.float32(90.0)}
+    layout = SceneLayout("bedroom", [SceneObject(**{**GOOD_FIELDS, **fields})])
+    assert layout.categories == ("bed",) and layout.geometry[0].tolist() == [0.5, 1.0, 0.5, 1.0, 1.0, 1.0, 90.0]
 
 
 @pytest.mark.parametrize(
