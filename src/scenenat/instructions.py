@@ -126,9 +126,9 @@ def synthesize_instruction(
         raise TypeError(f"triplets must be a RelationTable, got {type(table).__name__}")
     if not len(table):
         raise ValueError("scene has no relation triplets to describe")
-    missing = sorted(_words(table.categories) - word_to_id.keys())
-    if missing:
-        raise ValueError(f"words missing from word_to_id: {missing}")
+    words = _words(table.categories)
+    if not word_to_id.keys() >= words:
+        raise ValueError(f"words missing from word_to_id: {sorted(words - word_to_id.keys())}")
     s, o = table.rows[:, 0], table.rows[:, 2]
     codes = np.minimum(s, o) * len(table.categories) + np.maximum(s, o)
     order = np.argsort(codes, kind="stable")

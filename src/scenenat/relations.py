@@ -6,11 +6,14 @@ units; the close and medium bands end at CLOSE_DISTANCE (1) and
 MEDIUM_DISTANCE (3). ``box_table`` states the box rule once: the geometry
 columns of one or more layouts as a float64 [n, 7] table of ``GeometryFrame``
 fields (centre, half sizes, yaw in radians) with positive half sizes.
-``pair_relations`` states the relation rule once, on subject and object rows
-of such tables that broadcast, and runs the footprint test only when some pair
-is vertically separated. ``relation_matrix`` is it over every ordered pair of
-one table; extraction reads it. iRecall classifies only a batch's candidate
-pairs with ``pair_relations``.
+``pair_relations`` gives the relation rule, whose checks one private core
+orders, on subject and object rows of such tables that broadcast, and runs the
+footprint test only when some pair is vertically separated. ``relation_matrix``
+is it over every ordered pair of one table; extraction reads it. The matrix
+runs one footprint test and reads ``below`` as the transpose of ``above``:
+its offsets are exactly antisymmetric and its gaps symmetric, so each
+transpose is bitwise the test or comparison it replaces.
+iRecall classifies only a batch's candidate pairs with ``pair_relations``.
 The collision pair loop reads the table's rows as Python floats.
 ``GeometryFrame`` stays the scalar reference of the volume functions and the
 test oracles.
@@ -145,20 +148,13 @@ def _inside(dx: np.ndarray, dy: np.ndarray, box) -> np.ndarray:
     return (np.abs(dx * c + dy * s) <= box[3]) & (np.abs(dy * c - dx * s) <= box[4])
 
 
-def pair_relations(subjects: np.ndarray, objects: np.ndarray) -> np.ndarray:
-    """Relation of each subject box to its object box: the one statement of the relation rule.
-
-    ``subjects`` and ``objects`` are ``box_table`` rows, float [..., 7], that broadcast to a shape of at least
-    one dimension; each result is a ``RELATION_SET`` index, or -1 for none. In order: above or below when either
-    centre lies in the other's footprint and the z gap exceeds the mean height; none beyond MEDIUM_DISTANCE on
-    the ground; else the sector of the bearing atan2(dy, dx) of the subject from the object, closely_* within
-    CLOSE_DISTANCE. Coincident ground centres with no vertical relation keep atan2(0, 0) = 0: each box is
-    closely_right_of the other, the one pair whose two orders are not mirror predicates. The footprint test
-    runs only when some pair's z gap exceeds its mean height: with none, it could change no result bit.
-    """
-    s, o = (a.transpose(-1, *range(a.ndim - 1)) for a in (subjects, objects))  # np.moveaxis(a, -1, 0) at C cost
+def _relations(s, o, square: bool) -> np.ndarray:
+    """The relation rule's checks, in order, on subject and object fields s[k] and o[k] that broadcast. A
+    ``square`` caller passes one table's fields as [N, 1] and [1, N] columns, whose ``below`` and subject
+    footprint test are the transposes of ``above`` and the object's test."""
     dx, dy, dz, gap = s[0] - o[0], s[1] - o[1], s[2] - o[2], s[5] + o[5]
-    above, below = dz > gap, -dz > gap
+    above = dz > gap
+    below = above.T if square else -dz > gap
     d = np.sqrt(dx * dx + dy * dy)
     bearing = np.searchsorted(_BEARING_EDGES, np.arctan2(dy, dx), side="right")
     rel = _SECTOR_IDS[(d <= CLOSE_DISTANCE).astype(np.intp), bearing]
@@ -166,20 +162,44 @@ def pair_relations(subjects: np.ndarray, objects: np.ndarray) -> np.ndarray:
     if above.any() or below.any():
         # The object's offset from the subject is (-dx, -dy); negation is exact and rounding symmetric, so (dx, dy)
         # gives the subject's footprint test the same |u| and |v| bit for bit.
-        overlap = _inside(dx, dy, o) | _inside(dx, dy, s)
+        hit = _inside(dx, dy, o)
+        overlap = hit | (hit.T if square else _inside(dx, dy, s))
         rel[overlap & above] = _ABOVE_ID
         rel[overlap & below] = _BELOW_ID
     return rel
+
+
+def pair_relations(subjects: np.ndarray, objects: np.ndarray) -> np.ndarray:
+    """Relation of each subject box to its object box: the relation rule on any rows.
+
+    ``subjects`` and ``objects`` are ``box_table`` rows, float [..., 7], that broadcast to a shape of at least
+    one dimension; each result is a ``RELATION_SET`` index, or -1 for none. In order: above or below when either
+    centre lies in the other's footprint and the z gap exceeds the mean height; none beyond MEDIUM_DISTANCE on
+    the ground; else the sector of the bearing atan2(dy, dx) of the subject from the object, closely_* within
+    CLOSE_DISTANCE. Coincident ground centres with no vertical relation keep atan2(0, 0) = 0: each box is
+    closely_right_of the other, the one pair whose two orders are not mirror predicates. The footprint test
+    runs only when some pair's z gap exceeds its mean height: with none, it could change no result bit. Rows
+    have no transpose, so both footprint tests and both vertical comparisons run here; ``relation_matrix`` runs
+    one of each.
+    """
+    s, o = (a.transpose(-1, *range(a.ndim - 1)) for a in (subjects, objects))  # np.moveaxis(a, -1, 0) at C cost
+    return _relations(s, o, square=False)
 
 
 def relation_matrix(boxes: np.ndarray) -> np.ndarray:
     """``pair_relations`` of every ordered pair of a float [N, 7] ``box_table``, as an int [N, N] matrix.
 
     Entry [i, j] is the relation of box i (subject) to box j (object); -1 is
-    none and fills the diagonal.
+    none and fills the diagonal. It is bitwise ``pair_relations`` of
+    ``boxes[:, None]`` and ``boxes[None]``, with one footprint test and one
+    vertical comparison: IEEE subtraction gives x_j - x_i == -(x_i - x_j) and
+    the gap h_i + h_j is symmetric, so ``below`` is ``above`` transposed, and
+    the subject's footprint test, which sees the negated offset with the same
+    |u| and |v|, is the object's test transposed.
     """
-    rel = pair_relations(boxes[:, None], boxes[None])
-    np.fill_diagonal(rel, -1)
+    fields = boxes.T
+    rel = _relations(fields[:, :, None], fields[:, None], square=True)
+    rel.reshape(-1)[:: len(boxes) + 1] = -1  # the diagonal, in one strided write
     return rel
 
 

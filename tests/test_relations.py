@@ -395,8 +395,12 @@ def test_relation_matrix_and_extract_triplets_match_oracle(scene):
 def test_relation_matrix_matches_oracle_on_resting_layouts(scene):
     # resting pairs sit on the dz == gap boundary, where the rule says planar, and towers are above or below
     for layout in (scene, CODEC.snap(scene)):
-        frames = [frame_of(o) for o in layout.objects]
-        rel = relation_matrix(box_table(layout))
+        frames, boxes = [frame_of(o) for o in layout.objects], box_table(layout)
+        rel = relation_matrix(boxes)
+        # unsnapped floats, any yaw and stacked towers: the matrix's transposed footprint test and transposed below
+        # must give bitwise what the rule gives on gathered rows, which run both tests
+        i, j = np.nonzero(~np.eye(len(frames), dtype=bool))
+        assert pair_relations(boxes[i], boxes[j]).tobytes() == rel[i, j].tobytes()
         for i, s in enumerate(frames):
             for j, o in enumerate(frames):
                 assert predicate_of(rel[i, j]) is (oracle_classify(s, o) if i != j else RelationPredicate.NONE)
@@ -410,18 +414,21 @@ def desk_and_lamp(lift):
     return box_table(scene_with([desk, lamp]))
 
 
-# Both call shapes: extraction's [N, N] broadcast, and irecall's 1-D rows of candidate pairs, where one stacked
-# row alone is only above or only below.
+# Both call shapes: extraction's [N, N] broadcast, which runs one footprint test and reads the other as its
+# transpose, and irecall's 1-D rows of candidate pairs, which run both and where one stacked row alone is only
+# above or only below.
 @pytest.mark.parametrize(
-    "lift, lamp_to_desk, footprint_tests",
-    [(0.0, RelationPredicate.CLOSELY_RIGHT_OF, 0), (0.125, RelationPredicate.ABOVE, 2)],
+    "lift, lamp_to_desk, stacked",
+    [(0.0, RelationPredicate.CLOSELY_RIGHT_OF, False), (0.125, RelationPredicate.ABOVE, True)],
     ids=["resting", "stacked"],
 )
 @pytest.mark.parametrize(
-    "shape, subjects", [("matrix", [1, 0]), ("rows", [1]), ("rows", [0])], ids=["matrix", "lamp row", "desk row"]
+    "shape, subjects, tests_when_stacked",
+    [("matrix", [1, 0], 1), ("rows", [1], 2), ("rows", [0], 2)],
+    ids=["matrix", "lamp row", "desk row"],
 )
 def test_the_footprint_test_runs_only_when_a_pair_is_vertically_separated(
-    monkeypatch, lift, lamp_to_desk, footprint_tests, shape, subjects
+    monkeypatch, lift, lamp_to_desk, stacked, shape, subjects, tests_when_stacked
 ):
     boxes, objects = desk_and_lamp(lift), [1 - s for s in subjects]
     calls = count_calls(monkeypatch, relations, "_inside")
@@ -430,7 +437,7 @@ def test_the_footprint_test_runs_only_when_a_pair_is_vertically_separated(
     else:
         rel = pair_relations(boxes[subjects], boxes[objects])
     assert [predicate_of(r) for r in rel] == [lamp_to_desk if s else mirror_predicate(lamp_to_desk) for s in subjects]
-    assert len(calls) == footprint_tests
+    assert len(calls) == (tests_when_stacked if stacked else 0)
 
 
 def nonzero_rows(scene):
