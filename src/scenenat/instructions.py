@@ -4,7 +4,9 @@ Each sentence fills one of 4 sentence frames with its predicate's phrase
 (frames x phrases, no rendered table), so the whole corpus tokenizes against
 a fixed whitespace word vocabulary. Sampling is pair-first over the scene's
 ``RelationTable``: its rows are grouped by unordered instance pair with one
-stable argsort. One ``rng.random`` call then draws one key per pair and two
+counting sort of the pair codes min * n + max, held in the smallest unsigned
+dtype (uint8 up to 16 instances, uint16 up to 256), for which numpy's stable
+sort is a radix sort. One ``rng.random`` call then draws one key per pair and two
 uniforms u per picked pair. The up to k pairs with the smallest keys are
 picked, so every subset is equally likely; only then is one member (one
 orientation) of each picked pair chosen as floor(u * members), and each
@@ -126,11 +128,12 @@ def synthesize_instruction(
         raise TypeError(f"triplets must be a RelationTable, got {type(table).__name__}")
     if not len(table):
         raise ValueError("scene has no relation triplets to describe")
-    words = _words(table.categories)
+    words = _words(set(table.categories))  # each distinct category split once
     if not word_to_id.keys() >= words:
         raise ValueError(f"words missing from word_to_id: {sorted(words - word_to_id.keys())}")
-    s, o = table.rows[:, 0], table.rows[:, 2]
-    codes = np.minimum(s, o) * len(table.categories) + np.maximum(s, o)
+    s, o, size = table.rows[:, 0], table.rows[:, 2], len(table.categories)
+    # a stable order is unique, so the radix sort of the narrow codes is the permutation of any stable sort
+    codes = (np.minimum(s, o) * size + np.maximum(s, o)).astype(np.min_scalar_type(size * size - 1))
     order = np.argsort(codes, kind="stable")
     codes = codes[order]
     # Pair g holds the rows order[bounds[g]:bounds[g + 1]], in table order.

@@ -28,6 +28,8 @@ from .scene import GRID_COLUMNS, SceneCodec, TokenizedScene
 
 RANDOM_TOKEN_FRACTION = 0.10
 MASK_TOKEN_FRACTION = 0.88  # of the remaining 90%
+# A selected cell whose split draw lies below this is randomized or remasked; one at or above it is kept.
+_CHANGED_BELOW = RANDOM_TOKEN_FRACTION + (1 - RANDOM_TOKEN_FRACTION) * MASK_TOKEN_FRACTION
 
 
 def mask_ratio(tau: float) -> float:
@@ -107,9 +109,8 @@ def corrupt(
     targets = np.where(positions, grid.tokens, -1)
     split, picks = rng.random((2, *grid.tokens.shape))
     randomize = positions & (split < RANDOM_TOKEN_FRACTION)
-    remask = positions & (split >= RANDOM_TOKEN_FRACTION) & (
-        split < RANDOM_TOKEN_FRACTION + (1 - RANDOM_TOKEN_FRACTION) * MASK_TOKEN_FRACTION
-    )
+    # the randomized cells are a subset of the changed ones, so xor removes exactly them
+    remask = (positions & (split < _CHANGED_BELOW)) ^ randomize
     # any non-MASK id of the column: the cast floors u * mask_id, which u < 1 keeps below mask_id (< 2**53)
     np.copyto(out.tokens, picks * codec.mask_ids, casting="unsafe", where=randomize)
     np.copyto(out.tokens, codec.mask_ids, where=remask)

@@ -132,8 +132,10 @@ def footprint_corners(f: GeometryFrame) -> list[tuple[float, float]]:
     return box_corners(f.center[0], f.center[1], f.half_extents[0], f.half_extents[1], f.yaw)
 
 
-# np.searchsorted(_BEARING_EDGES, theta, side="right") counts the edges at or below theta, so the
-# sectors are right_of on [-pi/4, pi/4), in_front_of on [pi/4, 3pi/4), behind on [-3pi/4, -pi/4).
+# A bearing's bin is the count of the edges at or below theta, summed over the [4, ...] bool array
+# np.less_equal.outer(_BEARING_EDGES, theta): the sectors are right_of on [-pi/4, pi/4), in_front_of on
+# [pi/4, 3pi/4), behind on [-3pi/4, -pi/4). It is np.searchsorted(_BEARING_EDGES, theta, side="right") without
+# a per-angle branch; a NaN angle counts no edge, bin 0, where the search gives bin 4, and both bins are left_of.
 _BEARING_EDGES = np.array([-3 * np.pi / 4, -np.pi / 4, np.pi / 4, 3 * np.pi / 4])
 # [closely][bearing bin] -> predicate id; the last bin wraps round to left_of.
 _BEARINGS = ("left_of", "behind", "right_of", "in_front_of", "left_of")
@@ -154,18 +156,23 @@ def _relations(s, o, square: bool) -> np.ndarray:
     footprint test are the transposes of ``above`` and the object's test."""
     dx, dy, dz, gap = s[0] - o[0], s[1] - o[1], s[2] - o[2], s[5] + o[5]
     above = dz > gap
-    below = above.T if square else -dz > gap
+    below = None if square else -dz > gap
     d = np.sqrt(dx * dx + dy * dy)
-    bearing = np.searchsorted(_BEARING_EDGES, np.arctan2(dy, dx), side="right")
+    bearing = np.add.reduce(np.less_equal.outer(_BEARING_EDGES, np.arctan2(dy, dx)), axis=0)
     rel = _SECTOR_IDS[(d <= CLOSE_DISTANCE).astype(np.intp), bearing]
     rel[d > MEDIUM_DISTANCE] = -1
-    if above.any() or below.any():
+    if above.any() or (below is not None and below.any()):
         # The object's offset from the subject is (-dx, -dy); negation is exact and rounding symmetric, so (dx, dy)
         # gives the subject's footprint test the same |u| and |v| bit for bit.
         hit = _inside(dx, dy, o)
-        overlap = hit | (hit.T if square else _inside(dx, dy, s))
-        rel[overlap & above] = _ABOVE_ID
-        rel[overlap & below] = _BELOW_ID
+        if square:  # overlap is symmetric and below is above.T, so the below cells are the stacked ones transposed
+            stacked = (hit | hit.T) & above
+            rel[stacked] = _ABOVE_ID
+            rel[stacked.T] = _BELOW_ID
+        else:
+            overlap = hit | _inside(dx, dy, s)
+            rel[overlap & above] = _ABOVE_ID
+            rel[overlap & below] = _BELOW_ID
     return rel
 
 
@@ -180,8 +187,14 @@ def pair_relations(subjects: np.ndarray, objects: np.ndarray) -> np.ndarray:
     closely_right_of the other, the one pair whose two orders are not mirror predicates. The footprint test
     runs only when some pair's z gap exceeds its mean height: with none, it could change no result bit. Rows
     have no transpose, so both footprint tests and both vertical comparisons run here; ``relation_matrix`` runs
-    one of each.
+    one of each. The sector is a count of the bearing edges at or below θ: bin 0 and the wrapped bin 4 are
+    left_of. Rows whose last axis is not 7, or two single rows, raise ValueError naming both shapes.
     """
+    if subjects.shape[-1:] != (7,) or objects.shape[-1:] != (7,) or max(subjects.ndim, objects.ndim) < 2:
+        raise ValueError(
+            f"subjects and objects must be [..., 7] rows that broadcast to at least one dimension, "
+            f"got {subjects.shape} and {objects.shape}"
+        )
     s, o = (a.transpose(-1, *range(a.ndim - 1)) for a in (subjects, objects))  # np.moveaxis(a, -1, 0) at C cost
     return _relations(s, o, square=False)
 
@@ -195,8 +208,10 @@ def relation_matrix(boxes: np.ndarray) -> np.ndarray:
     vertical comparison: IEEE subtraction gives x_j - x_i == -(x_i - x_j) and
     the gap h_i + h_j is symmetric, so ``below`` is ``above`` transposed, and
     the subject's footprint test, which sees the negated offset with the same
-    |u| and |v|, is the object's test transposed.
+    |u| and |v|, is the object's test transposed. A table that is not [N, 7] raises ValueError.
     """
+    if boxes.ndim != 2 or boxes.shape[1] != 7:
+        raise ValueError(f"boxes must be a [N, 7] box_table, got shape {boxes.shape}")
     fields = boxes.T
     rel = _relations(fields[:, :, None], fields[:, None], square=True)
     rel.reshape(-1)[:: len(boxes) + 1] = -1  # the diagonal, in one strided write

@@ -127,6 +127,45 @@ def test_table_sampling_matches_dict_grouping_oracle(scene, k, seed):
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
+def boundary_table(n: int, seed: int) -> RelationTable:
+    """A table over n instances in which a few unordered pairs each hold two to five rows, in both orientations as
+    in an extraction table. The pairs include (n - 2, n - 1), whose code min * n + max is the largest, and up to three pairs whose
+    codes equal that one modulo 256, which a code dtype too narrow for n would merge with it. Rows are in
+    (subject, object) order, as extraction's are, so pairs first occur in code order; rows of one ordered pair
+    keep a shuffled order."""
+    rng = np.random.default_rng(seed)
+    top = (n - 2) * n + n - 1
+    aliases = (divmod(c, n) for c in range(top % 256, top, 256)[:3])
+    pairs = {(n - 2, n - 1), *((a, b) for a, b in aliases if a < b)}
+    while len(pairs) < 8:
+        a, b = sorted(rng.choice(n, size=2, replace=False).tolist())
+        pairs.add((a, b))
+    rows = [
+        [s, int(rng.integers(len(RELATION_SET))), o]
+        for a, b in sorted(pairs)
+        for s, o in [(a, b), (b, a)] + [(a, b) if rng.random() < 0.5 else (b, a) for _ in range(int(rng.integers(4)))]
+    ]
+    rng.shuffle(rows)
+    rows.sort(key=lambda row: (row[0], row[2]))
+    return RelationTable([CATEGORIES[i % len(CATEGORIES)] for i in range(n)], rows)
+
+
+@pytest.mark.parametrize(
+    "n, code_dtype",
+    [(15, np.uint8), (16, np.uint8), (17, np.uint16), (255, np.uint16), (256, np.uint16), (257, np.uint32)],
+)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+def test_grouping_at_the_code_dtype_boundaries_matches_the_oracle(n, code_dtype, seed, k):
+    # pair codes are held in the smallest unsigned dtype that fits n * n - 1, whose stable sort is a radix sort up
+    # to uint16; the picks, members and generator state must be the dict grouping's on either side of each width
+    assert np.min_scalar_type(n * n - 1) == code_dtype
+    table = boundary_table(n, seed)
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    instr = synthesize_instruction(EMPTY, k, rng, word_to_id=VOCAB, triplets=table)
+    assert instr == synthesize_oracle(k, oracle_rng, table)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
 @st.composite
 def spread_layouts(draw):
     """Unsnapped scenes of 0..4 objects over 16 m x 16 m, so many have few relations or none."""

@@ -406,6 +406,127 @@ def test_relation_matrix_matches_oracle_on_resting_layouts(scene):
                 assert predicate_of(rel[i, j]) is (oracle_classify(s, o) if i != j else RelationPredicate.NONE)
 
 
+# [closely][bin] -> predicate id, bin being the number of bearing edges at or below theta; the last bin wraps to
+# left_of.
+SEARCH_SECTORS = np.array(
+    [
+        [RELATION_SET.index(RelationPredicate(pre + b)) for b in ("left_of", "behind", "right_of", "in_front_of")]
+        + [RELATION_SET.index(RelationPredicate(pre + "left_of"))]
+        for pre in ("", "closely_")
+    ]
+)
+BEARING_EDGES = np.array([-3 * np.pi / 4, -np.pi / 4, np.pi / 4, 3 * np.pi / 4])
+
+
+def searchsorted_relations(subjects, objects):
+    """The relation rule on rows that broadcast, with the bearing bin that np.searchsorted(..., side="right") gives:
+    the search the package's edge count replaced, kept as the oracle of its bins. Both footprint tests and both
+    vertical comparisons always run, and the subject's test reads its own offset (-dx, -dy)."""
+    s, o = np.moveaxis(subjects, -1, 0), np.moveaxis(objects, -1, 0)
+    dx, dy, dz, gap = s[0] - o[0], s[1] - o[1], s[2] - o[2], s[5] + o[5]
+    d = np.sqrt(dx * dx + dy * dy)
+    bins = np.searchsorted(BEARING_EDGES, np.arctan2(dy, dx), side="right")
+    rel = SEARCH_SECTORS[(d <= 1.0).astype(np.intp), bins]
+    rel[d > 3.0] = -1
+
+    def inside(ox, oy, box):
+        c, sn = np.cos(box[6]), np.sin(box[6])
+        return (np.abs(ox * c + oy * sn) <= box[3]) & (np.abs(oy * c - ox * sn) <= box[4])
+
+    overlap = inside(dx, dy, o) | inside(-dx, -dy, s)
+    rel[overlap & (dz > gap)] = RELATION_SET.index(RelationPredicate.ABOVE)
+    rel[overlap & (-dz > gap)] = RELATION_SET.index(RelationPredicate.BELOW)
+    return rel
+
+
+def assert_rule_matches_the_search(boxes):
+    """relation_matrix and pair_relations, on gathered and on broadcast rows, are byte for byte the search oracle."""
+    want = searchsorted_relations(boxes[:, None], boxes[None])
+    i, j = np.nonzero(~np.eye(len(boxes), dtype=bool))
+    assert pair_relations(boxes[:, None], boxes[None]).tobytes() == want.tobytes()
+    assert pair_relations(boxes[i], boxes[j]).tobytes() == want[i, j].tobytes()
+    np.fill_diagonal(want, -1)
+    rel = relation_matrix(boxes)
+    assert rel.dtype == want.dtype and rel.tobytes() == want.tobytes()
+
+
+@st.composite
+def raw_box_tables(draw):
+    """Unsnapped float64 box tables of 2..10 boxes over 4 m x 4 m, any yaw. About half the boxes sit on a sector
+    edge of an earlier box, at ground offset (+-t, +-t), (-t, 0), (t, 0) or (0, +-t) with t any float, or share
+    its ground centre; off the origin the subtraction may round dx and dy apart, onto either side of the edge."""
+    coordinate, half = st.floats(-2.0, 2.0), st.floats(0.025, 1.0)
+    rows = []
+    for _ in range(draw(st.integers(2, 10))):
+        x, y = draw(coordinate), draw(coordinate)
+        if rows and draw(st.booleans()):
+            t = draw(st.floats(0.01, 2.5))
+            edges = [(t, t), (t, -t), (-t, t), (-t, -t), (-t, 0.0), (t, 0.0), (0.0, t), (0.0, -t), (0.0, 0.0)]
+            ox, oy = draw(st.sampled_from(edges))
+            base = draw(st.sampled_from(rows))
+            x, y = base[0] + ox, base[1] + oy
+        rows.append([x, y, draw(st.floats(0.0, 2.0)), draw(half), draw(half), draw(half), draw(st.floats(-10.0, 10.0))])
+    return np.array(rows)
+
+
+@given(raw_box_tables())
+def test_the_bearing_edge_count_is_the_search_on_raw_tables(boxes):
+    assert_rule_matches_the_search(boxes)
+
+
+@given(resting_layouts(CODEC))
+def test_the_bearing_edge_count_is_the_search_on_resting_layouts(scene):
+    assert_rule_matches_the_search(box_table(scene))
+
+
+def test_offsets_on_every_sector_edge_classify_as_the_search_does():
+    """Offsets of 1/3, off the 0.125 grid, on the four diagonal edges, at theta = pi and 0 and on the two axes,
+    and a coincident centre: each diagonal and pi lands exactly on an edge, which belongs to the sector above it."""
+    third = 1 / 3
+    offsets = [(third, third), (-third, third), (-third, -third), (third, -third), (-third, 0.0), (third, 0.0)]
+    offsets += [(0.0, third), (0.0, -third), (0.0, 0.0), (4 * third, 4 * third), (-2.5, 0.0), (-1.5, -1.5)]
+    boxes = np.array([[x, y, 0.5, 0.005, 0.005, 0.5, 0.0] for x, y in [(0.0, 0.0), *offsets]])
+    theta = np.arctan2(boxes[1:7, 1], boxes[1:7, 0])
+    assert theta.tolist() == [np.pi / 4, 3 * np.pi / 4, -3 * np.pi / 4, -np.pi / 4, np.pi, 0.0]
+    assert_rule_matches_the_search(boxes)
+    P = RelationPredicate
+    want = [P.CLOSELY_IN_FRONT_OF, P.CLOSELY_LEFT_OF, P.CLOSELY_BEHIND, P.CLOSELY_RIGHT_OF, P.CLOSELY_LEFT_OF]
+    want += [P.CLOSELY_RIGHT_OF, P.CLOSELY_IN_FRONT_OF, P.CLOSELY_BEHIND, P.CLOSELY_RIGHT_OF, P.IN_FRONT_OF]
+    want += [P.LEFT_OF, P.BEHIND]
+    assert [predicate_of(r) for r in relation_matrix(boxes)[1:, 0]] == want
+    frames = [GeometryFrame(tuple(b[:3]), tuple(b[3:6]), b[6]) for b in boxes]
+    assert want == [oracle_classify(f, frames[0]) for f in frames[1:]]
+
+
+@pytest.mark.parametrize(
+    "subjects, objects",
+    [((2, 6), (2, 6)), ((2, 8), (2, 8)), ((7,), (7,)), ((2, 7), (2, 6)), ((6,), (3, 7)), ((), (2, 7)), ((7,), ())],
+    ids=["6 columns", "8 columns", "two single rows", "object 6 columns", "subject 6 columns", "0-d", "0-d object"],
+)
+def test_pair_relations_refuses_malformed_rows_naming_both_shapes(subjects, objects):
+    message = f"got {subjects} and {objects}"
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        pair_relations(np.ones(subjects), np.ones(objects))
+
+
+@pytest.mark.parametrize("shape", [(3, 6), (3, 8), (7,), (2, 3, 7), ()], ids=str)
+def test_relation_matrix_refuses_a_table_that_is_not_n_by_7(shape):
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}") + "$"):
+        relation_matrix(np.ones(shape))
+
+
+def test_valid_row_shapes_are_unchanged():
+    """A single row against a table, a [1, 7] row against a single row and empty tables keep their results."""
+    boxes = pack([frame(0, 0), frame(1, 0), frame(0, 2.5), frame(0, 0, z=2.0)])
+    P = RelationPredicate
+    assert [predicate_of(r) for r in pair_relations(boxes[1:], boxes[0])] == [P.CLOSELY_RIGHT_OF, P.IN_FRONT_OF, P.ABOVE]
+    assert [predicate_of(r) for r in pair_relations(boxes[1:2], boxes[0])] == [P.CLOSELY_RIGHT_OF]
+    assert pair_relations(boxes[0], boxes[1:]).tobytes() == searchsorted_relations(boxes[0], boxes[1:]).tobytes()
+    assert pair_relations(boxes[:0], boxes[0]).shape == (0,)
+    assert relation_matrix(boxes[:0]).shape == (0, 0)
+    assert relation_matrix(boxes[:1]).tolist() == [[-1]]
+
+
 def desk_and_lamp(lift):
     """The box table of a desk on the floor and a lamp lift metres above its top, off its centre but over its
     footprint. Every value is dyadic, so at lift 0 the lamp's z gap to the desk equals their mean height exactly."""
