@@ -6,14 +6,14 @@ units; the close and medium bands end at CLOSE_DISTANCE (1) and
 MEDIUM_DISTANCE (3). ``box_table`` states the box rule once: the geometry
 columns of one or more layouts as a float64 [n, 7] table of ``GeometryFrame``
 fields (centre, half sizes, yaw in radians) with positive half sizes.
-``pair_relations`` gives the relation rule, whose checks one private core
-orders, on subject and object rows of such tables that broadcast, and runs the
-footprint test only when some pair is vertically separated. ``relation_matrix``
-is it over every ordered pair of one table; extraction reads it. The matrix
-runs one footprint test and reads ``below`` as the transpose of ``above``:
-its offsets are exactly antisymmetric and its gaps symmetric, so each
-transpose is bitwise the test or comparison it replaces.
-iRecall classifies only a batch's candidate pairs with ``pair_relations``.
+One planar kernel, ``_sectors``, gives a ground offset's relation (bearing
+sector, closely_* or none by distance); each entry point adds its own vertical
+step. ``pair_relations`` takes C gathered (subject, object) pairs as two [C, 7]
+tables, iRecall's candidate pairs, and always runs both footprint tests and
+both vertical comparisons. ``relation_matrix`` classifies every ordered pair of
+one table for extraction: its offsets are exactly antisymmetric and its gaps
+symmetric, so it runs one test and one comparison, reads the others as
+transposes, and skips the test when no pair is above another.
 The collision pair loop reads the table's rows as Python floats.
 ``GeometryFrame`` stays the scalar reference of the volume functions and the
 test oracles.
@@ -150,70 +150,64 @@ def _inside(dx: np.ndarray, dy: np.ndarray, box) -> np.ndarray:
     return (np.abs(dx * c + dy * s) <= box[3]) & (np.abs(dy * c - dx * s) <= box[4])
 
 
-def _relations(s, o, square: bool) -> np.ndarray:
-    """The relation rule's checks, in order, on subject and object fields s[k] and o[k] that broadcast. A
-    ``square`` caller passes one table's fields as [N, 1] and [1, N] columns, whose ``below`` and subject
-    footprint test are the transposes of ``above`` and the object's test."""
-    dx, dy, dz, gap = s[0] - o[0], s[1] - o[1], s[2] - o[2], s[5] + o[5]
-    above = dz > gap
-    below = None if square else -dz > gap
+def _sectors(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Planar relation id of each ground offset (dx, dy) of a subject from its object: the bearing's sector,
+    closely_* within CLOSE_DISTANCE, and -1 beyond MEDIUM_DISTANCE."""
     d = np.sqrt(dx * dx + dy * dy)
     bearing = np.add.reduce(np.less_equal.outer(_BEARING_EDGES, np.arctan2(dy, dx)), axis=0)
     rel = _SECTOR_IDS[(d <= CLOSE_DISTANCE).astype(np.intp), bearing]
     rel[d > MEDIUM_DISTANCE] = -1
-    if above.any() or (below is not None and below.any()):
-        # The object's offset from the subject is (-dx, -dy); negation is exact and rounding symmetric, so (dx, dy)
-        # gives the subject's footprint test the same |u| and |v| bit for bit.
-        hit = _inside(dx, dy, o)
-        if square:  # overlap is symmetric and below is above.T, so the below cells are the stacked ones transposed
-            stacked = (hit | hit.T) & above
-            rel[stacked] = _ABOVE_ID
-            rel[stacked.T] = _BELOW_ID
-        else:
-            overlap = hit | _inside(dx, dy, s)
-            rel[overlap & above] = _ABOVE_ID
-            rel[overlap & below] = _BELOW_ID
     return rel
 
 
 def pair_relations(subjects: np.ndarray, objects: np.ndarray) -> np.ndarray:
-    """Relation of each subject box to its object box: the relation rule on any rows.
+    """Relation of each subject box to its object box, for C gathered pairs.
 
-    ``subjects`` and ``objects`` are ``box_table`` rows, float [..., 7], that broadcast to a shape of at least
-    one dimension; each result is a ``RELATION_SET`` index, or -1 for none. In order: above or below when either
-    centre lies in the other's footprint and the z gap exceeds the mean height; none beyond MEDIUM_DISTANCE on
-    the ground; else the sector of the bearing atan2(dy, dx) of the subject from the object, closely_* within
-    CLOSE_DISTANCE. Coincident ground centres with no vertical relation keep atan2(0, 0) = 0: each box is
-    closely_right_of the other, the one pair whose two orders are not mirror predicates. The footprint test
-    runs only when some pair's z gap exceeds its mean height: with none, it could change no result bit. Rows
-    have no transpose, so both footprint tests and both vertical comparisons run here; ``relation_matrix`` runs
-    one of each. The sector is a count of the bearing edges at or below θ: bin 0 and the wrapped bin 4 are
-    left_of. Rows whose last axis is not 7, or two single rows, raise ValueError naming both shapes.
+    ``subjects`` and ``objects`` are float [C, 7] ``box_table`` rows of one shape, row k of each making pair k;
+    each result is a ``RELATION_SET`` index, or -1 for none. In order: above or below when either centre lies in
+    the other's footprint and the z gap exceeds the mean height; none beyond MEDIUM_DISTANCE on the ground; else
+    the sector of the bearing atan2(dy, dx) of the subject from the object, closely_* within CLOSE_DISTANCE.
+    Coincident ground centres with no vertical relation keep atan2(0, 0) = 0: each box is closely_right_of the
+    other, the one pair whose two orders are not mirror predicates. The sector is a count of the bearing edges at
+    or below θ: bin 0 and the wrapped bin 4 are left_of. Gathered pairs have no transpose, so both footprint
+    tests and both vertical comparisons always run; the subject's test reads the offset (dx, dy), whose negation
+    is exact, so it sees the same |u| and |v| as at (-dx, -dy). Any other shapes raise ValueError naming both.
     """
-    if subjects.shape[-1:] != (7,) or objects.shape[-1:] != (7,) or max(subjects.ndim, objects.ndim) < 2:
+    if subjects.ndim != 2 or subjects.shape[1] != 7 or subjects.shape != objects.shape:
         raise ValueError(
-            f"subjects and objects must be [..., 7] rows that broadcast to at least one dimension, "
-            f"got {subjects.shape} and {objects.shape}"
+            f"subjects and objects must be [C, 7] tables of one shape, got {subjects.shape} and {objects.shape}"
         )
-    s, o = (a.transpose(-1, *range(a.ndim - 1)) for a in (subjects, objects))  # np.moveaxis(a, -1, 0) at C cost
-    return _relations(s, o, square=False)
+    s, o = subjects.T, objects.T
+    dx, dy, dz, gap = s[0] - o[0], s[1] - o[1], s[2] - o[2], s[5] + o[5]
+    rel = _sectors(dx, dy)
+    overlap = _inside(dx, dy, o) | _inside(dx, dy, s)
+    rel[overlap & (dz > gap)] = _ABOVE_ID
+    rel[overlap & (-dz > gap)] = _BELOW_ID
+    return rel
 
 
 def relation_matrix(boxes: np.ndarray) -> np.ndarray:
     """``pair_relations`` of every ordered pair of a float [N, 7] ``box_table``, as an int [N, N] matrix.
 
-    Entry [i, j] is the relation of box i (subject) to box j (object); -1 is
-    none and fills the diagonal. It is bitwise ``pair_relations`` of
-    ``boxes[:, None]`` and ``boxes[None]``, with one footprint test and one
-    vertical comparison: IEEE subtraction gives x_j - x_i == -(x_i - x_j) and
-    the gap h_i + h_j is symmetric, so ``below`` is ``above`` transposed, and
-    the subject's footprint test, which sees the negated offset with the same
-    |u| and |v|, is the object's test transposed. A table that is not [N, 7] raises ValueError.
+    Entry [i, j] is the relation of box i (subject) to box j (object); -1 is none and fills the diagonal. The
+    square owns two transposes that gathered pairs cannot use: IEEE subtraction gives x_j - x_i == -(x_i - x_j)
+    and the gap h_i + h_j is symmetric, so ``below`` is ``above`` transposed, and the subject's footprint test,
+    which sees the negated offset with the same |u| and |v|, is the object's test transposed. So the matrix runs
+    one vertical comparison and one footprint test, and only when some pair is above another: with none, the
+    test could change no result bit. A table that is not [N, 7] raises ValueError.
     """
     if boxes.ndim != 2 or boxes.shape[1] != 7:
         raise ValueError(f"boxes must be a [N, 7] box_table, got shape {boxes.shape}")
     fields = boxes.T
-    rel = _relations(fields[:, :, None], fields[:, None], square=True)
+    s, o = fields[:, :, None], fields[:, None]
+    dx, dy, dz, gap = s[0] - o[0], s[1] - o[1], s[2] - o[2], s[5] + o[5]
+    rel = _sectors(dx, dy)
+    above = dz > gap
+    if above.any():
+        hit = _inside(dx, dy, o)
+        stacked = (hit | hit.T) & above
+        rel[stacked] = _ABOVE_ID
+        rel[stacked.T] = _BELOW_ID
     rel.reshape(-1)[:: len(boxes) + 1] = -1  # the diagonal, in one strided write
     return rel
 

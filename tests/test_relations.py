@@ -377,10 +377,9 @@ def test_relation_matrix_and_extract_triplets_match_oracle(scene):
     frames = [frame_of(o) for o in scene.objects]
     boxes = pack(frames)
     rel = relation_matrix(boxes)
-    # the pairwise rule gives each ordered pair i != j the matrix entry, as gathered rows and as broadcast ones
+    # the pairwise rule on gathered pairs gives each ordered pair i != j the matrix entry
     i, j = np.nonzero(~np.eye(len(frames), dtype=bool))
     assert np.array_equal(pair_relations(boxes[i], boxes[j]), rel[i, j])
-    assert np.array_equal(pair_relations(boxes[:, None], boxes[None])[i, j], rel[i, j])
     want = []
     for i, (s, a) in enumerate(zip(frames, scene.objects)):
         for j, (o, b) in enumerate(zip(frames, scene.objects)):
@@ -440,11 +439,14 @@ def searchsorted_relations(subjects, objects):
 
 
 def assert_rule_matches_the_search(boxes):
-    """relation_matrix and pair_relations, on gathered and on broadcast rows, are byte for byte the search oracle."""
+    """relation_matrix, and pair_relations on the off-diagonal pairs in row-major and in a seeded shuffled order, on
+    one pair and on none, are byte for byte the search oracle: the pairs path reads no order and no transpose."""
     want = searchsorted_relations(boxes[:, None], boxes[None])
     i, j = np.nonzero(~np.eye(len(boxes), dtype=bool))
-    assert pair_relations(boxes[:, None], boxes[None]).tobytes() == want.tobytes()
-    assert pair_relations(boxes[i], boxes[j]).tobytes() == want[i, j].tobytes()
+    shuffled = np.random.default_rng(0).permutation(len(i))
+    for pairs in (slice(None), shuffled, shuffled[:1], shuffled[:0]):
+        rel = pair_relations(boxes[i[pairs]], boxes[j[pairs]])
+        assert rel.dtype == want.dtype and rel.tobytes() == want[i[pairs], j[pairs]].tobytes()
     np.fill_diagonal(want, -1)
     rel = relation_matrix(boxes)
     assert rel.dtype == want.dtype and rel.tobytes() == want.tobytes()
@@ -500,8 +502,14 @@ def test_offsets_on_every_sector_edge_classify_as_the_search_does():
 
 @pytest.mark.parametrize(
     "subjects, objects",
-    [((2, 6), (2, 6)), ((2, 8), (2, 8)), ((7,), (7,)), ((2, 7), (2, 6)), ((6,), (3, 7)), ((), (2, 7)), ((7,), ())],
-    ids=["6 columns", "8 columns", "two single rows", "object 6 columns", "subject 6 columns", "0-d", "0-d object"],
+    [
+        ((2, 6), (2, 6)), ((2, 8), (2, 8)), ((7,), (7,)), ((2, 7), (2, 6)), ((6,), (3, 7)), ((), (2, 7)), ((7,), ()),
+        ((7,), (3, 7)), ((3, 1, 7), (1, 3, 7)), ((3, 7), (4, 7)),
+    ],
+    ids=[
+        "6 columns", "8 columns", "two single rows", "object 6 columns", "subject 6 columns", "0-d", "0-d object",
+        "row against a table", "broadcast square", "unequal counts",
+    ],
 )
 def test_pair_relations_refuses_malformed_rows_naming_both_shapes(subjects, objects):
     message = f"got {subjects} and {objects}"
@@ -516,13 +524,14 @@ def test_relation_matrix_refuses_a_table_that_is_not_n_by_7(shape):
 
 
 def test_valid_row_shapes_are_unchanged():
-    """A single row against a table, a [1, 7] row against a single row and empty tables keep their results."""
+    """Gathered [C, 7] pairs, one pair and no pairs, and the empty and one-box matrices keep their results."""
     boxes = pack([frame(0, 0), frame(1, 0), frame(0, 2.5), frame(0, 0, z=2.0)])
+    first = boxes[[0, 0, 0]]
     P = RelationPredicate
-    assert [predicate_of(r) for r in pair_relations(boxes[1:], boxes[0])] == [P.CLOSELY_RIGHT_OF, P.IN_FRONT_OF, P.ABOVE]
-    assert [predicate_of(r) for r in pair_relations(boxes[1:2], boxes[0])] == [P.CLOSELY_RIGHT_OF]
-    assert pair_relations(boxes[0], boxes[1:]).tobytes() == searchsorted_relations(boxes[0], boxes[1:]).tobytes()
-    assert pair_relations(boxes[:0], boxes[0]).shape == (0,)
+    assert [predicate_of(r) for r in pair_relations(boxes[1:], first)] == [P.CLOSELY_RIGHT_OF, P.IN_FRONT_OF, P.ABOVE]
+    assert [predicate_of(r) for r in pair_relations(boxes[1:2], boxes[:1])] == [P.CLOSELY_RIGHT_OF]
+    assert pair_relations(first, boxes[1:]).tobytes() == searchsorted_relations(first, boxes[1:]).tobytes()
+    assert pair_relations(boxes[:0], boxes[:0]).shape == (0,)
     assert relation_matrix(boxes[:0]).shape == (0, 0)
     assert relation_matrix(boxes[:1]).tolist() == [[-1]]
 
@@ -535,30 +544,30 @@ def desk_and_lamp(lift):
     return box_table(scene_with([desk, lamp]))
 
 
-# Both call shapes: extraction's [N, N] broadcast, which runs one footprint test and reads the other as its
-# transpose, and irecall's 1-D rows of candidate pairs, which run both and where one stacked row alone is only
-# above or only below.
-@pytest.mark.parametrize(
-    "lift, lamp_to_desk, stacked",
-    [(0.0, RelationPredicate.CLOSELY_RIGHT_OF, False), (0.125, RelationPredicate.ABOVE, True)],
-    ids=["resting", "stacked"],
-)
-@pytest.mark.parametrize(
-    "shape, subjects, tests_when_stacked",
-    [("matrix", [1, 0], 1), ("rows", [1], 2), ("rows", [0], 2)],
-    ids=["matrix", "lamp row", "desk row"],
-)
-def test_the_footprint_test_runs_only_when_a_pair_is_vertically_separated(
-    monkeypatch, lift, lamp_to_desk, stacked, shape, subjects, tests_when_stacked
-):
-    boxes, objects = desk_and_lamp(lift), [1 - s for s in subjects]
+RESTING_AND_STACKED = [(0.0, RelationPredicate.CLOSELY_RIGHT_OF), (0.125, RelationPredicate.ABOVE)]
+
+
+# Extraction's [N, N] square runs one footprint test, reads the other as its transpose, and skips it when no pair
+# is above another.
+@pytest.mark.parametrize("lift, lamp_to_desk", RESTING_AND_STACKED, ids=["matrix-resting", "matrix-stacked"])
+def test_the_footprint_test_runs_only_when_a_pair_is_vertically_separated(monkeypatch, lift, lamp_to_desk):
+    boxes = desk_and_lamp(lift)
     calls = count_calls(monkeypatch, relations, "_inside")
-    if shape == "matrix":
-        rel = relation_matrix(boxes)[subjects, objects]
-    else:
-        rel = pair_relations(boxes[subjects], boxes[objects])
-    assert [predicate_of(r) for r in rel] == [lamp_to_desk if s else mirror_predicate(lamp_to_desk) for s in subjects]
-    assert len(calls) == (tests_when_stacked if stacked else 0)
+    rel = relation_matrix(boxes)
+    assert [predicate_of(rel[1, 0]), predicate_of(rel[0, 1])] == [lamp_to_desk, mirror_predicate(lamp_to_desk)]
+    assert len(calls) == (1 if lamp_to_desk is RelationPredicate.ABOVE else 0)
+
+
+# irecall's gathered candidate pairs have no transpose and no skip: both footprint tests run on every call, and one
+# stacked pair alone is only above or only below.
+@pytest.mark.parametrize("lift, lamp_to_desk", RESTING_AND_STACKED, ids=["resting", "stacked"])
+@pytest.mark.parametrize("subject", [1, 0], ids=["lamp row", "desk row"])
+def test_pair_relations_runs_both_footprint_tests_on_every_call(monkeypatch, lift, lamp_to_desk, subject):
+    boxes = desk_and_lamp(lift)
+    calls = count_calls(monkeypatch, relations, "_inside")
+    rel = pair_relations(boxes[[subject]], boxes[[1 - subject]])
+    assert predicate_of(rel[0]) is (lamp_to_desk if subject else mirror_predicate(lamp_to_desk))
+    assert len(calls) == 2
 
 
 def nonzero_rows(scene):
