@@ -71,6 +71,8 @@ def _words(categories: Iterable[str]) -> frozenset[str]:
 
 def build_word_vocab(categories: list[str]) -> dict[str, int]:
     """Closed word-to-id table: pad, then the template and category words in sorted order."""
+    if isinstance(categories, str) or not all(isinstance(c, str) for c in categories):  # a str is its letters
+        raise ValueError(f"categories must be a list of str, got {categories!r}")
     return {w: i for i, w in enumerate([PAD_WORD, *sorted(_words(categories) - {PAD_WORD})])}
 
 

@@ -25,6 +25,7 @@ float arithmetic.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,8 @@ class LossWeights:
 
     def __post_init__(self):
         for name, value in vars(self).items():
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):  # numpy reals pass, np.bool_ does not
+                raise ValueError(f"loss weight {name} must be a real number, got {value!r}")
             if not math.isfinite(value) or value < 0:
                 raise ValueError(f"loss weight {name} must be finite and non-negative, got {value}")
 

@@ -204,6 +204,8 @@ class SceneCodec:
     """
 
     def __init__(self, categories: list[str], spec: DiscretizationSpec, max_objects: int = 8):
+        if isinstance(categories, str) or not all(isinstance(c, str) for c in categories):  # a str is its letters
+            raise ConfigurationError(f"categories must be a list of str, got {categories!r}")
         if len(set(categories)) != len(categories):
             raise ConfigurationError("duplicate category names")
         if isinstance(max_objects, bool) or not isinstance(max_objects, int) or max_objects < 1:

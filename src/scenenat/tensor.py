@@ -19,18 +19,22 @@ _make records a node under this contract and _summed_nll the weighted-NLL
 node; both are package-internal, not public API. _make alone decides
 whether an op records: outside no_grad, when an input requires grad.
 A leaf keeps its requires_grad under no_grad and gets grads after the block.
-Dense row-major arrays only; broadcasting is limited to missing leading
-(batch) dims plus size-1 axes, and the backward rules undo it by summation
-so every rule stays auditable. Two rules sum without a per-element loop:
-embedding_lookup scatters its grad back into the table with one bincount,
-duplicate ids included, and matmul, whose weight is always 2-D, folds the
-input's batch dims into rows, so each grad is one 2-D GEMM.
+Dense row-major arrays only, and an op takes only the shapes its callers
+pass: add takes two equal shapes (else ShapeError). Attention holds the one
+broadcasting rule: q, k and v may differ in their leading (batch) dims as
+numpy's matmul broadcasts them, such as a 2-D query against batched keys,
+and _unbroadcast sums each grad back to its input's shape. Two rules sum
+without a per-element loop: embedding_lookup scatters its grad back into
+the table with one bincount, duplicate ids included, and matmul, whose
+weight is always 2-D, folds the input's batch dims into rows, so each grad
+is one 2-D GEMM.
 
-Ops: add, mul, scale, matmul ([..., n, k] input, 2-D [k, m] weight),
-transpose, reshape, slice_rows, embedding_lookup, layer_norm, silu, tensor_sum,
-scaled_dot_product_attention and cross_entropy, a one-term weighted-NLL
-node, as are the losses of scenenat.matching with more terms.
-log_softmax_array works on plain arrays, outside the graph.
+Ops: add, scale, matmul, transpose, reshape, slice_rows, embedding_lookup,
+layer_norm, silu, scaled_dot_product_attention, cross_entropy.
+
+matmul takes an [..., n, k] input and a 2-D [k, m] weight. cross_entropy is
+a one-term weighted-NLL node, as are the losses of scenenat.matching with
+more terms. log_softmax_array works on plain arrays, outside the graph.
 Row maxima (log_softmax_array, attention) reduce across a contiguous
 transposed copy: numpy runs a reduction's inner loop once per row of the
 contiguous axis, so a last-axis max pays that loop's overhead once per row.
@@ -48,6 +52,7 @@ float32 leaf gets a float32 .grad whatever constants the graph meets.
 from __future__ import annotations
 
 import contextlib
+import math
 
 import numpy as np
 
@@ -222,30 +227,15 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def _check_broadcast(op: str, a: Tensor, b: Tensor) -> None:
-    if a.data.shape != b.data.shape:
-        try:
-            np.broadcast_shapes(a.data.shape, b.data.shape)
-        except ValueError:
-            raise ShapeError(f"{op}: incompatible shapes {a.data.shape} vs {b.data.shape}") from None
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast("add", a, b)
+    """Elementwise sum of two tensors of one shape; any other pair raises ShapeError."""
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"add: needs equal shapes, got {a.data.shape} vs {b.data.shape}")
 
     def backward(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return g, g
 
     return _make(a.data + b.data, (a, b), backward)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast("mul", a, b)
-
-    def backward(g):
-        return _unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)
-
-    return _make(a.data * b.data, (a, b), backward)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -263,9 +253,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: needs a [..., n, k] input and a [k, m] weight, got {a.data.shape} @ {b.data.shape}")
 
     def backward(g):
-        # Fold the batch dims into rows: one GEMM per grad, no per-batch products to sum.
-        g2 = g.reshape(-1, g.shape[-1])
-        return (g2 @ b.data.T).reshape(a.data.shape), a.data.reshape(-1, a.data.shape[-1]).T @ g2
+        # Fold the batch dims into rows: one GEMM per grad, no per-batch products to sum. The row count is
+        # given, not -1, which numpy cannot infer beside an axis of size 0.
+        rows = math.prod(a.data.shape[:-1])
+        g2 = g.reshape(rows, g.shape[-1])
+        return (g2 @ b.data.T).reshape(a.data.shape), a.data.reshape(rows, a.data.shape[-1]).T @ g2
 
     return _make(a.data @ b.data, (a, b), backward)
 
@@ -357,15 +349,6 @@ def silu(a: Tensor) -> Tensor:
         return (g * sig * (1.0 + a.data * (1.0 - sig)),)
 
     return _make(a.data * sig, (a,), backward)
-
-
-def tensor_sum(a: Tensor) -> Tensor:
-    """Sum of every element, as a 0-d tensor."""
-
-    def backward(g):
-        return (np.broadcast_to(g, a.data.shape),)
-
-    return _make(a.data.sum(), (a,), backward)
 
 
 def scaled_dot_product_attention(

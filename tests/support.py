@@ -7,6 +7,7 @@ Test modules import from here and never from one another.
 import numpy as np
 from hypothesis import strategies as st
 
+from scenenat import tensor as T
 from scenenat.instructions import build_word_vocab
 from scenenat.relations import GeometryFrame
 from scenenat.scene import DiscretizationSpec, SceneCodec, SceneLayout, SceneObject
@@ -100,6 +101,15 @@ def resting_layouts(draw, codec):
         yaw = draw(st.floats(0.0, 360.0, exclude_max=True))
         objects.append(SceneObject(draw(st.sampled_from(codec.categories)), (0, 0, 0, 0), position, size, yaw))
     return SceneLayout("bedroom", objects)
+
+
+def weighted_sum(out, weights=None):
+    """The scalar sum over out's elements of each times its weight, built from the graph's own ops: out reshaped
+    to [1, n], times the constant [n, 1] probe column of the weights (an array of out's shape, kept in its dtype;
+    ones of out's dtype when None), reshaped to a scalar. So out's grad is the weights."""
+    n = out.data.size
+    probe = np.ones((n, 1), out.data.dtype) if weights is None else np.asarray(weights).reshape(n, 1)
+    return T.reshape(T.matmul(T.reshape(out, (1, n)), T.Tensor(probe)), ())
 
 
 # Central finite differences: check_gradients probes each element at x + STEP and x - STEP.

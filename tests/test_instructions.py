@@ -18,6 +18,7 @@ from scenenat.instructions import (
     SENTENCE_FRAMES,
     Instruction,
     _sentence_plan,
+    build_word_vocab,
     synthesize_instruction,
 )
 from scenenat.relations import RELATION_SET, RelationTable, RelationTriplet, extract_triplets
@@ -338,6 +339,13 @@ def test_category_word_missing_from_vocabulary_fails_before_any_draw():
     with pytest.raises(ValueError, match=r"missing from word_to_id: \['sofa'\]"):
         synthesize_instruction(EMPTY, 1, rng, triplets=table, word_to_id=VOCAB)
     assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("categories", ["bed", ["bed", 3]], ids=["bare-str", "int-entry"])
+def test_word_vocab_takes_only_a_list_of_str_categories(categories):
+    # "bed" held the words b, e and d
+    with pytest.raises(ValueError, match="categories must be a list of str"):
+        build_word_vocab(categories)
 
 
 def test_word_vocab_covers_every_template_word():

@@ -620,6 +620,16 @@ def test_loss_weights_reject_negative_and_non_finite(value):
         LossWeights(null_class=value)
 
 
+@pytest.mark.parametrize("value", [True, np.bool_(False), "1", None], ids=["bool", "numpy-bool", "str", "none"])
+def test_loss_weights_reject_bools_and_non_reals(value):
+    # True passed as 1.0, and "1" raised a bare TypeError from math.isfinite
+    with pytest.raises(ValueError, match="loss weight subject must be a real number"):
+        LossWeights(subject=value)
+    with pytest.raises(ValueError, match="loss weight null_class must be a real number"):
+        LossWeights(null_class=value)
+    assert LossWeights(subject=np.float32(0.5), triplet=np.int64(2)).triplet == 2  # numpy reals pass
+
+
 def test_loss_weights_are_frozen_so_the_check_cannot_be_bypassed():
     weights = LossWeights()
     with pytest.raises(dataclasses.FrozenInstanceError):

@@ -421,6 +421,13 @@ def test_tokenize_rejects_malformed_objects(extra, message):
     assert sc.clamp_event_count() - before == 0
 
 
+@pytest.mark.parametrize("categories", ["bed", ["bed", 3]], ids=["bare-str", "int-entry"])
+def test_codec_takes_only_a_list_of_str_categories(categories):
+    # "bed" made the categories b, e and d; a 3 came back from detokenize as a category SceneObject refuses
+    with pytest.raises(ConfigurationError, match="categories must be a list of str"):
+        SceneCodec(categories, DiscretizationSpec())
+
+
 @pytest.mark.parametrize("max_objects", [0, -1, 2.5, True, 8.0])
 def test_codec_rejects_bad_max_objects(max_objects):
     with pytest.raises(ConfigurationError, match="max_objects"):
